@@ -13,17 +13,13 @@ Usage (see also ``make bench`` / ``make bench-baseline``)::
 
 Beyond the per-model Kcycles/s gate, the suite measures traffic
 generation (items/s per mode), end-to-end sweep execution (the A5
-filter grid, serial vs process over a reused pool), the lockstep batch
-backend (serial vs batch points/s on a 100-seed single-master grid)
-and the serving layer (warm submissions/s, cache hit-rate, queue depth
-and per-burst backend dispatch through an in-process ``repro.serve``
-server under a concurrent duplicate-heavy burst).  On hosts with
-more than one worker the process backend must beat serial by
-``--min-sweep-speedup`` (default 1.5x); on single-CPU hosts the
-speedup is recorded but not gated — a pool of one worker can only add
-overhead.  When numpy is available the batch backend must beat serial
-by ``--min-batch-speedup`` (default 2.0x) on its seed grid; without
-numpy it degrades to serial execution and is recorded but not gated.
+filter grid, serial vs process over a reused pool) and the serving
+layer (warm submissions/s, cache hit-rate and queue depth through an
+in-process ``repro.serve`` server under a concurrent duplicate-heavy
+burst).  On hosts with more than one worker the process backend must
+beat serial by ``--min-sweep-speedup`` (default 1.5x); on single-CPU
+hosts the speedup is recorded but not gated — a pool of one worker can
+only add overhead.
 
 ``--models rtl`` narrows measurement and grading to a model subset
 (the check path prints a per-model delta table either way), and
@@ -92,15 +88,6 @@ def main(argv=None) -> int:
         ),
     )
     parser.add_argument(
-        "--min-batch-speedup",
-        type=float,
-        default=2.0,
-        help=(
-            "required batch-over-serial points/s speedup on the "
-            "lockstep seed grid when numpy is available (default: 2.0)"
-        ),
-    )
-    parser.add_argument(
         "--models",
         nargs="+",
         choices=MODELS,
@@ -143,15 +130,13 @@ def main(argv=None) -> int:
         include_trafficgen=args.models is None,
         include_sweep=args.models is None,
         include_serve=args.models is None,
-        include_batch=args.models is None,
     )
     print(render_block(fresh, title="this run"))
 
-    # Baseline-independent gates: the sweep and batch speedups are
-    # properties of *this* run, so they fire on every path (except an
-    # explicit baseline rewrite, where they are surfaced as warnings).
+    # Baseline-independent gate: the sweep speedup is a property of
+    # *this* run, so it fires on every path (except an explicit
+    # baseline rewrite, where it is surfaced as a warning).
     sweep_failures = _check_sweep_speedup(fresh, args.min_sweep_speedup)
-    sweep_failures.extend(_check_batch_speedup(fresh, args.min_batch_speedup))
 
     if args.write_baseline:
         for failure in sweep_failures:
@@ -235,26 +220,6 @@ def _check_sweep_speedup(fresh: dict, minimum: float) -> list:
         return [
             f"sweep: process backend is only {sweep['process_over_serial']}x "
             f"over serial with {sweep['workers']} workers "
-            f"(required: {minimum}x)"
-        ]
-    return []
-
-
-def _check_batch_speedup(fresh: dict, minimum: float) -> list:
-    """Gate the lockstep batch backend's points/s over serial."""
-    batch = fresh.get("batch")
-    if not batch:
-        return []
-    if not batch.get("available"):
-        print(
-            "note: numpy unavailable — the batch backend degrades to "
-            "serial execution, so its speedup is not gated."
-        )
-        return []
-    if batch["batch_over_serial"] < minimum:
-        return [
-            f"batch: lockstep backend is only {batch['batch_over_serial']}x "
-            f"over serial on the {batch['points']}-point seed grid "
             f"(required: {minimum}x)"
         ]
     return []

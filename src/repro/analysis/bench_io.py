@@ -57,11 +57,6 @@ TRAFFICGEN_SEED = 11
 #: Sweep-execution suite sizing (the A5 filter-ablation grid).
 SWEEP_TRANSACTIONS = 120
 
-#: Lockstep-batch suite sizing: a seed-axis grid of single-master TLM
-#: points, the structure-of-arrays backend's home turf.
-BATCH_SEEDS = 100
-BATCH_TRANSACTIONS = 300
-
 #: Serving suite sizing: grid size per submission and the burst shape
 #: (concurrent clients x duplicate submissions each).
 SERVE_TRANSACTIONS = 60
@@ -202,80 +197,6 @@ def run_sweep_suite(
     }
 
 
-def run_batch_suite(
-    transactions: int = BATCH_TRANSACTIONS,
-    seeds: int = BATCH_SEEDS,
-    repeats: int = 3,
-) -> Dict[str, object]:
-    """Lockstep sweep throughput: serial vs batch on a seed-axis grid.
-
-    The grid is *seeds* single-master TLM points differing only in the
-    traffic seed — the shape Monte-Carlo sweeps produce and the
-    structure-of-arrays backend lockstep-executes as one numpy program.
-    Both backends run best-of-*repeats*; every batch repeat's records
-    must equal the serial records (the bit-identical guarantee, measured
-    rather than assumed) and every point must actually take the lockstep
-    path — a silent fallback would time the serial executor twice and
-    report a fake 1.0x.  Without numpy the block records
-    ``available: False`` and skips the timing (the backend then degrades
-    to per-point serial execution).
-    """
-    from repro.exec.batch import BATCHED, HAVE_NUMPY
-    from repro.system import paper_topology, sweep as sweep_grid
-
-    grid = sweep_grid(
-        paper_topology(workload=single_master_workload(transactions)),
-        axis="seed",
-        values=range(seeds),
-    )
-    repeats = max(repeats, 1)
-    block: Dict[str, object] = {
-        "points": len(grid),
-        "transactions": transactions,
-        "repeats": repeats,
-        "available": HAVE_NUMPY,
-    }
-    if not HAVE_NUMPY:
-        return block
-
-    serial_runner = SweepRunner(backend="serial")
-    serial_wall = float("inf")
-    serial_records = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        records = serial_runner.run(grid)
-        serial_wall = min(serial_wall, time.perf_counter() - start)
-        if serial_records is not None and records != serial_records:
-            raise SimulationError("serial sweep records changed on repeat")
-        serial_records = records
-
-    batch_runner = SweepRunner(backend="batch")
-    batch_wall = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        batch_records = batch_runner.run(grid)
-        batch_wall = min(batch_wall, time.perf_counter() - start)
-        if batch_records != serial_records:
-            raise SimulationError(
-                "batch-backend sweep records diverged from the serial backend"
-            )
-        if any(label != BATCHED for label in batch_runner.dispatch_log):
-            raise SimulationError(
-                "batch suite grid fell back to serial execution; the "
-                "timing would not measure the lockstep path"
-            )
-    block.update(
-        {
-            "serial_wall_seconds": round(serial_wall, 6),
-            "batch_wall_seconds": round(batch_wall, 6),
-            "serial_points_per_sec": round(len(grid) / serial_wall, 1),
-            "batch_points_per_sec": round(len(grid) / batch_wall, 1),
-            "batch_over_serial": round(serial_wall / batch_wall, 3),
-        }
-    )
-    return block
-
-
 def run_serve_suite(
     transactions: int = SERVE_TRANSACTIONS,
     clients: int = SERVE_CLIENTS,
@@ -284,21 +205,16 @@ def run_serve_suite(
     """Serving-layer throughput: a burst of duplicate-heavy submissions.
 
     Hermetic and in-process: starts a :class:`~repro.serve.SweepServer`
-    (auto backend, in-memory store) on a loopback port, primes the
-    cache with two cold passes — a single-master seed grid the server
-    routes through the lockstep batch backend, then the multi-master
-    write-buffer grid that falls back to serial — and fires *clients*
-    concurrent threads each submitting the write-buffer grid
+    (default backend, in-memory store) on a loopback port, primes the
+    cache with one cold pass of the multi-master write-buffer grid and
+    fires *clients* concurrent threads each submitting the same grid
     *submissions_per_client* times.  Every burst point must replay from
     the cache — the suite raises if the warm hit-rate is not 100 % or
     any burst record differs from the cold pass (the "cache hit is
     provably correct" guarantee, measured rather than assumed).
 
     Reported: cold/burst wall seconds, warm submissions/s and points/s,
-    the overall cache hit-rate, the queue-depth high-water mark, and —
-    since the server routes eligible coalesced bursts through the
-    lockstep batch backend — the resolved backend plus which execution
-    path served each burst's points.
+    the overall cache hit-rate and the queue-depth high-water mark.
 
     Two supervision metrics ride along, recorded rather than gated:
     the admission-control shed rate over the burst (0.0 unless the
@@ -318,25 +234,11 @@ def run_serve_suite(
 
     spec = paper_topology(transactions)
     grid = sweep_grid(spec, axis="write_buffer_depth", values=(1, 2, 4, 8))
-    lockstep_grid = sweep_grid(
-        paper_topology(workload=single_master_workload(transactions)),
-        axis="seed",
-        values=range(4),
-    )
     clients = max(clients, 1)
     submissions_per_client = max(submissions_per_client, 1)
 
     with SweepServer() as server:
         host, port = server.address
-
-        # Untimed primer: a lockstep-eligible burst, so the dispatch
-        # report covers the batch path as well as the serial fallback.
-        primer = ServeClient(host, port).submit(lockstep_grid)
-        if primer.misses != len(lockstep_grid):
-            raise SimulationError(
-                f"lockstep primer expected {len(lockstep_grid)} misses, "
-                f"got {primer.misses}"
-            )
 
         start = time.perf_counter()
         cold = ServeClient(host, port).submit(grid)
@@ -428,9 +330,6 @@ def run_serve_suite(
         ),
         "cache_hit_rate": stats["hit_rate"],
         "max_queue_depth": stats["max_queue_depth"],
-        "backend": stats["backend"],
-        "dispatch": stats["dispatch"],
-        "burst_backends": stats["burst_backends"],
         "shed_rate": round(shed_rate, 6),
         "recovery_replayed": replayed,
         "recovered_rerun": rerun,
@@ -445,7 +344,6 @@ def run_speed_suite(
     include_trafficgen: bool = True,
     include_sweep: bool = True,
     include_serve: bool = True,
-    include_batch: bool = True,
     models: Optional[Sequence[str]] = None,
 ) -> Dict[str, object]:
     """Run the §4 speed suite; returns one measurement block.
@@ -455,9 +353,8 @@ def run_speed_suite(
     the measurement to a subset of :data:`MODELS` (``["rtl"]`` while
     iterating on the pin-accurate hot path); the comparison helpers all
     skip models a block does not carry.  The block also carries the
-    traffic-generation items/s, serial-vs-process sweep wall-time,
-    lockstep-batch points/s and serving-layer entries unless switched
-    off.
+    traffic-generation items/s, serial-vs-process sweep wall-time and
+    serving-layer entries unless switched off.
     """
     selected = tuple(models) if models is not None else MODELS
     unknown = set(selected) - set(MODELS)
@@ -496,8 +393,6 @@ def run_speed_suite(
         block["trafficgen"] = run_trafficgen_suite()
     if include_sweep:
         block["sweep"] = run_sweep_suite()
-    if include_batch:
-        block["batch"] = run_batch_suite()
     if include_serve:
         block["serve"] = run_serve_suite()
     return block
@@ -763,17 +658,6 @@ def render_block(block: Dict[str, object], title: str = "speed") -> str:
             f"process {sweep['process_wall_seconds']:.3f}s "  # type: ignore[index]
             f"({sweep['process_over_serial']}x)"  # type: ignore[index]
         )
-    batch = block.get("batch")
-    if batch:
-        if batch.get("available"):  # type: ignore[union-attr]
-            lines.append(
-                f"  batch ({batch['points']} pts): "  # type: ignore[index]
-                f"serial {batch['serial_points_per_sec']:,.0f} pts/s, "  # type: ignore[index]
-                f"batch {batch['batch_points_per_sec']:,.0f} pts/s "  # type: ignore[index]
-                f"({batch['batch_over_serial']}x)"  # type: ignore[index]
-            )
-        else:
-            lines.append("  batch: numpy unavailable (serial fallback)")
     serve = block.get("serve")
     if serve:
         lines.append(
@@ -782,15 +666,6 @@ def render_block(block: Dict[str, object], title: str = "speed") -> str:
             f"hit rate {serve['cache_hit_rate']:.1%}, "  # type: ignore[index]
             f"max queue {serve['max_queue_depth']}"  # type: ignore[index]
         )
-        dispatch = serve.get("dispatch")  # type: ignore[union-attr]
-        if dispatch:
-            served = ", ".join(
-                f"{label}:{count}" for label, count in sorted(dispatch.items())
-            )
-            lines.append(
-                f"  serve backend {serve['backend']} served {served} "  # type: ignore[index]
-                f"over {len(serve.get('burst_backends', []))} burst(s)"  # type: ignore[union-attr]
-            )
         if "recovery_replay_hit_rate" in serve:  # type: ignore[operator]
             lines.append(
                 f"  serve recovery: {serve['recovery_replayed']} replayed "  # type: ignore[index]

@@ -5,10 +5,7 @@ tables.  :class:`SweepRunner` maps ``point.build().run()`` over a
 :func:`~repro.system.spec.sweep` grid with pluggable backends (in-process
 ``serial`` or multiprocess-sharded ``process``) and emits one
 :class:`RunRecord` per point — plain, picklable, order-deterministic
-rows every experiment and benchmark consumes.  A third backend,
-``batch``, lockstep-executes eligible single-master TLM grids through
-one structure-of-arrays numpy program (:mod:`repro.exec.batch`) and
-falls back to serial execution per ineligible point.
+rows every experiment and benchmark consumes.
 
     from repro.exec import SweepRunner
     from repro.system import paper_topology, sweep
@@ -23,7 +20,6 @@ process backend); and record equality excludes wall time, so
 ``SweepRunner("process").run(g) == SweepRunner("serial").run(g)``.
 """
 
-from repro.exec.batch import HAVE_NUMPY, batch_precheck
 from repro.exec.records import RunRecord, point_key
 from repro.exec.runner import (
     BACKENDS,
@@ -40,13 +36,11 @@ from repro.exec.runner import (
 __all__ = [
     "BACKENDS",
     "Collector",
-    "HAVE_NUMPY",
     "ON_ERROR",
     "OnResult",
     "OnStart",
     "RunRecord",
     "SweepRunner",
-    "batch_precheck",
     "default_workers",
     "point_key",
     "run_grid",

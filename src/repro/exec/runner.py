@@ -13,14 +13,7 @@ backend:
   from the point alone; each point's traffic regenerates in-worker from
   its own spec seed, and ``Pool.map`` with explicit chunking merges the
   records back in grid order.  Records compare equal to the serial
-  backend's because wall time is excluded from record equality; and
-* ``batch`` — lockstep the grid's eligible single-master TLM points
-  through one structure-of-arrays program (:mod:`repro.exec.batch`),
-  paying the Python interpreter once per simulation round for the whole
-  grid instead of once per round per point.  Ineligible points fall
-  back to the serial executor transparently; either way the records are
-  bit-identical to ``backend="serial"``, and :attr:`SweepRunner.dispatch_log`
-  says which path served each point.
+  backend's because wall time is excluded from record equality.
 
 ``collect`` extracts extra metrics while the platform is still alive
 (the process backend tears platforms down inside the worker).  It must
@@ -46,7 +39,7 @@ from repro.exec.records import RunRecord
 from repro.system.spec import SweepPoint
 
 #: Supported execution backends.
-BACKENDS = ("serial", "process", "batch")
+BACKENDS = ("serial", "process")
 
 #: Error policies: ``"raise"`` propagates the first failing point's
 #: exception (losing the rest of the grid); ``"record"`` turns crashes
@@ -61,9 +54,8 @@ OnResult = Callable[[int, RunRecord], None]
 
 #: Per-point dispatch callback: ``(grid_index, point) -> None``, fired
 #: when an execution attempt for the point begins (serial: immediately
-#: before it runs; process: when its job is handed to the pool; batch:
-#: when the lockstep program containing it starts).  The serving layer
-#: journals these as write-ahead ``start`` marks.
+#: before it runs; process: when its job is handed to the pool).  The
+#: serving layer journals these as write-ahead ``start`` marks.
 OnStart = Callable[[int, SweepPoint], None]
 
 
@@ -227,12 +219,6 @@ class SweepRunner:
         self.pool = pool
         self.on_error = on_error
         self.timeout = timeout
-        #: How the last :meth:`run` served each point, in grid order:
-        #: ``"serial"``/``"process"`` on those backends; on the batch
-        #: backend ``"batch"`` for lockstepped points and
-        #: ``"serial-fallback"`` for points the array program could not
-        #: take (the serving layer reports these per burst).
-        self.dispatch_log: List[str] = []
 
     def _chunksize(self, jobs: int, workers: int) -> int:
         if self.chunksize is not None:
@@ -300,36 +286,22 @@ class SweepRunner:
             )
             for point in points
         ]
-        self.dispatch_log = []
         if self.backend == "serial":
             records: List[RunRecord] = []
             for index, job in enumerate(jobs):
                 if on_start is not None:
                     on_start(index, job.point)
                 record = _execute(job)
-                self.dispatch_log.append("serial")
                 if on_result is not None:
                     on_result(len(records), record)
                 records.append(record)
             return records
-        if self.backend == "batch":
-            from repro.exec.batch import run_batch
-
-            return run_batch(
-                jobs,
-                execute_serial=_execute,
-                on_result=on_result,
-                on_start=on_start,
-                dispatch_log=self.dispatch_log,
-            )
         if on_start is not None:
             # Pool dispatch ships every job up front; each point's
             # attempt effectively begins when the map is submitted.
             for index, job in enumerate(jobs):
                 on_start(index, job.point)
-        records = self._run_pool(jobs, on_result)
-        self.dispatch_log = ["process"] * len(records)
-        return records
+        return self._run_pool(jobs, on_result)
 
     def _run_pool(
         self, jobs: Sequence[_PointJob], on_result: Optional[OnResult] = None

@@ -149,8 +149,6 @@ class _Daemon:
                 str(store),
                 "--journal",
                 str(journal),
-                "--backend",
-                "serial",
                 "--max-inflight",
                 "1",
                 "--quarantine-threshold",

@@ -236,10 +236,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     serve.add_argument(
         "--backend",
-        choices=("auto", "serial", "process", "batch"),
+        choices=("auto", "serial", "process"),
         default="auto",
-        help="sweep backend; auto picks batch (lockstep) when numpy "
-        "is available and no pool knob was given",
+        help="sweep backend; auto picks process when --workers or "
+        "--timeout is given, serial otherwise",
     )
     serve.add_argument("--workers", type=int, default=None)
     serve.add_argument(

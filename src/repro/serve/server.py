@@ -52,7 +52,6 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigError, ReproError
-from repro.exec.batch import HAVE_NUMPY
 from repro.exec.records import RunRecord, point_key
 from repro.exec.runner import SweepRunner
 from repro.serve.journal import Journal
@@ -286,9 +285,9 @@ class SweepServer:
     *backend*/*workers*/*timeout*/*repeats* configure the underlying
     :class:`SweepRunner` (``on_error`` is always ``"record"`` — a bad
     point must produce a failure row, not kill the daemon).  The default
-    ``backend="auto"`` resolves to the lockstep ``batch`` backend when
-    numpy is available and no process-pool knob (*workers*/*timeout*)
-    was requested.  *store* defaults to a fresh in-memory
+    ``backend="auto"`` resolves to ``process`` when a process-pool
+    knob (*workers*/*timeout*) is given and to ``serial``
+    otherwise.  *store* defaults to a fresh in-memory
     :class:`ResultStore`; *journal* to an in-memory
     :class:`~repro.serve.journal.Journal` — hand in path-backed ones to
     make results **and accepted work** survive restarts: on
@@ -348,8 +347,6 @@ class SweepServer:
         if backend == "auto":
             if workers is not None or timeout is not None:
                 backend = "process"  # pool knobs imply the pool backend
-            elif HAVE_NUMPY:
-                backend = "batch"
             else:
                 backend = "serial"
         self.runner = SweepRunner(
@@ -400,11 +397,6 @@ class SweepServer:
                 "label": self._pending_label(key),
                 "crashes": self.journal.crash_count(key),
             }
-        #: Aggregate dispatch-label counts ("batch", "serial-fallback",
-        #: "serial", "process") over every executed burst.
-        self._dispatch: Dict[str, int] = {}
-        #: Per-burst dispatch summaries, most recent last (bounded).
-        self._burst_log: List[Dict[str, int]] = []
 
     def _pending_label(self, key: str) -> str:
         for pending_key, wire, _ceiling in self.journal.pending():
@@ -714,7 +706,8 @@ class SweepServer:
                 on_result=finish,
                 on_start=started,
             )
-            self._account_burst(list(self.runner.dispatch_log))
+            with self._lock:
+                self._stats["bursts"] += 1
         except Exception as exc:  # infrastructure failure, not a point crash
             for key, pending in chunk:
                 if not pending.event.is_set():
@@ -728,18 +721,6 @@ class SweepServer:
         finally:
             with self._lock:
                 self._running.difference_update(key for key, _p in chunk)
-
-    def _account_burst(self, dispatch: List[str]) -> None:
-        """Record which backend path served each point of one burst."""
-        summary: Dict[str, int] = {}
-        for label in dispatch:
-            summary[label] = summary.get(label, 0) + 1
-        with self._lock:
-            self._stats["bursts"] += 1
-            for label, count in summary.items():
-                self._dispatch[label] = self._dispatch.get(label, 0) + count
-            self._burst_log.append(summary)
-            del self._burst_log[:-32]  # bounded: last 32 bursts
 
     def _finish(self, key: str, pending: _Pending, record: RunRecord) -> None:
         self.store.put(key, record)  # refuses failure rows itself
@@ -802,8 +783,6 @@ class SweepServer:
             stats = dict(self._stats)
             stats["queue_depth"] = len(self._inflight)
             stats["in_flight"] = len(self._running)
-            stats["dispatch"] = dict(self._dispatch)
-            stats["burst_backends"] = [dict(b) for b in self._burst_log]
             stats["quarantine"] = [
                 {"key": key, **info}
                 for key, info in sorted(self._quarantine.items())

@@ -149,23 +149,6 @@ class TestSweepSuite:
         assert block["process_over_serial"] > 0
 
 
-class TestBatchSuite:
-    def test_shape_and_lockstep_gate(self):
-        from repro.analysis.bench_io import run_batch_suite
-        from repro.exec.batch import HAVE_NUMPY
-
-        block = run_batch_suite(transactions=40, seeds=6, repeats=1)
-        assert block["points"] == 6
-        assert block["transactions"] == 40
-        assert block["available"] is HAVE_NUMPY
-        if HAVE_NUMPY:
-            assert block["serial_wall_seconds"] > 0
-            assert block["batch_wall_seconds"] > 0
-            assert block["batch_over_serial"] > 0
-        else:
-            assert "batch_over_serial" not in block
-
-
 class TestServeSuite:
     def test_shape_and_hit_rate_gate(self):
         from repro.analysis.bench_io import run_serve_suite
@@ -180,26 +163,9 @@ class TestServeSuite:
         assert block["burst_wall_seconds"] > 0
         assert block["submissions_per_sec"] > 0
         assert block["points_per_sec"] > 0
-        # Two cold passes (lockstep primer + write-buffer grid), then an
-        # all-warm burst: 4 of 6 submissions hit.
-        assert block["cache_hit_rate"] == pytest.approx(4 / 6, abs=1e-3)
+        # One cold pass, then an all-warm burst: 4 of 5 submissions hit.
+        assert block["cache_hit_rate"] == pytest.approx(4 / 5, abs=1e-3)
         assert block["max_queue_depth"] >= 1
-        # The dispatch report must cover both execution paths: the
-        # single-master primer lockstepped (when numpy is present) and
-        # the multi-master grid fell back to per-point serial.
-        from repro.exec.batch import HAVE_NUMPY
-
-        dispatch = block["dispatch"]
-        if HAVE_NUMPY:
-            assert block["backend"] == "batch"
-            assert dispatch.get("batch", 0) >= 1
-            assert dispatch.get("serial-fallback", 0) >= 1
-        else:
-            assert set(dispatch) == {"serial"}
-        assert len(block["burst_backends"]) == 2
-        assert sum(sum(b.values()) for b in block["burst_backends"]) == sum(
-            dispatch.values()
-        )
         # Supervision metrics ride along, recorded rather than gated:
         # nothing sheds at this size, and the recovery drill replays the
         # four warm grid points from the store while re-running its two

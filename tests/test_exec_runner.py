@@ -6,6 +6,10 @@ and filter grids — same counters, same order — with only wall time
 (excluded from equality) differing.
 """
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro.core  # noqa: F401  (anchor package import order)
@@ -178,4 +182,22 @@ class TestRunnerKnobs:
             SweepRunner(backend="serial", pool=shared_pool(1))
 
     def test_backends_constant(self):
-        assert BACKENDS == ("serial", "process", "batch")
+        assert BACKENDS == ("serial", "process")
+
+
+class TestImportCost:
+    def test_runner_and_serving_imports_leave_numpy_unloaded(self):
+        """numpy loads only on first stream-mode traffic generation."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        probe = (
+            "import sys; sys.path.insert(0, sys.argv[1]); "
+            "import repro.system, repro.exec, repro.serve; "
+            "print('numpy' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe, str(src)],
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert out.strip() == "False"

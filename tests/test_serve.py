@@ -34,6 +34,7 @@ from repro.serve import (
     point_to_wire,
 )
 from repro.system import paper_topology, sweep
+from repro.system.spec import SweepPoint
 from repro.traffic import single_master_workload
 
 REPO = Path(__file__).resolve().parent.parent
@@ -328,41 +329,56 @@ class TestRoutingUnit:
         assert pending.wait().failed
 
 
-class TestBatchRouting:
-    """Eligible coalesced bursts run through the lockstep backend."""
+def _multi_master_grid(transactions=15, values=(1, 2, 4)):
+    spec = paper_topology(transactions)
+    return sweep(spec, axis="write_buffer_depth", values=values)
 
-    def test_auto_backend_prefers_batch(self):
-        from repro.exec import HAVE_NUMPY
 
-        server = SweepServer()
-        expected = "batch" if HAVE_NUMPY else "serial"
-        assert server.runner.backend == expected
+class TestDefaultBackend:
+    """The default path runs each cold point once, journaling as it goes."""
 
-    def test_eligible_burst_is_lockstepped(self, served):
-        pytest.importorskip("numpy")
-        server, client = served
-        result = client.submit(_grid())
-        assert not any(r.failed for r in result.records)
-        stats = server.stats()
-        assert stats["bursts"] >= 1
-        assert stats["dispatch"].get("batch", 0) == 3
-        # Each burst reports how its points were served.
-        assert sum(b.get("batch", 0) for b in stats["burst_backends"]) == 3
+    def test_auto_backend_resolution(self):
+        assert SweepServer().runner.backend == "serial"
+        assert SweepServer(workers=1).runner.backend == "process"
+        assert SweepServer(timeout=30.0).runner.backend == "process"
 
-    def test_mixed_burst_reports_fallback(self, served):
-        pytest.importorskip("numpy")
-        server, client = served
-        spec = paper_topology(workload=single_master_workload(15))
-        grid = sweep(spec, axis="engine", values=("tlm", "plain"))
-        client.submit(grid)
-        dispatch = server.stats()["dispatch"]
-        assert dispatch.get("batch", 0) == 1
-        assert dispatch.get("serial-fallback", 0) == 1
+    def test_cold_grid_journals_start_then_done_per_point(self, tmp_path):
+        """Each point's ``done`` mark lands before the next ``start``, so
+        a kill -9 mid-burst charges a crash only to the running point."""
+        journal_path = tmp_path / "journal.jsonl"
+        grid = _multi_master_grid()
+        with SweepServer(journal=Journal(journal_path)) as server:
+            ServeClient(*server.address).submit(grid)
+        keys = [
+            point_key(point.spec, engine=point.engine, max_cycles=None)
+            for point in grid
+        ]
+        marks = [
+            (entry["op"], entry["key"])
+            for entry in map(json.loads, journal_path.read_text().splitlines())
+            if entry["op"] in ("start", "done")
+        ]
+        assert marks == [
+            (op, key) for key in keys for op in ("start", "done")
+        ]
 
-    def test_batch_served_records_match_serial(self, served):
-        pytest.importorskip("numpy")
+    def test_each_cold_point_builds_once(self, monkeypatch):
+        builds = []
+        original = SweepPoint.build
+
+        def counting_build(point, **kwargs):
+            builds.append(point.label)
+            return original(point, **kwargs)
+
+        monkeypatch.setattr(SweepPoint, "build", counting_build)
+        grid = _multi_master_grid()
+        with SweepServer() as server:
+            ServeClient(*server.address).submit(grid)
+        assert builds == [point.label for point in grid]
+
+    def test_served_records_match_serial(self, served):
         _server, client = served
-        grid = _grid()
+        grid = _multi_master_grid()
         served_records = list(client.submit(grid).records)
         assert served_records == SweepRunner(backend="serial").run(grid)
 
@@ -372,7 +388,7 @@ class TestBatchRouting:
             client.submit(_grid(values=(1, 2)))
             stats = server.stats()
             assert stats["backend"] == "serial"
-            assert stats["dispatch"] == {"serial": 2}
+            assert stats["bursts"] == 1
 
 
 class TestPersistenceAcrossRestart:
