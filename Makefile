@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test smoke lint bench bench-baseline bench-tables bench-trajectory profile sweep-demo trace-demo serve-demo fuzz fuzz-long chaos chaos-long
+.PHONY: test smoke lint bench bench-baseline bench-tables bench-trajectory profile perfbench perfbench-smoke sweep-demo trace-demo serve-demo fuzz fuzz-long chaos chaos-long
 
 # Optional bench filter: `make bench MODELS=rtl` measures/gates only
 # the named models (space-separated subset of tlm_method
@@ -45,6 +45,16 @@ bench-trajectory:
 TOP ?= 15
 profile:
 	$(PYTHON) -m benchmarks.profile_hotspots --top $(TOP) $(if $(MODELS),--models $(MODELS))
+
+# The repository benchmark (BENCHMARK.json): every workload once,
+# end-to-end metrics scaled to a reference host (see perfbench/run.py
+# for --workload/--seed/--seconds/--trace/--repeat).
+perfbench:
+	python3 perfbench/run.py --workload all
+
+# The benchmark's own smoke test (~20 s).
+perfbench-smoke:
+	python3 -m pytest perfbench/smoke.py -q
 
 # The full paper-table benchmark suite (slow; pytest-benchmark output).
 bench-tables:

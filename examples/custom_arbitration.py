@@ -63,7 +63,7 @@ def run(throttled: bool):
         # dma2 (master 3) gets 512 bytes per 2048-cycle window.
         throttle = BandwidthThrottle(master=3, budget_bytes=512)
         # Insert ahead of the final tie-break.
-        platform.bus.arbiter.filters.insert(-1, throttle)
+        platform.bus.arbiter.add_filter(throttle)
         platform.attach(
             lambda txn, g, s, f: throttle.note_grant(
                 Candidate(txn=txn, from_write_buffer=txn.master == 255)

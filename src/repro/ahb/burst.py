@@ -31,7 +31,7 @@ def beat_addresses(
             f"burst start {addr:#x} not aligned to beat size {size_bytes}"
         )
     if not wrapping:
-        return [addr + i * size_bytes for i in range(beats)]
+        return list(range(addr, addr + beats * size_bytes, size_bytes))
     span = beats * size_bytes
     base = (addr // span) * span
     return [base + (addr - base + i * size_bytes) % span for i in range(beats)]

@@ -35,13 +35,15 @@ class TlmSlave(abc.ABC):
 
     # -- AHB+ Bus Interface hooks (optional; see paper sections 2 and 3.4) ---
 
-    def notify_next(self, txn: Transaction, cycle: int) -> None:
+    def notify_next(self, txn: Transaction, cycle: int) -> bool:
         """Receive next-transaction information ahead of the transfer.
 
         The AHB+ arbiter forwards the upcoming transaction over the BI so
         a DDR controller can pre-charge/activate the target bank early.
-        Slaves without bank state ignore the hint.
+        Returns ``True`` when the hint prepared a bank; slaves without
+        bank state ignore it.
         """
+        return False
 
     def idle_banks(self, cycle: int) -> int:
         """Bitmap of banks able to accept a new row activation now.

@@ -40,6 +40,7 @@ class AhbPlusArbiter:
         if not self.filters or not isinstance(self.filters[-1], TieBreakFilter):
             raise ConfigError("the filter chain must end with the tie-break filter")
         self._tie_break: TieBreakFilter = self.filters[-1]
+        self._enabled_chain()
         self.rounds = 0
 
     # -- configuration -----------------------------------------------------------
@@ -51,8 +52,18 @@ class AhbPlusArbiter:
                 if isinstance(filt, TieBreakFilter) and not enabled:
                     raise ConfigError("the tie-break filter cannot be disabled")
                 filt.enabled = enabled
+                self._enabled_chain()
                 return
         raise ConfigError(f"no arbitration filter named {name!r}")
+
+    def add_filter(self, filt: ArbitrationFilter) -> None:
+        """Insert a custom narrowing filter just ahead of the tie-break."""
+        self.filters.insert(-1, filt)
+        self._enabled_chain()
+
+    def _enabled_chain(self) -> None:
+        """Rebuild the list of enabled narrowing filters ``choose`` runs."""
+        self._narrowing = [f for f in self.filters[:-1] if f.enabled]
 
     def filter_by_name(self, name: str) -> ArbitrationFilter:
         for filt in self.filters:
@@ -65,26 +76,28 @@ class AhbPlusArbiter:
     def choose(
         self, candidates: Sequence[Candidate], ctx: ArbitrationContext
     ) -> Candidate:
-        """Run the filter chain; returns the single winner."""
+        """Run the enabled filters; returns the single winner.
+
+        Narrowing stops once one candidate is left: a filter skips a
+        singleton set without counting an application, so the skipped
+        tail would change nothing.  The mandatory tie-break always runs;
+        it keeps the counters and the round-robin rotation.
+        """
         if not candidates:
             raise SimulationError("arbitration invoked with no candidates")
         self.rounds += 1
-        if len(candidates) == 1:
-            # Fast path: a lone candidate passes every narrowing filter
-            # untouched (they skip singleton sets without counting an
-            # application), so only the mandatory tie-break runs — its
-            # apply() keeps the profiling counters and the round-robin
-            # rotation state exactly as the full chain would.
-            return self._tie_break.apply(list(candidates), ctx)[0]
-        survivors = list(candidates)
-        for filt in self.filters:
+        survivors = candidates
+        for filt in self._narrowing:
+            if len(survivors) == 1:
+                break
             survivors = filt.apply(survivors, ctx)
-        if len(survivors) != 1:
+        winners = self._tie_break.apply(survivors, ctx)
+        if len(winners) != 1:
             raise SimulationError(
-                f"filter chain left {len(survivors)} survivors; "
+                f"filter chain left {len(winners)} survivors; "
                 f"the tie-break must leave exactly one"
             )
-        return survivors[0]
+        return winners[0]
 
     # -- profiling --------------------------------------------------------------------
 

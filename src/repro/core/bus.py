@@ -9,7 +9,8 @@ Per arbitration round the engine:
 
 1. collects live candidates — pending master transactions plus the
    write buffer's head when occupied ("the write buffer behaves as
-   another master", §3.3);
+   another master", §3.3); each candidate is built once per transaction
+   and reused by every round that sees it;
 2. runs the seven-filter arbiter to pick the winner;
 3. lets the write buffer absorb the *losing* writes ("stores the
    information of write transactions when a master cannot get a bus
@@ -28,7 +29,7 @@ buffer occupancy, QoS misses) is counted, feeding the profiling layer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.ahb.bus import BusRunResult, TransactionObserver
 from repro.ahb.decoder import AddressMap, single_slave_map
@@ -37,9 +38,9 @@ from repro.ahb.slave import TlmSlave
 from repro.ahb.transaction import Transaction
 from repro.ahb.types import HResp
 from repro.core.arbiter import AhbPlusArbiter
-from repro.core.bus_interface import BusInterface, make_routed_score
+from repro.core.bus_interface import BusInterface, arbitration_context
 from repro.core.config import AhbPlusConfig
-from repro.core.filters import ArbitrationContext, Candidate
+from repro.core.filters import Candidate
 from repro.core.qos import QosRegisterFile
 from repro.core.write_buffer import WriteBuffer
 from repro.errors import ConfigError, SimulationError
@@ -112,22 +113,15 @@ class AhbPlusBusTlm:
         self._bytes = 0
         self._pipelined: Optional[Tuple[Candidate, int]] = None
         self._pipelined_grants = 0
-        # One context reused across rounds: every field is refreshed by
-        # _make_ctx, so per-round allocation is avoided on the hot path.
-        self._ctx = ArbitrationContext(
-            now=0,
-            urgency_margin=self.config.urgency_margin,
-            starvation_limit=self.config.starvation_limit,
-        )
-        # Multi-slave maps need the address-routed bank-score oracle
-        # (see make_routed_score); BI off means no oracle at all so the
-        # bank filter abstains, matching single-slave and RTL semantics.
-        # Single-slave platforms keep the direct single-BI closure — the
-        # original hot path, byte-identical.
-        self._routed_score_at = (
-            make_routed_score(self.bus_interfaces, self.address_map)
-            if len(self.slaves) > 1 and self.config.bus_interface_enabled
-            else None
+        # Candidates live as long as their transaction: one per master,
+        # built when its transaction becomes pending, and one for the
+        # write-buffer head, built when that write becomes head.
+        self._master_cands: List[Optional[Candidate]] = [None] * len(self.masters)
+        self._head_cand: Optional[Candidate] = None
+        # One context reused across rounds; _arbitrate refreshes the
+        # fields that vary per round.
+        self._ctx = arbitration_context(
+            self.config, self.write_buffer, self.bus_interfaces, self.address_map
         )
 
     def _default_qos(self) -> QosRegisterFile:
@@ -151,58 +145,59 @@ class AhbPlusBusTlm:
     def _collect(
         self, now: int, exclude: Optional[Transaction] = None
     ) -> List[Candidate]:
+        """Live candidates at *now*, reusing each transaction's Candidate."""
         candidates: List[Candidate] = []
-        qos = self.qos
-        for master in self.masters:
+        cached = self._master_cands
+        for index, master in enumerate(self.masters):
             txn = master.pending(now)
             if txn is None or txn is exclude:
                 continue
-            candidates.append(
-                Candidate(
+            cand = cached[index]
+            if cand is None or cand.txn is not txn:
+                cand = cached[index] = Candidate(
                     txn=txn,
-                    from_write_buffer=False,
-                    real_time=qos.is_real_time(master.index),
-                    deadline=qos.deadline_for(txn),
+                    real_time=self.qos.is_real_time(master.index),
+                    deadline=self.qos.deadline_for(txn),
                 )
-            )
+            candidates.append(cand)
         head = self.write_buffer.head()
         if head is not None:
-            candidates.append(Candidate(txn=head, from_write_buffer=True))
+            cand = self._head_cand
+            if cand is None or cand.txn is not head:
+                cand = self._head_cand = Candidate(txn=head, from_write_buffer=True)
+            candidates.append(cand)
         return candidates
 
     def _route(self, txn: Transaction) -> Tuple[TlmSlave, BusInterface]:
         index = self.address_map.slave_for(txn.addr)
         return self.slaves[index], self.bus_interfaces[index]
 
-    def _make_ctx(self, now: int, candidates: Sequence[Candidate]) -> ArbitrationContext:
+    def _arbitrate(
+        self, now: int, exclude: Optional[Transaction] = None
+    ) -> Optional[Candidate]:
+        """One arbitration round at *now*; ``None`` when nobody requests.
+
+        Losing writes are posted into the write buffer, freeing their
+        masters at once.
+        """
+        candidates = self._collect(now, exclude)
+        if not candidates:
+            return None
         buffer = self.write_buffer
         ctx = self._ctx
         ctx.now = now
         ctx.write_buffer_occupancy = buffer.occupancy
-        ctx.write_buffer_depth = buffer.depth if buffer.enabled else 0
         ctx.read_hazard = buffer.read_hazard(candidates)
-        if self._routed_score_at is not None:
-            # Multi-slave: score every address via its own region's BI.
-            ctx.access_score = self._routed_score_at(now)
-        else:
-            # Single slave: the one BI serves every candidate (the paper
-            # topology, where the DDRC is the only region).
-            _slave, bi = self._route(candidates[0].txn)
-            ctx.access_score = bi.access_score_fn(now)
-        return ctx
-
-    def _absorb_losers(
-        self, candidates: Sequence[Candidate], winner: Candidate, cycle: int
-    ) -> None:
-        """Post losing writes into the buffer, freeing their masters."""
+        winner = self.arbiter.choose(candidates, ctx)
         for cand in candidates:
             if cand is winner or cand.from_write_buffer:
                 continue
             txn = cand.txn
-            if self.write_buffer.can_absorb(txn):
-                self.write_buffer.absorb(txn, cycle)
-                self.masters[txn.master].absorb(txn, cycle)
+            if buffer.can_absorb(txn):
+                buffer.absorb(txn, now)
+                self.masters[txn.master].absorb(txn, now)
                 self.qos.record_completion(txn)
+        return winner
 
     # -- serving ----------------------------------------------------------------------
 
@@ -286,12 +281,9 @@ class AhbPlusBusTlm:
             self._now = finish + 1
             return
         for sample in (max(start, finish - self.config.pipeline_lead), finish):
-            candidates = self._collect(sample, exclude=exclude)
-            if not candidates:
+            winner = self._arbitrate(sample, exclude)
+            if winner is None:
                 continue
-            ctx = self._make_ctx(sample, candidates)
-            winner = self.arbiter.choose(candidates, ctx)
-            self._absorb_losers(candidates, winner, sample)
             _slave, bi = self._route(winner.txn)
             bi.send_next_info(winner.txn, sample)
             # The pipelined address phase overlaps the final data beat,
@@ -306,9 +298,9 @@ class AhbPlusBusTlm:
 
     def _all_done(self) -> bool:
         return (
-            all(master.done for master in self.masters)
+            self._pipelined is None
             and self.write_buffer.is_empty
-            and self._pipelined is None
+            and all(master.done for master in self.masters)
         )
 
     def _advance_to_next_request(self) -> bool:
@@ -332,14 +324,11 @@ class AhbPlusBusTlm:
                 self._pipelined = None
                 self._serve(winner, max(self._now, grant_at))
                 continue
-            candidates = self._collect(self._now)
-            if not candidates:
+            winner = self._arbitrate(self._now)
+            if winner is None:
                 if not self._advance_to_next_request():
                     break
                 continue
-            ctx = self._make_ctx(self._now, candidates)
-            winner = self.arbiter.choose(candidates, ctx)
-            self._absorb_losers(candidates, winner, self._now)
             grant = self._now + self.config.arbitration_cycles
             self._serve(winner, grant)
         return self._result()

@@ -15,11 +15,14 @@ of the traffic crossing it.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.ahb.decoder import AddressMap
 from repro.ahb.slave import TlmSlave
 from repro.ahb.transaction import Transaction
+from repro.core.config import AhbPlusConfig
+from repro.core.filters import ArbitrationContext
+from repro.core.write_buffer import WriteBuffer
 
 
 class BusInterface:
@@ -33,10 +36,6 @@ class BusInterface:
         self.idle_bank_queries = 0
         self.permission_queries = 0
         self.preparations_effective = 0
-        # Cached bank-cost closure (see access_score_fn): rebuilt never,
-        # re-aimed at the current cycle once per arbitration round.
-        self._score_cycle = 0
-        self._score_fn: Optional[Callable[[int], int]] = None
 
     # -- next transaction information -------------------------------------------
 
@@ -50,11 +49,9 @@ class BusInterface:
         """
         if not self.enabled:
             return
-        before = getattr(self.slave, "prepared_banks", None)
-        self.slave.notify_next(txn, cycle)
+        prepared = self.slave.notify_next(txn, cycle)
         self.next_info_sent += 1
-        after = getattr(self.slave, "prepared_banks", None)
-        if before is not None and after is not None and after > before:
+        if prepared:
             self.preparations_effective += 1
 
     # -- idle bank map ---------------------------------------------------------------
@@ -66,29 +63,26 @@ class BusInterface:
         self.idle_bank_queries += 1
         return self.slave.idle_banks(cycle)
 
-    def access_score_fn(self, cycle: int) -> Optional[Callable[[int], int]]:
+    def access_score_fn(
+        self, ctx: ArbitrationContext
+    ) -> Optional[Callable[[int], int]]:
         """Bank-cost oracle for the arbiter's bank filter.
 
         Returns ``None`` when the BI is disabled or the slave has no
         bank structure, which makes the bank filter abstain.  The
-        returned closure is cached; only the cycle it reports against is
-        refreshed, so calling this per round costs no allocation.  The
-        closure is only valid for the round it was handed out for.
+        closure scores against ``ctx.now``, so an engine builds it once
+        for the context it refreshes every round.
         """
         if not self.enabled:
             return None
-        self._score_cycle = cycle
-        lookup = self._score_fn
-        if lookup is None:
-            score = getattr(self.slave, "access_score", None)
-            if score is None:
-                return None
+        score = getattr(self.slave, "access_score", None)
+        if score is None:
+            return None
 
-            def lookup(addr: int) -> int:
-                self.idle_bank_queries += 1
-                return score(addr, self._score_cycle)
+        def lookup(addr: int) -> int:
+            self.idle_bank_queries += 1
+            return score(addr, ctx.now)
 
-            self._score_fn = lookup
         return lookup
 
     # -- access permission ----------------------------------------------------------
@@ -105,34 +99,36 @@ class BusInterface:
         return self.slave.access_permitted_at(txn, cycle)
 
 
-def make_routed_score(
-    bus_interfaces: Sequence[BusInterface], address_map: AddressMap
-) -> Callable[[int], Callable[[int], int]]:
-    """Address-routed bank-score oracle for multi-slave maps.
+def arbitration_context(
+    config: AhbPlusConfig,
+    write_buffer: WriteBuffer,
+    bus_interfaces: Sequence[BusInterface],
+    address_map: Optional[AddressMap] = None,
+) -> ArbitrationContext:
+    """The context an engine refreshes every round, its bank oracle built once.
 
-    On a multi-slave platform one arbitration round's candidates may
-    target different slaves, so each address must be scored by *its*
-    region's BI; a bank-less slave (SRAM, APB bridge) scores 0 — the
-    best — so the bank filter only differentiates DDR candidates.
-
-    Returns an ``at(now)`` re-aimer mirroring
-    :meth:`BusInterface.access_score_fn`'s cached-closure shape: the
-    lookup closure is built once, only the cycle it reports against is
-    refreshed per round.  Callers must gate on
-    ``config.bus_interface_enabled`` — with the BI off the oracle must
-    be ``None`` so the bank filter abstains, exactly as on the
-    single-slave platform and in the RTL arbiter.
+    One slave's BI scores every candidate (the paper topology).  On a
+    multi-slave map one round's candidates may target different slaves,
+    so each address is scored by *its* region's BI, and a bank-less
+    slave (SRAM, APB bridge) scores 0 — the best — so the bank filter
+    only differentiates DDR candidates.  With the BI off there is no
+    oracle and the bank filter abstains, as in the RTL arbiter.  The
+    oracle scores against ``ctx.now``.
     """
-    cycle_cell: List[int] = [0]
+    ctx = ArbitrationContext(
+        now=0,
+        write_buffer_depth=write_buffer.depth if write_buffer.enabled else 0,
+        urgency_margin=config.urgency_margin,
+        starvation_limit=config.starvation_limit,
+    )
+    if len(bus_interfaces) == 1:
+        ctx.access_score = bus_interfaces[0].access_score_fn(ctx)
+    elif config.bus_interface_enabled:
+        scores = [bi.access_score_fn(ctx) for bi in bus_interfaces]
 
-    def lookup(addr: int) -> int:
-        fn = bus_interfaces[address_map.slave_for(addr)].access_score_fn(
-            cycle_cell[0]
-        )
-        return 0 if fn is None else fn(addr)
+        def routed(addr: int) -> int:
+            fn = scores[address_map.slave_for(addr)]
+            return 0 if fn is None else fn(addr)
 
-    def at(now: int) -> Callable[[int], int]:
-        cycle_cell[0] = now
-        return lookup
-
-    return at
+        ctx.access_score = routed
+    return ctx

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.ahb.transaction import Transaction
 from repro.ahb.types import AccessKind
 from repro.core.arbiter import AhbPlusArbiter
-from repro.core.bus_interface import BusInterface
+from repro.core.bus_interface import BusInterface, arbitration_context
 from repro.core.config import AhbPlusConfig
 from repro.core.filters import ArbitrationContext, Candidate
 from repro.core.qos import QosRegisterFile
@@ -69,6 +69,7 @@ class InteractiveAhbPlus:
         for name in self.config.disabled_filters:
             self.arbiter.set_filter_enabled(name, False)
         self.bi = BusInterface(slave, enabled=self.config.bus_interface_enabled)
+        self._arb_ctx = arbitration_context(self.config, self.write_buffer, [self.bi])
         self._now = 0
         self._ports: List[TransactionPort] = []
 
@@ -91,18 +92,11 @@ class InteractiveAhbPlus:
     # -- engine ---------------------------------------------------------------
 
     def _ctx(self, candidates: Sequence[Candidate]) -> ArbitrationContext:
-        hazard = self.write_buffer.read_hazard(candidates)
-        return ArbitrationContext(
-            now=self._now,
-            write_buffer_occupancy=self.write_buffer.occupancy,
-            write_buffer_depth=(
-                self.write_buffer.depth if self.write_buffer.enabled else 0
-            ),
-            read_hazard=hazard,
-            access_score=self.bi.access_score_fn(self._now),
-            urgency_margin=self.config.urgency_margin,
-            starvation_limit=self.config.starvation_limit,
-        )
+        ctx = self._arb_ctx
+        ctx.now = self._now
+        ctx.write_buffer_occupancy = self.write_buffer.occupancy
+        ctx.read_hazard = self.write_buffer.read_hazard(candidates)
+        return ctx
 
     def _candidates_for(self, txn: Optional[Transaction]) -> List[Candidate]:
         candidates: List[Candidate] = []

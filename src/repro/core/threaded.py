@@ -24,9 +24,9 @@ from repro.ahb.transaction import Transaction
 from repro.ahb.types import HResp
 from repro.core.arbiter import AhbPlusArbiter
 from repro.core.bus import AhbPlusRunResult
-from repro.core.bus_interface import BusInterface, make_routed_score
+from repro.core.bus_interface import BusInterface, arbitration_context
 from repro.core.config import AhbPlusConfig
-from repro.core.filters import ArbitrationContext, Candidate
+from repro.core.filters import Candidate
 from repro.core.qos import QosRegisterFile
 from repro.core.write_buffer import WriteBuffer
 from repro.errors import ConfigError, SimulationError
@@ -93,12 +93,9 @@ class ThreadedAhbPlusBus:
             BusInterface(slave, enabled=self.config.bus_interface_enabled)
             for slave in self.slaves
         ]
-        # BI off -> no oracle, so the bank filter abstains (see
-        # make_routed_score); matches AhbPlusBusTlm and the RTL arbiter.
-        self._routed_score_at = (
-            make_routed_score(self.bus_interfaces, self.address_map)
-            if len(self.slaves) > 1 and self.config.bus_interface_enabled
-            else None
+        # One context refreshed per round, as in AhbPlusBusTlm.
+        self._ctx = arbitration_context(
+            self.config, self.write_buffer, self.bus_interfaces, self.address_map
         )
         self.sim = Simulator()
         self.board = _RequestBoard()
@@ -160,40 +157,28 @@ class ThreadedAhbPlusBus:
         index = self.address_map.slave_for(txn.addr)
         return self.slaves[index], self.bus_interfaces[index]
 
-    def _make_ctx(self, now: int, candidates: Sequence[Candidate]) -> ArbitrationContext:
-        hazard = self.write_buffer.read_hazard(candidates)
-        if self._routed_score_at is not None:
-            # Multi-slave: score every address via its own region's BI
-            # (a bank-less slave scores 0); mirrors AhbPlusBusTlm.
-            access_score = self._routed_score_at(now)
-        else:
-            _slave, bi = self._route(candidates[0].txn)
-            access_score = bi.access_score_fn(now)
-        return ArbitrationContext(
-            now=now,
-            write_buffer_occupancy=self.write_buffer.occupancy,
-            write_buffer_depth=(
-                self.write_buffer.depth if self.write_buffer.enabled else 0
-            ),
-            read_hazard=hazard,
-            access_score=access_score,
-            urgency_margin=self.config.urgency_margin,
-            starvation_limit=self.config.starvation_limit,
-        )
-
-    def _absorb_losers(
-        self, candidates: Sequence[Candidate], winner: Candidate, cycle: int
-    ) -> None:
+    def _arbitrate(self, now: int) -> Optional[Candidate]:
+        """One arbitration round at *now*; ``None`` when nobody requests."""
+        candidates = self._collect(now)
+        if not candidates:
+            return None
+        buffer = self.write_buffer
+        ctx = self._ctx
+        ctx.now = now
+        ctx.write_buffer_occupancy = buffer.occupancy
+        ctx.read_hazard = buffer.read_hazard(candidates)
+        winner = self.arbiter.choose(candidates, ctx)
         for cand in candidates:
             if cand is winner or cand.from_write_buffer:
                 continue
             txn = cand.txn
-            if self.write_buffer.can_absorb(txn):
-                self.write_buffer.absorb(txn, cycle)
+            if buffer.can_absorb(txn):
+                buffer.absorb(txn, now)
                 self.board.remove(txn.master)
-                self.masters[txn.master].absorb(txn, cycle)
+                self.masters[txn.master].absorb(txn, now)
                 self.qos.record_completion(txn)
                 self.done_events[txn.master].notify()
+        return winner
 
     # -- bus thread -----------------------------------------------------------------------
 
@@ -214,8 +199,8 @@ class ThreadedAhbPlusBus:
                     yield WaitCycles(grant_at - self.sim.now)
                 pipelined = yield from self._serve_gen(cand)
                 continue
-            candidates = self._collect(self.sim.now)
-            if not candidates:
+            winner = self._arbitrate(self.sim.now)
+            if winner is None:
                 if self._finished():
                     self._final_cycle = self.sim.now
                     return
@@ -224,9 +209,6 @@ class ThreadedAhbPlusBus:
                 # every request of this cycle, as the method engine does.
                 yield WaitCycles(0)
                 continue
-            ctx = self._make_ctx(self.sim.now, candidates)
-            winner = self.arbiter.choose(candidates, ctx)
-            self._absorb_losers(candidates, winner, self.sim.now)
             if self.config.arbitration_cycles:
                 yield WaitCycles(self.config.arbitration_cycles)
             pipelined = yield from self._serve_gen(winner)
@@ -313,12 +295,9 @@ class ThreadedAhbPlusBus:
 
     def _try_lock(self, finish: int) -> Optional[Tuple[Candidate, int]]:
         """One pipelined sampling point at the current simulation time."""
-        candidates = self._collect(self.sim.now)
-        if not candidates:
+        winner = self._arbitrate(self.sim.now)
+        if winner is None:
             return None
-        ctx = self._make_ctx(self.sim.now, candidates)
-        winner = self.arbiter.choose(candidates, ctx)
-        self._absorb_losers(candidates, winner, self.sim.now)
         _nslave, nbi = self._route(winner.txn)
         nbi.send_next_info(winner.txn, self.sim.now)
         self._pipelined_grants += 1

@@ -16,7 +16,7 @@ drain before a read observes stale memory.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional
+from typing import Deque, Optional, Tuple
 
 from repro.ahb.burst import transaction_footprint
 from repro.ahb.transaction import WRITE_BUFFER_MASTER, Transaction
@@ -32,6 +32,8 @@ class WriteBuffer:
         self.depth = depth
         self.enabled = enabled
         self._drains: Deque[Transaction] = deque()
+        #: Byte footprint of each buffered write, computed once at absorb.
+        self._footprints: Deque[Tuple[int, int]] = deque()
         # Statistics (paper §3.6 profiles the write buffer explicitly).
         self.absorbed = 0
         self.drained = 0
@@ -92,6 +94,7 @@ class WriteBuffer:
         drain.via_write_buffer = True
         drain.origin = txn
         self._drains.append(drain)
+        self._footprints.append(transaction_footprint(drain))
         self.absorbed += 1
         self.max_occupancy = max(self.max_occupancy, self.occupancy)
         return drain
@@ -109,6 +112,7 @@ class WriteBuffer:
         if not self._drains or self._drains[0] is not txn:
             raise SimulationError("write buffer drained out of order")
         self._drains.popleft()
+        self._footprints.popleft()
         self.drained += 1
 
     # -- hazard detection ---------------------------------------------------------------
@@ -139,13 +143,13 @@ class WriteBuffer:
         Footprints come from :func:`~repro.ahb.burst.transaction_footprint`
         so wrapping bursts count the bytes below their wrap point — a
         linear ``[addr, addr+total)`` range would miss those and let a
-        wrapped read sail past a buffered write it depends on.
+        wrapped read sail past a buffered write it depends on.  Buffered
+        writes carry the footprint computed when they were absorbed.
         """
         if txn.is_write or not self._drains:
             return False
         lo, hi = transaction_footprint(txn)
-        for pending in self._drains:
-            p_lo, p_hi = transaction_footprint(pending)
+        for p_lo, p_hi in self._footprints:
             if lo < p_hi and p_lo < hi:
                 self.hazard_hits += 1
                 return True

@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 from repro.ahb.burst import transaction_addresses
 from repro.ahb.slave import TlmSlave
 from repro.ahb.transaction import Transaction
-from repro.ddr.commands import BankAddress, decode_address
+from repro.ddr.commands import BankAddress, decode_address, same_row
 from repro.ddr.memory import MemoryModel
 from repro.ddr.timeline import BankTimeline
 from repro.ddr.timing import DDR_266, DdrTiming
@@ -72,11 +72,13 @@ class DdrControllerTlm(TlmSlave):
 
     # -- Bus Interface hooks (paper sections 2 / 3.4) ---------------------------
 
-    def notify_next(self, txn: Transaction, cycle: int) -> None:
+    def notify_next(self, txn: Transaction, cycle: int) -> bool:
         """Receive next-transaction info; open its first row early."""
         baddr = decode_address(txn.addr, self.timing, self.bus_bytes)
         if self.timeline.prepare(baddr, cycle):
             self.prepared_banks += 1
+            return True
+        return False
 
     def idle_banks(self, cycle: int) -> int:
         return self.timeline.idle_banks(cycle)
@@ -96,34 +98,25 @@ class DdrControllerTlm(TlmSlave):
     def _segments(self, txn: Transaction) -> List[Tuple[BankAddress, List[int]]]:
         """Split the burst's beats into runs sharing one (bank, row).
 
-        Inlines the address decode using the timing's precomputed
-        masks/shifts: this runs once per beat and dominated the TLM
-        serve path before it was flattened to integer arithmetic.
+        The layout is row : bank : column, so ``word >> bank_shift`` is a
+        monotone (bank, row) key.  A burst whose lowest and highest beat
+        share it is one segment — nearly every burst, since a burst is
+        short against a row — and decoding its first beat raises the
+        same error any illegal beat of it would.  Otherwise each beat is
+        decoded in order.
         """
-        timing = self.timing
-        bus_bytes = self.bus_bytes
-        row_shift = timing._row_shift
-        row_limit = timing._row_limit
-        bank_shift = timing._bank_shift
-        bank_mask = timing._bank_mask
-        col_mask = timing._col_mask
+        timing, bus_bytes = self.timing, self.bus_bytes
+        addrs = transaction_addresses(txn)
+        shift = timing._bank_shift
+        if (min(addrs) // bus_bytes) >> shift == (max(addrs) // bus_bytes) >> shift:
+            return [(decode_address(txn.addr, timing, bus_bytes), addrs)]
         segments: List[Tuple[BankAddress, List[int]]] = []
-        cur_bank = cur_row = -1
-        cur_addrs: List[int] = []
-        for addr in transaction_addresses(txn):
-            word = addr // bus_bytes
-            row = word >> row_shift
-            if row >= row_limit or addr < 0:
-                decode_address(addr, timing, bus_bytes)  # raises the canonical error
-            bank = (word >> bank_shift) & bank_mask
-            if bank == cur_bank and row == cur_row:
-                cur_addrs.append(addr)
+        for addr in addrs:
+            baddr = decode_address(addr, timing, bus_bytes)
+            if segments and same_row(segments[-1][0], baddr):
+                segments[-1][1].append(addr)
             else:
-                cur_bank, cur_row = bank, row
-                cur_addrs = [addr]
-                segments.append(
-                    (BankAddress(bank=bank, row=row, col=word & col_mask), cur_addrs)
-                )
+                segments.append((baddr, [addr]))
         return segments
 
     def serve(self, txn: Transaction, start_cycle: int) -> int:
@@ -132,26 +125,24 @@ class DdrControllerTlm(TlmSlave):
         txn.started_at = start_cycle
         command_from = start_cycle + 1  # the AHB address phase
         finish = command_from
-        write_data = txn.data if txn.is_write else None
-        if txn.is_write and not write_data:
-            write_data = [0] * txn.beats
+        is_write = txn.is_write
+        write_data = (txn.data or [0] * txn.beats) if is_write else None
         read_data: List[int] = []
-        beat_index = 0
+        done = 0
         for baddr, addresses in self._segments(txn):
-            plan = self.timeline.schedule_access(
-                baddr, txn.is_write, len(addresses), command_from
-            )
-            for addr in addresses:
-                if txn.is_write:
-                    assert write_data is not None
-                    self.memory.write(addr, txn.size_bytes, write_data[beat_index])
-                else:
-                    read_data.append(self.memory.read(addr, txn.size_bytes))
-                beat_index += 1
+            beats = len(addresses)
+            plan = self.timeline.schedule_access(baddr, is_write, beats, command_from)
+            if is_write:
+                self.memory.write_beats(
+                    addresses, txn.size_bytes, write_data[done : done + beats]
+                )
+            else:
+                read_data += self.memory.read_beats(addresses, txn.size_bytes)
+            done += beats
             finish = plan.finish
             command_from = plan.cas_at + 1
-            self.data_beats += len(addresses)
-        if txn.is_write:
+            self.data_beats += beats
+        if is_write:
             self.writes += 1
         else:
             txn.data = read_data
@@ -168,6 +159,3 @@ class DdrControllerTlm(TlmSlave):
             return 0.0
         return hits / total
 
-
-def _same_row(a: BankAddress, b: BankAddress) -> bool:
-    return a.bank == b.bank and a.row == b.row

@@ -39,7 +39,7 @@ class BankLane:
     row_conflicts: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class AccessPlan:
     """Timing the timeline computed for one access."""
 

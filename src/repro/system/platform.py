@@ -460,7 +460,7 @@ class PlatformBuilder:
         def score(addr: int) -> int:
             # Route through the map (not raw DDR bounds) so an address
             # the default slave catches scores exactly as at TLM, where
-            # make_routed_score uses AddressMap.slave_for.  Static
+            # the routed bank oracle uses AddressMap.slave_for.  Static
             # slaves have no bank structure: constant best score, so
             # the bank filter only differentiates DDR candidates.
             return ddr_score(addr) if route(addr) == ddr_index else 0

@@ -2,9 +2,9 @@
 
 The legacy generator produced one :class:`TrafficItem` at a time, paying
 a handful of scalar ``random.Random`` calls per item.  This module keeps
-that algorithm — verbatim — as the **compat** mode (the stream is a pure
-function of ``(pattern, master_index, count, seed)`` and golden traces
-pin it bit-for-bit), and adds a **stream** mode that draws the
+that algorithm's draw sequence as the **compat** mode (the stream is a
+pure function of ``(pattern, master_index, count, seed)`` and golden
+traces pin it bit-for-bit), and adds a **stream** mode that draws the
 address / burst / think-time / data fields as *arrays*, one bulk draw
 per field per chunk, then assembles the items in a cheap scalar pass.
 
@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import hashlib
 import random
+from bisect import bisect_right
+from itertools import accumulate
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 # NumPy is optional (the fallback batches draws with random.Random) and
@@ -96,7 +98,19 @@ def _think_range_for(pattern: TrafficPattern, index: int) -> Tuple[int, int]:
     return pattern.think_range
 
 
-# -- compat mode: the legacy per-item draw sequence, verbatim -------------------
+# -- compat mode: the legacy per-item draw sequence, bit for bit ---------------
+
+
+def _beat_data(rng: random.Random, beats: int, word_mask: int) -> List[int]:
+    """A write burst's data: *beats* 32-bit draws, masked by *word_mask*.
+
+    One ``getrandbits(32 * beats)`` call: CPython fills it from the
+    least-significant 32-bit word upward, so word *i* and the RNG state
+    afterwards equal those of the *i*-th of *beats* ``getrandbits(32)``
+    calls.
+    """
+    bits = rng.getrandbits(32 * beats)
+    return [(bits >> shift) & word_mask for shift in range(0, 32 * beats, 32)]
 
 
 def _compat_items(
@@ -104,13 +118,21 @@ def _compat_items(
 ) -> Iterator[TrafficItem]:
     """Yield the legacy generator's exact item stream, lazily."""
     rng = random.Random(f"{seed}/{pattern.name}/{master_index}")
+    # The burst length is drawn as Random.choices(burst_choices,
+    # weights) draws it: one random() scaled by the weight total and
+    # bisected into the cumulative weights, which are summed once here.
     burst_choices = [beats for beats, _w in pattern.burst_mix]
-    burst_weights = [weight for _b, weight in pattern.burst_mix]
+    cum_weights = list(accumulate(weight for _b, weight in pattern.burst_mix))
+    total_weight = cum_weights[-1] + 0.0
+    last = len(burst_choices) - 1
     span_end = pattern.base_addr + pattern.addr_span
     next_sequential = pattern.base_addr
-    data_mask = (1 << (8 * pattern.size_bytes)) - 1
+    # One beat is one 32-bit draw, masked to the beat size.
+    word_mask = ((1 << (8 * pattern.size_bytes)) - 1) & 0xFFFFFFFF
     for index in range(count):
-        beats = rng.choices(burst_choices, weights=burst_weights)[0]
+        beats = burst_choices[
+            bisect_right(cum_weights, rng.random() * total_weight, 0, last)
+        ]
         if rng.random() < pattern.sequential_fraction:
             addr = next_sequential
             if addr + beats * pattern.size_bytes > span_end:
@@ -151,11 +173,7 @@ def _compat_items(
             beats=beats,
             size_bytes=pattern.size_bytes,
             wrapping=wrapping,
-            data=(
-                []
-                if is_read
-                else [rng.getrandbits(32) & data_mask for _ in range(beats)]
-            ),
+            data=[] if is_read else _beat_data(rng, beats, word_mask),
         )
         think = rng.randint(*_think_range_for(pattern, index))
         not_before = None

@@ -1,12 +1,19 @@
 """Tests for the AHB+ arbiter and write buffer."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from repro.ahb.burst import transaction_footprint
 from repro.ahb.transaction import WRITE_BUFFER_MASTER, Transaction
 from repro.ahb.types import AccessKind
 from repro.core.arbiter import AhbPlusArbiter
-from repro.core.filters import ArbitrationContext, Candidate, TieBreakFilter
+from repro.core.filters import (
+    FILTER_NAMES,
+    ArbitrationContext,
+    Candidate,
+    TieBreakFilter,
+    default_filter_chain,
+)
 from repro.core.write_buffer import WriteBuffer
 from repro.errors import ConfigError, SimulationError
 
@@ -187,3 +194,134 @@ class TestWriteBuffer:
             popped.append(head)
             buffer.pop_head(head)
         assert popped == drains
+
+
+# -- the arbiter against the naive all-filters loop --------------------------------
+
+NUM_MASTERS = 4
+
+
+def oracle_choose(chain, candidates, ctx):
+    """Every filter of *chain*, in order, over every candidate set."""
+    survivors = list(candidates)
+    for filt in chain:
+        survivors = filt.apply(survivors, ctx)
+    assert len(survivors) == 1
+    return survivors[0]
+
+
+@st.composite
+def arbitration_rounds(draw):
+    """One round: a candidate set, a context and a filter toggle."""
+    now = draw(st.integers(0, 400))
+    masters = draw(
+        st.lists(st.integers(0, NUM_MASTERS - 1), unique=True, max_size=NUM_MASTERS)
+    )
+    with_buffer = draw(st.booleans()) or not masters
+    candidates = []
+    for master in masters:
+        txn = read(master, addr=draw(st.integers(0, 15)) * 4)
+        txn.issued_at = draw(st.integers(0, now + 20))
+        deadline = draw(st.none() | st.integers(now - 10, now + 100))
+        candidates.append(
+            Candidate(txn=txn, real_time=draw(st.booleans()), deadline=deadline)
+        )
+    if with_buffer:
+        drain = write(WRITE_BUFFER_MASTER, addr=draw(st.integers(0, 15)) * 4)
+        drain.issued_at = draw(st.integers(0, now))
+        candidates.insert(
+            draw(st.integers(0, len(candidates))),
+            Candidate(txn=drain, from_write_buffer=True),
+        )
+    scores = draw(st.lists(st.integers(0, 2), min_size=16, max_size=16))
+    ctx = ArbitrationContext(
+        now=now,
+        write_buffer_occupancy=draw(st.integers(0, 4)),
+        write_buffer_depth=draw(st.integers(0, 4)),
+        read_hazard=draw(st.booleans()),
+        access_score=draw(st.none() | st.just(lambda addr: scores[addr // 4])),
+        urgency_margin=draw(st.integers(0, 64)),
+        starvation_limit=draw(st.integers(1, 128)),
+    )
+    toggle = draw(st.none() | st.tuples(st.sampled_from(FILTER_NAMES[:-1]), st.booleans()))
+    return candidates, ctx, toggle
+
+
+class TestArbiterAgainstOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        tie_break=st.sampled_from(("fixed", "round_robin")),
+        rounds=st.lists(arbitration_rounds(), min_size=1, max_size=12),
+    )
+    def test_choose_matches_all_filters_loop(self, tie_break, rounds):
+        arbiter = AhbPlusArbiter(tie_break=tie_break, num_masters=NUM_MASTERS)
+        chain = default_filter_chain(tie_break, NUM_MASTERS)
+        for candidates, ctx, toggle in rounds:
+            if toggle is not None:
+                name, enabled = toggle
+                arbiter.set_filter_enabled(name, enabled)
+                next(f for f in chain if f.name == name).enabled = enabled
+            winner = arbiter.choose(candidates, ctx)
+            assert winner is oracle_choose(chain, candidates, ctx)
+            assert arbiter.filter_stats() == {
+                f.name: {
+                    "applied": f.rounds_applied,
+                    "narrowed": f.rounds_narrowed,
+                    "enabled": int(f.enabled),
+                }
+                for f in chain
+            }
+            assert arbiter.filter_by_name("tie-break")._last_winner == chain[-1]._last_winner
+
+
+# -- stored footprints against recomputed ones --------------------------------------
+
+
+@st.composite
+def bursts(draw, kind):
+    wrapping = draw(st.booleans())
+    beats = draw(st.sampled_from((4, 8, 16))) if wrapping else draw(st.integers(1, 16))
+    return Transaction(
+        master=0 if kind is AccessKind.WRITE else 1,
+        kind=kind,
+        addr=draw(st.integers(0, 127)) * 4,
+        beats=beats,
+        wrapping=wrapping,
+        data=[0] * beats if kind is AccessKind.WRITE else [],
+    )
+
+
+def overlaps(a, b):
+    a_lo, a_hi = transaction_footprint(a)
+    b_lo, b_hi = transaction_footprint(b)
+    return a_lo < b_hi and b_lo < a_hi
+
+
+class TestStoredFootprints:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ops=st.lists(
+            st.one_of(
+                st.tuples(st.just("absorb"), bursts(AccessKind.WRITE)),
+                st.tuples(st.just("pop"), st.none()),
+                st.tuples(st.just("query"), bursts(AccessKind.READ)),
+            ),
+            max_size=30,
+        )
+    )
+    def test_conflicts_agree_with_recomputed_footprints(self, ops):
+        buffer = WriteBuffer(depth=4)
+        held = []  # drain copies in FIFO order
+        hits = 0
+        for op, txn in ops:
+            if op == "absorb":
+                if buffer.can_absorb(txn):
+                    held.append(buffer.absorb(txn, 0))
+            elif op == "pop":
+                if held:
+                    buffer.pop_head(held.pop(0))
+            else:
+                expected = any(overlaps(txn, drain) for drain in held)
+                assert buffer.conflicts_with(txn) is expected
+                hits += expected
+        assert buffer.hazard_hits == hits

@@ -1,11 +1,15 @@
 """Tests for the transaction-level DDR controller."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.ahb.burst import transaction_addresses
 from repro.ahb.transaction import Transaction
 from repro.ahb.types import AccessKind
+from repro.ddr.commands import decode_address, same_row
 from repro.ddr.controller import DdrControllerTlm
 from repro.ddr.timing import DDR_TEST
+from repro.errors import MemoryError_
 
 T = DDR_TEST
 
@@ -120,3 +124,121 @@ class TestDdrControllerTlm:
         f = ctrl.serve(write(0x0, [1]), 0)
         ctrl.serve(read(0x0), f + 1)
         assert ctrl.writes == 1 and ctrl.reads == 1 and ctrl.data_beats == 2
+
+
+# -- one-segment service against the per-beat reference -------------------------
+
+
+def per_beat_segments(ctrl, txn):
+    """Reference split: decode every beat, cut where (bank, row) changes."""
+    segments = []
+    for addr in transaction_addresses(txn):
+        baddr = decode_address(addr, ctrl.timing, ctrl.bus_bytes)
+        if segments and same_row(segments[-1][0], baddr):
+            segments[-1][1].append(addr)
+        else:
+            segments.append((baddr, [addr]))
+    return segments
+
+
+def per_beat_serve(ctrl, txn, start_cycle):
+    """Reference service: one memory call per beat over the reference split."""
+    ctrl._refresh_catchup(start_cycle)
+    txn.started_at = start_cycle
+    command_from = finish = start_cycle + 1
+    data = (txn.data or [0] * txn.beats) if txn.is_write else []
+    read_data = []
+    beat = 0
+    for baddr, addrs in per_beat_segments(ctrl, txn):
+        plan = ctrl.timeline.schedule_access(
+            baddr, txn.is_write, len(addrs), command_from
+        )
+        for addr in addrs:
+            if txn.is_write:
+                ctrl.memory.write(addr, txn.size_bytes, data[beat])
+            else:
+                read_data.append(ctrl.memory.read(addr, txn.size_bytes))
+            beat += 1
+        finish = plan.finish
+        command_from = plan.cas_at + 1
+        ctrl.data_beats += len(addrs)
+    if not txn.is_write:
+        txn.data = read_data
+    return finish
+
+
+#: Device bytes of DDR_TEST behind a 4-byte bus, and one row's bytes.
+CAPACITY = T.total_words * 4
+ROW_BYTES = T.words_per_row * 4
+
+
+@st.composite
+def bursts(draw):
+    """Bursts near row/bank edges and the device end, some beyond it."""
+    size = draw(st.sampled_from((1, 2, 4, 8, 16)))
+    wrapping = draw(st.booleans())
+    beats = draw(st.sampled_from((4, 8, 16))) if wrapping else draw(st.integers(1, 16))
+    anchor = draw(
+        st.sampled_from((0, ROW_BYTES, 3 * ROW_BYTES, CAPACITY - ROW_BYTES, CAPACITY))
+    )
+    offset = draw(st.integers(-4 * size * beats, 2 * ROW_BYTES)) // size * size
+    is_write = draw(st.booleans())
+    data = []
+    if is_write:
+        top = (1 << (8 * min(size, 4))) - 1
+        data = draw(st.lists(st.integers(0, top), min_size=beats, max_size=beats))
+    return Transaction(
+        master=0,
+        kind=AccessKind.WRITE if is_write else AccessKind.READ,
+        addr=anchor + offset,
+        beats=beats,
+        size_bytes=size,
+        wrapping=wrapping,
+        data=data,
+    )
+
+
+def _outcome(call):
+    try:
+        return "ok", call()
+    except MemoryError_ as exc:
+        return "error", str(exc)
+
+
+class TestSegmentService:
+    @settings(max_examples=300, deadline=None)
+    @given(txn=bursts())
+    def test_segments_match_per_beat_split(self, txn):
+        ctrl = ddrc(refresh_enabled=False)
+        assert _outcome(lambda: ctrl._segments(txn)) == _outcome(
+            lambda: per_beat_segments(ctrl, txn)
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(txns=st.lists(bursts(), min_size=1, max_size=8))
+    def test_serve_matches_per_beat_reference(self, txns):
+        fast, slow = ddrc(), ddrc()
+        cycle = 0
+        for txn in txns:
+            twin = Transaction(
+                master=0,
+                kind=txn.kind,
+                addr=txn.addr,
+                beats=txn.beats,
+                size_bytes=txn.size_bytes,
+                wrapping=txn.wrapping,
+                data=list(txn.data),
+            )
+            got = _outcome(lambda: fast.serve(txn, cycle))
+            want = _outcome(lambda: per_beat_serve(slow, twin, cycle))
+            assert got == want
+            if got[0] == "ok":
+                assert txn.data == twin.data
+                cycle = got[1] + 1
+        assert fast.memory.equal_contents(slow.memory)
+        assert fast.memory.touched_bytes() == slow.memory.touched_bytes()
+        assert (fast.memory.read_ops, fast.memory.write_ops) == (
+            slow.memory.read_ops,
+            slow.memory.write_ops,
+        )
+        assert fast.data_beats == slow.data_beats

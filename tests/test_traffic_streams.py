@@ -33,6 +33,7 @@ from repro.traffic import (
     stream_items,
     table1_pattern_a,
 )
+from repro.traffic.streams import _beat_data
 
 
 # -- the frozen seed implementation (reference for compat mode) -----------------
@@ -165,6 +166,27 @@ class TestCompatBitExactness:
         want = [_item_tuple(i) for i in _legacy_generate(WRAPPY, 0, count, seed)]
         got = [_item_tuple(i) for i in generate_items(WRAPPY, 0, count, seed)]
         assert got == want
+
+    @pytest.mark.parametrize("size_bytes", (1, 2, 4, 8, 16))
+    def test_every_beat_size_matches_frozen_seed_implementation(self, size_bytes):
+        writer = replace(WRAPPY, size_bytes=size_bytes, read_fraction=0.3)
+        for seed in (2, 19):
+            want = [_item_tuple(i) for i in _legacy_generate(writer, 1, 60, seed)]
+            got = [_item_tuple(i) for i in generate_items(writer, 1, 60, seed)]
+            assert got == want
+
+    @pytest.mark.parametrize("size_bytes", (1, 2, 4, 8, 16))
+    def test_bulk_beat_data_equals_per_beat_draws(self, size_bytes):
+        """One getrandbits(32 * beats) draw gives the per-beat values and
+        leaves the generator where the per-beat calls leave it."""
+        data_mask = (1 << (8 * size_bytes)) - 1
+        for seed in range(50):
+            for beats in range(1, 17):
+                bulk, per_beat = random.Random(seed), random.Random(seed)
+                got = _beat_data(bulk, beats, data_mask & 0xFFFFFFFF)
+                want = [per_beat.getrandbits(32) & data_mask for _ in range(beats)]
+                assert got == want
+                assert bulk.getstate() == per_beat.getstate()
 
     def test_lazy_stream_equals_eager_list(self):
         stream = stream_items(CPU, 1, 50, seed=9)
