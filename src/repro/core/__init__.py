@@ -3,20 +3,28 @@
 Public surface:
 
 * :class:`AhbPlusConfig` — every §3.7 parameter in one place.
-* :class:`AhbPlusBusTlm` / :class:`ThreadedAhbPlusBus` — method-based
-  and thread-based engines with identical bus semantics.
+* :class:`AhbPlusBusTlm` — the method-based engine, the one definition
+  of AHB+ transaction-level semantics.
+* :class:`ThreadedAhbPlusBus` — the same bus run as threads (a subclass
+  that adds only the thread machinery), for the paper's §4
+  method-vs-thread comparison.
 * :class:`AhbPlusArbiter` + the seven arbitration filters.
 * :class:`QosRegisterFile` — the AHB+ QoS registers.
 * :class:`WriteBuffer` — posted-write buffer (an extra bus master).
 * :class:`BusInterface` — the arbiter↔DDRC side channel (BI).
 * :class:`TransactionPort` / :class:`InteractiveAhbPlus` — the paper's
-  CheckGrant()/Read()/Write() port API.
+  CheckGrant()/Read()/Write() port API, on the method bus driven by
+  calls.
+* :class:`Transaction` / :class:`AccessKind` — the port payload,
+  re-exported from :mod:`repro.ahb`.
 * :func:`build_tlm_platform` / :func:`build_plain_platform` — legacy
   one-call system assembly (deprecation shims; new code describes the
   system with :class:`repro.system.SystemSpec` and elaborates it via
   :class:`repro.system.PlatformBuilder`).
 """
 
+from repro.ahb.transaction import WRITE_BUFFER_MASTER, Transaction
+from repro.ahb.types import AccessKind
 from repro.core.arbiter import AhbPlusArbiter
 from repro.core.bus import AhbPlusBusTlm, AhbPlusRunResult
 from repro.core.bus_interface import BusInterface
@@ -45,7 +53,6 @@ from repro.core.platform import (
 from repro.core.ports import InteractiveAhbPlus, PortStatus, TransactionPort
 from repro.core.qos import QosRegisterFile, QosSetting, decode_setting, encode_setting
 from repro.core.threaded import ThreadedAhbPlusBus
-from repro.core.transaction import WRITE_BUFFER_MASTER, AccessKind, Transaction
 from repro.core.write_buffer import WriteBuffer
 
 __all__ = [

@@ -29,7 +29,7 @@ buffer occupancy, QoS misses) is counted, feeding the profiling layer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.ahb.bus import BusRunResult, TransactionObserver
 from repro.ahb.decoder import AddressMap, single_slave_map
@@ -37,10 +37,9 @@ from repro.ahb.master import TlmMaster
 from repro.ahb.slave import TlmSlave
 from repro.ahb.transaction import Transaction
 from repro.ahb.types import HResp
-from repro.core.arbiter import AhbPlusArbiter
 from repro.core.bus_interface import BusInterface, arbitration_context
 from repro.core.config import AhbPlusConfig
-from repro.core.filters import Candidate
+from repro.core.filters import ArbitrationContext, Candidate
 from repro.core.qos import QosRegisterFile
 from repro.core.write_buffer import WriteBuffer
 from repro.errors import ConfigError, SimulationError
@@ -67,8 +66,28 @@ class AhbPlusRunResult(BusRunResult):
         return self.rt_deadline_misses / total
 
 
+class RequestLine:
+    """One master's HBUSREQ register: the transaction it holds raised."""
+
+    __slots__ = ("txn",)
+
+    def __init__(self) -> None:
+        self.txn: Optional[Transaction] = None
+
+    def pending(self, now: int) -> Optional[Transaction]:
+        return self.txn
+
+
 class AhbPlusBusTlm:
-    """The AHB+ main bus, memory controller attached over the BI."""
+    """The AHB+ main bus, memory controller attached over the BI.
+
+    This class is the one definition of AHB+ transaction-level
+    semantics.  The thread-based engine subclasses it and replaces only
+    where requests are read (``_request_lines``), what answering a
+    master does (:meth:`_released`) and the run loop.  The port API
+    subclasses it to drive the same candidates, context and transfer
+    from calls.
+    """
 
     def __init__(
         self,
@@ -90,17 +109,12 @@ class AhbPlusBusTlm:
         self.address_map = (
             address_map if address_map is not None else single_slave_map()
         )
-        self.qos = qos if qos is not None else self._default_qos()
+        self.qos = qos if qos is not None else self.config.build_qos()
         self.write_buffer = WriteBuffer(
             depth=self.config.write_buffer_depth,
             enabled=self.config.write_buffer_enabled,
         )
-        self.arbiter = AhbPlusArbiter(
-            tie_break=self.config.tie_break,
-            num_masters=self.config.num_masters,
-        )
-        for name in self.config.disabled_filters:
-            self.arbiter.set_filter_enabled(name, False)
+        self.arbiter = self.config.build_arbiter()
         self.bus_interfaces = [
             BusInterface(slave, enabled=self.config.bus_interface_enabled)
             for slave in self.slaves
@@ -113,22 +127,20 @@ class AhbPlusBusTlm:
         self._bytes = 0
         self._pipelined: Optional[Tuple[Candidate, int]] = None
         self._pipelined_grants = 0
+        # Where _collect reads each master's bus request: the traffic
+        # agents themselves.  The thread-based engine and the port API
+        # substitute RequestLines that their threads or calls raise.
+        self._request_lines: Sequence[Union[TlmMaster, RequestLine]] = self.masters
         # Candidates live as long as their transaction: one per master,
         # built when its transaction becomes pending, and one for the
         # write-buffer head, built when that write becomes head.
         self._master_cands: List[Optional[Candidate]] = [None] * len(self.masters)
         self._head_cand: Optional[Candidate] = None
-        # One context reused across rounds; _arbitrate refreshes the
-        # fields that vary per round.
+        # One context reused across rounds; _refresh updates the fields
+        # that vary per round.
         self._ctx = arbitration_context(
             self.config, self.write_buffer, self.bus_interfaces, self.address_map
         )
-
-    def _default_qos(self) -> QosRegisterFile:
-        qos = QosRegisterFile(self.config.num_masters)
-        for master, setting in self.config.qos.items():
-            qos.configure(master, setting)
-        return qos
 
     # -- instrumentation ---------------------------------------------------------
 
@@ -140,6 +152,11 @@ class AhbPlusBusTlm:
     def now(self) -> int:
         return self._now
 
+    # -- engine hooks -----------------------------------------------------------------
+
+    def _released(self, txn: Transaction) -> None:
+        """*txn*'s master was answered (completed, absorbed, failed or retried)."""
+
     # -- candidate handling ---------------------------------------------------------
 
     def _collect(
@@ -148,15 +165,15 @@ class AhbPlusBusTlm:
         """Live candidates at *now*, reusing each transaction's Candidate."""
         candidates: List[Candidate] = []
         cached = self._master_cands
-        for index, master in enumerate(self.masters):
-            txn = master.pending(now)
+        for index, line in enumerate(self._request_lines):
+            txn = line.pending(now)
             if txn is None or txn is exclude:
                 continue
             cand = cached[index]
             if cand is None or cand.txn is not txn:
                 cand = cached[index] = Candidate(
                     txn=txn,
-                    real_time=self.qos.is_real_time(master.index),
+                    real_time=self.qos.is_real_time(index),
                     deadline=self.qos.deadline_for(txn),
                 )
             candidates.append(cand)
@@ -167,6 +184,16 @@ class AhbPlusBusTlm:
                 cand = self._head_cand = Candidate(txn=head, from_write_buffer=True)
             candidates.append(cand)
         return candidates
+
+    def _refresh(
+        self, now: int, candidates: List[Candidate]
+    ) -> ArbitrationContext:
+        """The shared context with this round's varying fields updated."""
+        ctx = self._ctx
+        ctx.now = now
+        ctx.write_buffer_occupancy = self.write_buffer.occupancy
+        ctx.read_hazard = self.write_buffer.read_hazard(candidates)
+        return ctx
 
     def _route(self, txn: Transaction) -> Tuple[TlmSlave, BusInterface]:
         index = self.address_map.slave_for(txn.addr)
@@ -183,12 +210,8 @@ class AhbPlusBusTlm:
         candidates = self._collect(now, exclude)
         if not candidates:
             return None
+        winner = self.arbiter.choose(candidates, self._refresh(now, candidates))
         buffer = self.write_buffer
-        ctx = self._ctx
-        ctx.now = now
-        ctx.write_buffer_occupancy = buffer.occupancy
-        ctx.read_hazard = buffer.read_hazard(candidates)
-        winner = self.arbiter.choose(candidates, ctx)
         for cand in candidates:
             if cand is winner or cand.from_write_buffer:
                 continue
@@ -197,37 +220,30 @@ class AhbPlusBusTlm:
                 buffer.absorb(txn, now)
                 self.masters[txn.master].absorb(txn, now)
                 self.qos.record_completion(txn)
+                self._released(txn)
+        return winner
+
+    def _lock_next(
+        self, sample: int, exclude: Optional[Transaction]
+    ) -> Optional[Candidate]:
+        """One pipelined sampling point: arbitrate and tell the BI."""
+        winner = self._arbitrate(sample, exclude)
+        if winner is not None:
+            _slave, bi = self._route(winner.txn)
+            bi.send_next_info(winner.txn, sample)
+            self._pipelined_grants += 1
         return winner
 
     # -- serving ----------------------------------------------------------------------
 
-    def _serve_fault(self, txn: Transaction, grant_cycle: int) -> None:
-        """One faulted presentation: ERROR/RETRY instead of data beats.
+    def _transfer(
+        self, cand: Candidate, grant_cycle: int
+    ) -> Optional[Tuple[int, int]]:
+        """Grant *cand* and move its data; returns ``(start, finish)``.
 
-        The response occupies the bus for one cycle; no data moves, so
-        neither the throughput counters nor the busy accounting change,
-        and no pipelined decision is locked in (the faulted address
-        phase carries no data beats to overlap with).
+        Returns ``None``, with no data moved, when the slave owes this
+        presentation a fault response (see :meth:`_serve_fault`).
         """
-        code = txn.fault_plan[txn.fault_step]
-        txn.fault_step += 1
-        start = grant_cycle
-        finish = grant_cycle + 1
-        txn.started_at = start
-        self._pipelined = None
-        self._now = finish + 1
-        owner = self.masters[txn.master]
-        if code == int(HResp.RETRY):
-            if owner.retry(txn, finish):
-                return  # master re-requests; the next round re-arbitrates
-        else:
-            txn.resp = code
-            owner.fail(txn, finish)
-        self.qos.record_completion(txn)
-        for observer in self._observers:
-            observer(txn, grant_cycle, start, finish)
-
-    def _serve(self, cand: Candidate, grant_cycle: int) -> None:
         txn = cand.txn
         txn.granted_at = grant_cycle
         if cand.from_write_buffer:
@@ -235,8 +251,7 @@ class AhbPlusBusTlm:
             # pipelined decision made mid-transfer sees the next entry.
             self.write_buffer.pop_head(txn)
         if txn.fault_step < len(txn.fault_plan):
-            self._serve_fault(txn, grant_cycle)
-            return
+            return None
         slave, bi = self._route(txn)
         slave.idle_until(grant_cycle)
         start = bi.access_permitted_at(txn, grant_cycle)
@@ -245,10 +260,13 @@ class AhbPlusBusTlm:
             raise SimulationError(
                 f"slave {slave.name} finished {finish} before start {start}"
             )
-        # The pipelined decision samples requests that existed *before*
-        # this transfer's completion side effects, as the RTL arbiter
-        # does — so it runs before the winner's agent is advanced.
-        self._decide_pipelined(start, finish, exclude=txn)
+        return start, finish
+
+    def _retire(
+        self, cand: Candidate, grant_cycle: int, start: int, finish: int
+    ) -> None:
+        """Complete a transfer at *finish* and account its bus cycles."""
+        txn = cand.txn
         if cand.from_write_buffer:
             txn.finished_at = finish
             if txn.origin is not None:
@@ -256,6 +274,7 @@ class AhbPlusBusTlm:
         else:
             self.masters[txn.master].complete(txn, finish)
             self.qos.record_completion(txn)
+            self._released(txn)
         self._transactions += 1
         self._bytes += txn.total_bytes
         # Busy accounting must not double-count the pipelined overlap
@@ -266,6 +285,47 @@ class AhbPlusBusTlm:
             self._busy_through = finish
         for observer in self._observers:
             observer(txn, grant_cycle, start, finish)
+
+    def _serve_fault(self, txn: Transaction, grant_cycle: int) -> int:
+        """One faulted presentation: ERROR/RETRY instead of data beats.
+
+        The response occupies the bus for one cycle; no data moves, so
+        neither the throughput counters nor the busy accounting change,
+        and no pipelined decision is locked in (the faulted address
+        phase carries no data beats to overlap with).  Returns the
+        response's cycle.
+        """
+        code = txn.fault_plan[txn.fault_step]
+        txn.fault_step += 1
+        start = grant_cycle
+        finish = grant_cycle + 1
+        txn.started_at = start
+        owner = self.masters[txn.master]
+        if code == int(HResp.RETRY):
+            if owner.retry(txn, finish):
+                # The master re-requests; the next round re-arbitrates.
+                self._released(txn)
+                return finish
+        else:
+            txn.resp = code
+            owner.fail(txn, finish)
+        self.qos.record_completion(txn)
+        self._released(txn)
+        for observer in self._observers:
+            observer(txn, grant_cycle, start, finish)
+        return finish
+
+    def _serve(self, cand: Candidate, grant_cycle: int) -> None:
+        span = self._transfer(cand, grant_cycle)
+        if span is None:
+            self._now = self._serve_fault(cand.txn, grant_cycle) + 1
+            return
+        start, finish = span
+        # The pipelined decision samples requests that existed *before*
+        # this transfer's completion side effects, as the RTL arbiter
+        # does — so it runs before the winner's agent is advanced.
+        self._decide_pipelined(start, finish, exclude=cand.txn)
+        self._retire(cand, grant_cycle, start, finish)
 
     def _decide_pipelined(
         self, start: int, finish: int, exclude: Optional[Transaction]
@@ -281,15 +341,12 @@ class AhbPlusBusTlm:
             self._now = finish + 1
             return
         for sample in (max(start, finish - self.config.pipeline_lead), finish):
-            winner = self._arbitrate(sample, exclude)
+            winner = self._lock_next(sample, exclude)
             if winner is None:
                 continue
-            _slave, bi = self._route(winner.txn)
-            bi.send_next_info(winner.txn, sample)
             # The pipelined address phase overlaps the final data beat,
             # so the next transfer may begin at `finish` with no dead cycle.
             self._pipelined = (winner, finish)
-            self._pipelined_grants += 1
             self._now = finish
             return
         self._now = finish + 1
@@ -331,11 +388,11 @@ class AhbPlusBusTlm:
                 continue
             grant = self._now + self.config.arbitration_cycles
             self._serve(winner, grant)
-        return self._result()
+        return self._result(self._now)
 
-    def _result(self) -> AhbPlusRunResult:
+    def _result(self, cycles: int) -> AhbPlusRunResult:
         return AhbPlusRunResult(
-            cycles=self._now,
+            cycles=cycles,
             transactions=self._transactions,
             bytes_transferred=self._bytes,
             busy_cycles=self._busy_cycles,

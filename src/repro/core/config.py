@@ -12,10 +12,11 @@ and runs it at both abstraction levels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, field, fields, replace
+from typing import Dict, Tuple
 
-from repro.core.qos import QosSetting
+from repro.core.arbiter import AhbPlusArbiter
+from repro.core.qos import QosRegisterFile, QosSetting
 from repro.ddr.timing import DDR_266, DdrTiming
 from repro.errors import ConfigError
 
@@ -141,6 +142,22 @@ class AhbPlusConfig:
             kwargs["disabled_filters"] = tuple(kwargs["disabled_filters"])  # type: ignore[arg-type]
         return cls(**kwargs)  # type: ignore[arg-type]
 
+    def build_qos(self) -> QosRegisterFile:
+        """A fresh QoS register file holding :attr:`qos`."""
+        qos = QosRegisterFile(self.num_masters)
+        for master, setting in self.qos.items():
+            qos.configure(master, setting)
+        return qos
+
+    def build_arbiter(self) -> AhbPlusArbiter:
+        """A fresh arbiter with :attr:`disabled_filters` switched off."""
+        arbiter = AhbPlusArbiter(
+            tie_break=self.tie_break, num_masters=self.num_masters
+        )
+        for name in self.disabled_filters:
+            arbiter.set_filter_enabled(name, False)
+        return arbiter
+
     def without_extensions(self) -> "AhbPlusConfig":
         """A copy with every AHB+ extension off — plain-AHB behaviour.
 
@@ -148,21 +165,13 @@ class AhbPlusConfig:
         on this workload": no write buffer, no pipelining, no BI, and
         only the tie-break filter deciding.
         """
-        return AhbPlusConfig(
-            num_masters=self.num_masters,
-            bus_width_bytes=self.bus_width_bytes,
+        return replace(
+            self,
             write_buffer_enabled=False,
             write_buffer_depth=1,
             request_pipelining=False,
             pipeline_lead=0,
             bus_interface_enabled=False,
-            tie_break=self.tie_break,
             disabled_filters=tuple(SWITCHABLE_FILTERS),
-            urgency_margin=self.urgency_margin,
-            starvation_limit=self.starvation_limit,
-            arbitration_cycles=self.arbitration_cycles,
             qos=dict(self.qos),
-            ddr_timing=self.ddr_timing,
-            refresh_enabled=self.refresh_enabled,
-            memory_size=self.memory_size,
         )

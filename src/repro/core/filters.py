@@ -64,7 +64,7 @@ class ArbitrationContext:
     """Round-shared state the filters consult.
 
     The bus engines keep one instance alive and refresh its fields each
-    round (see ``AhbPlusBusTlm._arbitrate``) instead of allocating a new
+    round (see ``AhbPlusBusTlm._refresh``) instead of allocating a new
     context per arbitration — filters must treat it as read-only.
     """
 

@@ -18,15 +18,14 @@ spec layer existed.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Union
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.ahb.bus import BusRunResult, PlainAhbBus, TransactionObserver
 from repro.ahb.master import TlmMaster
 from repro.ahb.slave import TlmSlave
 from repro.core.bus import AhbPlusBusTlm, AhbPlusRunResult
 from repro.core.config import AhbPlusConfig
-from repro.core.threaded import ThreadedAhbPlusBus
 from repro.ddr.controller import DdrControllerTlm
 from repro.ddr.memory import MemoryModel
 from repro.errors import ConfigError
@@ -35,8 +34,6 @@ if TYPE_CHECKING:  # traffic.workloads itself imports repro.core.qos —
     # a runtime import here would close an import cycle whenever
     # repro.traffic loads first, so Workload stays annotation-only.
     from repro.traffic.workloads import Workload
-
-EngineBus = Union[AhbPlusBusTlm, ThreadedAhbPlusBus]
 
 
 @dataclass
@@ -47,7 +44,7 @@ class TlmPlatform:
     config: AhbPlusConfig
     masters: List[TlmMaster]
     ddrc: DdrControllerTlm
-    bus: EngineBus
+    bus: AhbPlusBusTlm
     #: All slaves in address-map order (``[ddrc]`` on the paper topology).
     slaves: List[TlmSlave] = field(default_factory=list)
 
@@ -109,24 +106,7 @@ def config_for_workload(
         )
     merged_qos = dict(workload.qos_map())
     merged_qos.update(base.qos)
-    return AhbPlusConfig(
-        num_masters=base.num_masters,
-        bus_width_bytes=base.bus_width_bytes,
-        write_buffer_enabled=base.write_buffer_enabled,
-        write_buffer_depth=base.write_buffer_depth,
-        request_pipelining=base.request_pipelining,
-        pipeline_lead=base.pipeline_lead,
-        bus_interface_enabled=base.bus_interface_enabled,
-        tie_break=base.tie_break,
-        disabled_filters=base.disabled_filters,
-        urgency_margin=base.urgency_margin,
-        starvation_limit=base.starvation_limit,
-        arbitration_cycles=base.arbitration_cycles,
-        qos=merged_qos,
-        ddr_timing=base.ddr_timing,
-        refresh_enabled=base.refresh_enabled,
-        memory_size=base.memory_size,
-    )
+    return replace(base, qos=merged_qos)
 
 
 def _paper_spec(workload: Workload, config: Optional[AhbPlusConfig]):

@@ -9,10 +9,16 @@ as a return value."*
 :class:`TransactionPort` is that port.  It offers the blocking,
 software-driver style of use — call ``read``/``write`` and get a status
 back — on top of an :class:`InteractiveAhbPlus` system that advances the
-shared clock as calls are made.  The batch engines in
-:mod:`repro.core.bus` drive the same arbitration and memory machinery
-from recorded traffic instead; the port API is what a user integrating
+shared clock as calls are made.  The port API is what a user integrating
 an instruction-set simulator or a hand-written test stimulus uses.
+
+:class:`InteractiveAhbPlus` is the method-based bus of
+:mod:`repro.core.bus` driven by calls instead of recorded traffic.  What
+it adds is only the call-driven flow: each call arbitrates one port's
+transaction against the write buffer's next drain, posts writes
+directly into the buffer, and advances the clock past each transfer.
+Candidates, the arbitration context, the arbiter, the QoS registers and
+the slave transfer are the method bus's own.
 """
 
 from __future__ import annotations
@@ -20,15 +26,13 @@ from __future__ import annotations
 import enum
 from typing import List, Optional, Sequence, Tuple
 
+from repro.ahb.master import TlmMaster
+from repro.ahb.slave import TlmSlave
 from repro.ahb.transaction import Transaction
 from repro.ahb.types import AccessKind
-from repro.core.arbiter import AhbPlusArbiter
-from repro.core.bus_interface import BusInterface, arbitration_context
+from repro.core.bus import AhbPlusBusTlm, RequestLine
 from repro.core.config import AhbPlusConfig
-from repro.core.filters import ArbitrationContext, Candidate
-from repro.core.qos import QosRegisterFile
-from repro.core.write_buffer import WriteBuffer
-from repro.ahb.slave import TlmSlave
+from repro.core.filters import Candidate
 from repro.errors import ConfigError
 
 
@@ -39,7 +43,7 @@ class PortStatus(enum.Enum):
     POSTED = "POSTED"  # write absorbed by the write buffer
 
 
-class InteractiveAhbPlus:
+class InteractiveAhbPlus(AhbPlusBusTlm):
     """A synchronously driven AHB+ system for port-style stimulus.
 
     One shared clock advances as ports issue transactions.  Multiple
@@ -53,30 +57,17 @@ class InteractiveAhbPlus:
         slave: TlmSlave,
         config: Optional[AhbPlusConfig] = None,
     ) -> None:
-        self.config = config if config is not None else AhbPlusConfig()
-        self.slave = slave
-        self.qos = QosRegisterFile(self.config.num_masters)
-        for master, setting in self.config.qos.items():
-            self.qos.configure(master, setting)
-        self.write_buffer = WriteBuffer(
-            depth=self.config.write_buffer_depth,
-            enabled=self.config.write_buffer_enabled,
-        )
-        self.arbiter = AhbPlusArbiter(
-            tie_break=self.config.tie_break,
-            num_masters=self.config.num_masters,
-        )
-        for name in self.config.disabled_filters:
-            self.arbiter.set_filter_enabled(name, False)
-        self.bi = BusInterface(slave, enabled=self.config.bus_interface_enabled)
-        self._arb_ctx = arbitration_context(self.config, self.write_buffer, [self.bi])
-        self._now = 0
+        config = config if config is not None else AhbPlusConfig()
+        # Ports issue transactions by call, so no master replays
+        # recorded traffic.
+        idle = [
+            TlmMaster(index, f"port{index}", ())
+            for index in range(config.num_masters)
+        ]
+        super().__init__(idle, [slave], config)
+        # A port raises its master's line while its call arbitrates.
+        self._request_lines = [RequestLine() for _ in idle]
         self._ports: List[TransactionPort] = []
-
-    @property
-    def now(self) -> int:
-        """Current cycle of the shared bus clock."""
-        return self._now
 
     def port(self, master_index: int) -> "TransactionPort":
         """Create (or fetch) the transaction port of *master_index*."""
@@ -91,27 +82,24 @@ class InteractiveAhbPlus:
 
     # -- engine ---------------------------------------------------------------
 
-    def _ctx(self, candidates: Sequence[Candidate]) -> ArbitrationContext:
-        ctx = self._arb_ctx
-        ctx.now = self._now
-        ctx.write_buffer_occupancy = self.write_buffer.occupancy
-        ctx.read_hazard = self.write_buffer.read_hazard(candidates)
-        return ctx
+    def _winner(self, txn: Transaction) -> Candidate:
+        """Arbitrate *txn* against the write buffer's next drain now."""
+        line = self._request_lines[txn.master]
+        line.txn = txn
+        candidates = self._collect(self._now)
+        line.txn = None
+        return self.arbiter.choose(candidates, self._refresh(self._now, candidates))
 
-    def _candidates_for(self, txn: Optional[Transaction]) -> List[Candidate]:
-        candidates: List[Candidate] = []
-        if txn is not None:
-            candidates.append(
-                Candidate(
-                    txn=txn,
-                    real_time=self.qos.is_real_time(txn.master),
-                    deadline=self.qos.deadline_for(txn),
-                )
-            )
-        head = self.write_buffer.head()
-        if head is not None:
-            candidates.append(Candidate(txn=head, from_write_buffer=True))
-        return candidates
+    def _ride(self, cand: Candidate) -> None:
+        """Grant *cand* the bus and serve it; advances the clock."""
+        span = self._transfer(cand, self._now + self.config.arbitration_cycles)
+        assert span is not None  # port transactions carry no fault plan
+        _start, finish = span
+        txn = cand.txn
+        txn.finished_at = finish
+        if txn.origin is not None:
+            txn.origin.drained_at = finish
+        self._now = finish + 1
 
     def would_grant(self, master_index: int) -> bool:
         """The CheckGrant() of the paper: would this master win right now?
@@ -123,40 +111,18 @@ class InteractiveAhbPlus:
             master=master_index, kind=AccessKind.READ, addr=0, beats=1
         )
         probe.issued_at = self._now
-        candidates = self._candidates_for(probe)
-        winner = self.arbiter.choose(candidates, self._ctx(candidates))
-        return winner.txn is probe
-
-    def _serve_on_bus(self, txn: Transaction) -> int:
-        """Grant + serve one transaction; advances the clock."""
-        grant = self._now + self.config.arbitration_cycles
-        txn.granted_at = grant
-        self.slave.idle_until(grant)
-        start = self.bi.access_permitted_at(txn, grant)
-        finish = self.slave.serve(txn, start)
-        txn.finished_at = finish
-        if txn.origin is not None:
-            txn.origin.drained_at = finish
-        self._now = finish + 1
-        return finish
+        return self._winner(probe).txn is probe
 
     def execute(self, txn: Transaction) -> PortStatus:
         """Run *txn* to completion, draining the buffer as arbitration demands."""
         txn.issued_at = self._now
         while True:
-            candidates = self._candidates_for(txn)
-            winner = self.arbiter.choose(candidates, self._ctx(candidates))
+            # A losing write is not posted here: the caller chose the bus.
+            winner = self._winner(txn)
+            self._ride(winner)
             if winner.txn is txn:
-                # A losing write would be posted; a winning one rides the bus.
-                self._serve_on_bus(txn)
                 self.qos.record_completion(txn)
                 return PortStatus.OK
-            if winner.from_write_buffer:
-                drain = winner.txn
-                self._serve_on_bus(drain)
-                self.write_buffer.pop_head(drain)
-                continue
-            raise ConfigError("unexpected arbitration outcome")  # pragma: no cover
 
     def post_write(self, txn: Transaction) -> Optional[PortStatus]:
         """Try to absorb a write; returns POSTED or ``None`` if not possible."""
@@ -170,19 +136,17 @@ class InteractiveAhbPlus:
 
     def drain_write_buffer(self) -> int:
         """Flush all posted writes; returns the cycle after the last drain."""
-        while True:
-            head = self.write_buffer.head()
-            if head is None:
-                return self._now
-            self._serve_on_bus(head)
-            self.write_buffer.pop_head(head)
+        # With no port request raised, the buffer head is the only candidate.
+        while candidates := self._collect(self._now):
+            self._ride(candidates[0])
+        return self._now
 
     def idle(self, cycles: int) -> None:
         """Advance the clock with the bus idle (think time)."""
         if cycles < 0:
             raise ConfigError("cannot idle a negative number of cycles")
         self._now += cycles
-        self.slave.idle_until(self._now)
+        self.slaves[0].idle_until(self._now)
 
 
 class TransactionPort:

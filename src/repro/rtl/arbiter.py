@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.ahb.types import HTrans
-from repro.core.arbiter import AhbPlusArbiter
 from repro.core.config import AhbPlusConfig
 from repro.core.filters import ArbitrationContext, Candidate
 from repro.core.qos import QosRegisterFile
@@ -61,11 +60,7 @@ class ArbiterRtl:
         self.engine = engine
         #: ``addr -> score`` oracle from the DDRC (None when BI is off).
         self._ddrc_score = ddrc_score if config.bus_interface_enabled else None
-        self.decision = AhbPlusArbiter(
-            tie_break=config.tie_break, num_masters=config.num_masters
-        )
-        for name in config.disabled_filters:
-            self.decision.set_filter_enabled(name, False)
+        self.decision = config.build_arbiter()
         self._idle_grantee: Optional[int] = None  # owner index awaiting start
         self._locked_next = True  # no lock allowed until a transfer begins
         #: Quiescence handle, bound by the platform builder.  The

@@ -37,7 +37,6 @@ from repro.ahb.slave import ApbBridgeSlave, SramSlave, TlmSlave
 from repro.core.bus import AhbPlusBusTlm
 from repro.core.config import AhbPlusConfig
 from repro.core.platform import PlainPlatform, TlmPlatform
-from repro.core.qos import QosRegisterFile
 from repro.core.threaded import ThreadedAhbPlusBus
 from repro.core.write_buffer import WriteBuffer
 from repro.ddr.controller import DdrControllerTlm
@@ -230,9 +229,7 @@ class PlatformBuilder:
         master_sigs = [MasterSignals(i) for i in range(cfg.num_masters)]
         buffer_sig = MasterSignals(cfg.num_masters)  # the buffer's bus identity
 
-        qos = QosRegisterFile(cfg.num_masters)
-        for master, setting in cfg.qos.items():
-            qos.configure(master, setting)
+        qos = cfg.build_qos()
         write_buffer = WriteBuffer(
             depth=cfg.write_buffer_depth, enabled=cfg.write_buffer_enabled
         )

@@ -9,6 +9,7 @@ from repro.core import (
     build_tlm_platform,
 )
 from repro.core.platform import config_for_workload
+from repro.ddr.timing import DDR_TEST
 from repro.errors import ConfigError
 from repro.traffic import (
     bank_striped_workload,
@@ -19,7 +20,7 @@ from repro.traffic import (
     write_heavy_workload,
 )
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 
 class TestMethodEngine:
@@ -152,6 +153,34 @@ class TestPlatformBuilders:
     def test_unknown_engine_rejected(self):
         with pytest.raises(ConfigError):
             build_tlm_platform(table1_pattern_a(10), engine="fpga")
+
+    def test_config_for_workload_keeps_every_field(self):
+        base = AhbPlusConfig(
+            num_masters=4,
+            bus_width_bytes=8,
+            write_buffer_enabled=False,
+            write_buffer_depth=2,
+            request_pipelining=False,
+            pipeline_lead=3,
+            bus_interface_enabled=False,
+            tie_break="round_robin",
+            disabled_filters=("bank",),
+            urgency_margin=7,
+            starvation_limit=9,
+            arbitration_cycles=2,
+            qos={1: QosSetting(True, 50)},
+            ddr_timing=DDR_TEST,
+            refresh_enabled=False,
+            memory_size=1 << 20,
+        )
+        default = AhbPlusConfig(num_masters=base.num_masters)
+        derived = config_for_workload(table1_pattern_a(10), base)
+        for f in fields(AhbPlusConfig):
+            if f.name == "num_masters":
+                continue
+            # A field left at its default here could not show a reset.
+            assert getattr(base, f.name) != getattr(default, f.name), f.name
+            assert getattr(derived, f.name) == getattr(base, f.name), f.name
 
     def test_without_extensions(self):
         cfg = AhbPlusConfig(num_masters=4).without_extensions()
