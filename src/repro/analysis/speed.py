@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.core.config import AhbPlusConfig
+from repro.errors import ConfigError
 from repro.exec import SweepRunner
 from repro.kernel.simulator import Simulator
 from repro.system.platform import PlatformBuilder
@@ -112,8 +113,13 @@ def measure_tlm(
     engine: str = "method",
     repeats: int = 3,
 ) -> SpeedSample:
-    """Wall-clock a TLM engine on *workload* (best of *repeats* runs)."""
-    level = "tlm" if engine == "method" else "tlm-threaded"
+    """Wall-clock a TLM engine on *workload* (best of *repeats* runs).
+
+    *engine* is the paper's §4 name: ``"method"`` or ``"thread"``.
+    """
+    level = {"method": "tlm", "thread": "tlm-threaded"}.get(engine)
+    if level is None:
+        raise ConfigError(f"unknown engine {engine!r}; use 'method' or 'thread'")
     return _measure(f"tlm-{engine}", level, workload, config, repeats)
 
 

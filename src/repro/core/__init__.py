@@ -17,10 +17,9 @@ Public surface:
   calls.
 * :class:`Transaction` / :class:`AccessKind` — the port payload,
   re-exported from :mod:`repro.ahb`.
-* :func:`build_tlm_platform` / :func:`build_plain_platform` — legacy
-  one-call system assembly (deprecation shims; new code describes the
-  system with :class:`repro.system.SystemSpec` and elaborates it via
-  :class:`repro.system.PlatformBuilder`).
+
+Whole systems are described with :class:`repro.system.SystemSpec` and
+elaborated by :class:`repro.system.PlatformBuilder`.
 """
 
 from repro.ahb.transaction import WRITE_BUFFER_MASTER, Transaction
@@ -28,7 +27,7 @@ from repro.ahb.types import AccessKind
 from repro.core.arbiter import AhbPlusArbiter
 from repro.core.bus import AhbPlusBusTlm, AhbPlusRunResult
 from repro.core.bus_interface import BusInterface
-from repro.core.config import SWITCHABLE_FILTERS, AhbPlusConfig
+from repro.core.config import SWITCHABLE_FILTERS, AhbPlusConfig, config_for_workload
 from repro.core.filters import (
     ArbitrationContext,
     ArbitrationFilter,
@@ -42,13 +41,6 @@ from repro.core.filters import (
     TieBreakFilter,
     UrgencyFilter,
     default_filter_chain,
-)
-from repro.core.platform import (
-    PlainPlatform,
-    TlmPlatform,
-    build_plain_platform,
-    build_tlm_platform,
-    config_for_workload,
 )
 from repro.core.ports import InteractiveAhbPlus, PortStatus, TransactionPort
 from repro.core.qos import QosRegisterFile, QosSetting, decode_setting, encode_setting
@@ -69,7 +61,6 @@ __all__ = [
     "FILTER_NAMES",
     "HazardFilter",
     "InteractiveAhbPlus",
-    "PlainPlatform",
     "PortStatus",
     "PressureFilter",
     "QosRegisterFile",
@@ -79,14 +70,11 @@ __all__ = [
     "SWITCHABLE_FILTERS",
     "ThreadedAhbPlusBus",
     "TieBreakFilter",
-    "TlmPlatform",
     "TransactionPort",
     "Transaction",
     "UrgencyFilter",
     "WRITE_BUFFER_MASTER",
     "WriteBuffer",
-    "build_plain_platform",
-    "build_tlm_platform",
     "config_for_workload",
     "decode_setting",
     "default_filter_chain",

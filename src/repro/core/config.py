@@ -13,12 +13,15 @@ and runs it at both abstraction levels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.core.arbiter import AhbPlusArbiter
 from repro.core.qos import QosRegisterFile, QosSetting
 from repro.ddr.timing import DDR_266, DdrTiming
 from repro.errors import ConfigError
+
+if TYPE_CHECKING:  # traffic.workloads imports repro.core.qos: annotation only
+    from repro.traffic.workloads import Workload
 
 #: Filters that may be switched off (the tie-break must stay).
 SWITCHABLE_FILTERS = ("request", "hazard", "urgency", "real-time", "pressure", "bank")
@@ -175,3 +178,19 @@ class AhbPlusConfig:
             disabled_filters=tuple(SWITCHABLE_FILTERS),
             qos=dict(self.qos),
         )
+
+
+def config_for_workload(
+    workload: Workload, base: Optional[AhbPlusConfig] = None
+) -> AhbPlusConfig:
+    """Derive a config matching the workload's master count and QoS map."""
+    if base is None:
+        return AhbPlusConfig(num_masters=workload.num_masters, qos=workload.qos_map())
+    if base.num_masters != workload.num_masters:
+        raise ConfigError(
+            f"config is for {base.num_masters} masters but workload "
+            f"{workload.name!r} has {workload.num_masters}"
+        )
+    merged_qos = dict(workload.qos_map())
+    merged_qos.update(base.qos)
+    return replace(base, qos=merged_qos)

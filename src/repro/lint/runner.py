@@ -45,11 +45,11 @@ def lint_netlist(
 ) -> List[LintFinding]:
     """Elaborate *spec* at RTL under lint mode and run the NET rules."""
     from repro.errors import CombinationalLoopError, SimulationError
-    from repro.system.platform import build_platform
+    from repro.system.platform import PlatformBuilder
 
     crash: List[LintFinding] = []
     with lint_elaboration() as netlist:
-        platform = build_platform(spec, "rtl")
+        platform = PlatformBuilder(spec).build("rtl")
         if cycles:
             try:
                 platform.run(max_cycles=cycles)

@@ -10,7 +10,6 @@ from repro.rtl.arbiter import ArbiterRtl
 from repro.rtl.ddrc import DdrcRtl, RtlAccess, RtlSegment
 from repro.rtl.master import MasterRtl, MasterState
 from repro.rtl.mux import BusMux, ResponseMux
-from repro.rtl.platform import RtlPlatform, build_rtl_platform
 from repro.rtl.slave import StaticSlaveRtl
 from repro.rtl.signals import (
     BiSignals,
@@ -35,7 +34,6 @@ __all__ = [
     "MasterState",
     "NO_OWNER",
     "RtlAccess",
-    "RtlPlatform",
     "RtlSegment",
     "SharedBusSignals",
     "SlaveResponseSignals",

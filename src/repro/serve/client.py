@@ -24,8 +24,9 @@ from __future__ import annotations
 import random
 import socket
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, TextIO, Tuple
 
 from repro.errors import ConfigError, SimulationError
 from repro.exec.records import RunRecord
@@ -128,13 +129,19 @@ class ServeClient:
 
     # -- plumbing --------------------------------------------------------------
 
-    def _connect(self) -> Tuple[object, object, socket.socket]:
+    @contextmanager
+    def _connect(self) -> Iterator[Tuple[TextIO, TextIO]]:
+        """One connection as ``(reader, writer)``; closes all three.
+
+        ``socket.close()`` alone keeps the descriptor open while the
+        ``makefile`` objects still reference it.
+        """
         sock = socket.create_connection(
             (self.host, self.port), timeout=self.timeout
         )
-        reader = sock.makefile("r", encoding="utf-8")
-        writer = sock.makefile("w", encoding="utf-8")
-        return reader, writer, sock
+        with sock, sock.makefile("r", encoding="utf-8") as reader:
+            with sock.makefile("w", encoding="utf-8") as writer:
+                yield reader, writer
 
     def _backoff_delay(self, attempt: int, retry_after: float) -> float:
         """Exponential backoff with jitter, floored by the server hint."""
@@ -172,8 +179,7 @@ class ServeClient:
 
     def _request_one(self, op: str, expect: str) -> Dict[str, object]:
         """Send a single-shot op; return its one response event."""
-        reader, writer, sock = self._connect()
-        try:
+        with self._connect() as (reader, writer):
             write_message(writer, {"op": op})
             event = read_message(reader)
             if event is None:
@@ -185,8 +191,6 @@ class ServeClient:
                     f"expected {expect!r} event, got {event.get('event')!r}"
                 )
             return event
-        finally:
-            sock.close()
 
     # -- operations ------------------------------------------------------------
 
@@ -260,8 +264,7 @@ class ServeClient:
         max_cycles: Optional[int],
         on_event: Optional[OnEvent],
     ) -> SubmitResult:
-        reader, writer, sock = self._connect()
-        try:
+        with self._connect() as (reader, writer):
             write_message(
                 writer,
                 {
@@ -333,5 +336,3 @@ class ServeClient:
                 keys=tuple(keys),
                 quarantined=quarantined,
             )
-        finally:
-            sock.close()

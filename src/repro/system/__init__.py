@@ -3,10 +3,10 @@
 * :class:`SystemSpec` (+ :class:`BusSpec`, :class:`SlaveSpec`) — the
   topology description: workload binding, bus parameters, slave
   address regions.  Plain frozen data: picklable, JSON round-trip.
-* :class:`PlatformBuilder` / :func:`build_platform` — elaborate a spec
-  into any engine (``tlm``, ``tlm-threaded``, ``plain``, ``rtl``)
-  behind the common :class:`Platform` protocol (``run()`` +
-  ``attach(observer)``).
+* :class:`PlatformBuilder` — elaborate a spec into any engine
+  (``tlm``, ``tlm-threaded``, ``plain``, ``rtl``) behind the common
+  :class:`Platform` protocol (``run()`` + ``attach(observer)``); the
+  products are :class:`TlmPlatform` and :class:`RtlPlatform`.
 * :mod:`repro.system.scenarios` — the named-scenario registry: the
   paper topology and the multi-slave DDR+SRAM+APB variants.
 * :func:`sweep` — expand one spec along one axis (config field, seed
@@ -17,7 +17,8 @@ from repro.system.platform import (
     AnyPlatform,
     Platform,
     PlatformBuilder,
-    build_platform,
+    RtlPlatform,
+    TlmPlatform,
     platform_agents,
 )
 from repro.system.scenarios import (
@@ -46,12 +47,13 @@ __all__ = [
     "LEVELS",
     "Platform",
     "PlatformBuilder",
+    "RtlPlatform",
     "SCENARIOS",
     "SLAVE_KINDS",
     "SlaveSpec",
     "SweepPoint",
     "SystemSpec",
-    "build_platform",
+    "TlmPlatform",
     "mpeg_bursty",
     "multi_slave_soc",
     "paper_topology",

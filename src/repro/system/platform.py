@@ -2,14 +2,14 @@
 
 One description, four targets:
 
-========== ==================================================== ==========
-level      engine                                               result
-========== ==================================================== ==========
-tlm        method-based AHB+ TLM (:class:`AhbPlusBusTlm`)       TlmPlatform
-tlm-threaded thread-based AHB+ TLM (:class:`ThreadedAhbPlusBus`) TlmPlatform
-plain      unextended AMBA 2.0 baseline (:class:`PlainAhbBus`)  PlainPlatform
-rtl        pin-accurate 2-step cycle model                      RtlPlatform
-========== ==================================================== ==========
+============ ====================================================== ===========
+level        engine                                                 result
+============ ====================================================== ===========
+tlm          method-based AHB+ TLM (:class:`AhbPlusBusTlm`)         TlmPlatform
+tlm-threaded thread-based AHB+ TLM (:class:`ThreadedAhbPlusBus`)    TlmPlatform
+plain        unextended AMBA 2.0 baseline (:class:`PlainAhbBus`)    TlmPlatform
+rtl          pin-accurate 2-step cycle model                        RtlPlatform
+============ ====================================================== ===========
 
 Every product satisfies the :class:`Platform` protocol — ``run()``
 returning a :class:`~repro.ahb.bus.BusRunResult` (or richer subclass)
@@ -18,36 +18,37 @@ code is engine-agnostic: elaborating the same spec at a different level
 is a one-argument change, which is the paper's portability claim turned
 into an API.
 
-For the classic paper topology (one DDR slave at address zero) the
-elaboration is *structurally identical* to the legacy hard-coded
-builders — same construction order, same address map, same component
-arguments — so golden traces and Table-1 numbers reproduce bit-for-bit
-through either entry point.  Multi-slave specs additionally instantiate
-static slaves (SRAM scratchpads, APB bridge stubs), the multi-region
-address decode and, at RTL level, per-slave response channels combined
-by the :class:`~repro.rtl.mux.ResponseMux`.
+The classic paper topology (one DDR slave at address zero) elaborates
+with a fixed construction order, address map and component arguments,
+so golden traces and Table-1 numbers reproduce bit-for-bit.  Multi-slave
+specs additionally instantiate static slaves (SRAM scratchpads, APB
+bridge stubs), the multi-region address decode and, at RTL level,
+per-slave response channels combined by the
+:class:`~repro.rtl.mux.ResponseMux`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Protocol, Union, runtime_checkable
 
 from repro.ahb.bus import BusRunResult, PlainAhbBus, TransactionObserver
+from repro.ahb.master import TlmMaster
 from repro.ahb.slave import ApbBridgeSlave, SramSlave, TlmSlave
-from repro.core.bus import AhbPlusBusTlm
+from repro.core.bus import AhbPlusBusTlm, AhbPlusRunResult
 from repro.core.config import AhbPlusConfig
-from repro.core.platform import PlainPlatform, TlmPlatform
+from repro.core.qos import QosRegisterFile
 from repro.core.threaded import ThreadedAhbPlusBus
 from repro.core.write_buffer import WriteBuffer
 from repro.ddr.controller import DdrControllerTlm
-from repro.errors import ConfigError
+from repro.ddr.memory import MemoryModel
+from repro.errors import ConfigError, SimulationError
 from repro.kernel.cycle import CycleEngine
 from repro.kernel.tracing import VcdTracer
 from repro.rtl.arbiter import ArbiterRtl
 from repro.rtl.ddrc import DdrcRtl
 from repro.rtl.master import MasterRtl
 from repro.rtl.mux import BusMux, ResponseMux
-from repro.rtl.platform import RtlPlatform
 from repro.rtl.signals import (
     BiSignals,
     MasterSignals,
@@ -58,6 +59,7 @@ from repro.rtl.signals import (
 from repro.rtl.slave import StaticSlaveRtl
 from repro.rtl.write_buffer import BufferMasterRtl
 from repro.system.spec import LEVELS, SlaveSpec, SystemSpec
+from repro.traffic.workloads import Workload
 
 
 @runtime_checkable
@@ -73,13 +75,187 @@ class Platform(Protocol):
         ...
 
 
-AnyPlatform = Union[TlmPlatform, PlainPlatform, RtlPlatform]
+@dataclass
+class TlmPlatform:
+    """An assembled transaction-level system (AHB+ or the plain baseline)."""
+
+    workload: Workload
+    config: AhbPlusConfig
+    masters: List[TlmMaster]
+    ddrc: DdrControllerTlm
+    bus: Union[AhbPlusBusTlm, PlainAhbBus]
+    #: All slaves in address-map order (``[ddrc]`` on the paper topology).
+    slaves: List[TlmSlave]
+
+    @property
+    def memory(self) -> MemoryModel:
+        """The DDR backing store (for functional checks)."""
+        return self.ddrc.memory
+
+    def run(self, max_cycles: Optional[int] = None) -> BusRunResult:
+        """Run the workload to completion."""
+        return self.bus.run(max_cycles=max_cycles)
+
+    def attach(self, observer: TransactionObserver) -> None:
+        """Register a ``(txn, grant, start, finish)`` observer."""
+        self.bus.add_observer(observer)
+
+
+@dataclass
+class RtlPlatform:
+    """An assembled pin-accurate AHB+ system.
+
+    :meth:`run` steps the 2-step cycle engine until all traffic drains:
+    the per-cycle reference the TLM's speedup is measured against.
+    """
+
+    workload: Workload
+    config: AhbPlusConfig
+    engine: CycleEngine
+    agents: List[TlmMaster]
+    masters: List[MasterRtl]
+    buffer_master: BufferMasterRtl
+    write_buffer: WriteBuffer
+    arbiter: ArbiterRtl
+    ddrc: DdrcRtl
+    qos: QosRegisterFile
+    bus: SharedBusSignals
+    bi: BiSignals
+    tracer: Optional[VcdTracer] = None
+    #: SRAM/APB slaves of a multi-slave fabric (empty on the paper topology).
+    static_slaves: List[StaticSlaveRtl] = field(default_factory=list)
+    #: Observers replayed at drain time (see :meth:`attach`).
+    observers: List[TransactionObserver] = field(default_factory=list)
+
+    @property
+    def memory(self) -> MemoryModel:
+        return self.ddrc.memory
+
+    @property
+    def slaves(self) -> List[object]:
+        """DDRC plus static slaves (reporting convenience)."""
+        return [self.ddrc, *self.static_slaves]
+
+    def attach(self, observer: TransactionObserver) -> None:
+        """Register a ``(txn, grant, start, finish)`` observer.
+
+        The signal-level model has no per-transfer callback point, so
+        observers are *replayed* when :meth:`run` completes, in
+        completion order, with the grant/start/finish cycles the FSMs
+        recorded.  The delivered set mirrors what live TLM observers
+        see: transfers that actually used the bus — master transactions
+        plus write-buffer drains (master ``WRITE_BUFFER_MASTER``) —
+        while absorbed (posted) originals, which never reached the bus
+        themselves, are excluded.  Only the delivery *time* differs
+        from the TLM engines.
+        """
+        self.observers.append(observer)
+
+    #: First master index not yet permanently drained — a monotone
+    #: cursor (``MasterRtl.done`` latches true), so the per-cycle
+    #: predicate skips the finished prefix instead of re-polling it.
+    #: Deliberately a plain class attribute, not a dataclass field.
+    _drain_cursor = 0
+
+    def _drained(self) -> bool:
+        # Explicit loops: this predicate runs every stepped cycle and
+        # the generator-expression form showed up in profiles.
+        masters = self.masters
+        cursor = self._drain_cursor
+        while cursor < len(masters):
+            if not masters[cursor].done:
+                if cursor != self._drain_cursor:
+                    self._drain_cursor = cursor
+                return False
+            cursor += 1
+        if cursor != self._drain_cursor:
+            self._drain_cursor = cursor
+        if not self.buffer_master.done:
+            return False
+        if not self.ddrc.idle:
+            return False
+        for slave in self.static_slaves:
+            if not slave.idle:
+                return False
+        return True
+
+    #: Drain bound used when ``run`` is called with ``max_cycles=None``
+    #: — the per-cycle engine needs *some* ceiling to fail loudly on a
+    #: deadlocked netlist rather than spin forever.
+    DEFAULT_MAX_CYCLES = 2_000_000
+
+    def run(self, max_cycles: Optional[int] = None) -> AhbPlusRunResult:
+        """Step the cycle engine until all traffic drains.
+
+        ``max_cycles=None`` (the :class:`~repro.system.Platform`
+        protocol's no-limit spelling) falls back to
+        :data:`DEFAULT_MAX_CYCLES`.  Returns the same result record as
+        the TLM engines so the accuracy harness can compare field by
+        field.
+        """
+        limit = max_cycles if max_cycles is not None else self.DEFAULT_MAX_CYCLES
+        self.engine.run_until(self._drained, max_cycles=limit)
+        if not self._drained():
+            raise SimulationError(
+                f"RTL platform did not drain within {limit} cycles"
+            )
+        result = self._result()
+        self._replay_observers()
+        return result
+
+    def _replay_observers(self) -> None:
+        if not self.observers:
+            return
+        # Bus transfers only: non-posted master transactions (their
+        # grant/start/finish were stamped by the master FSM) and the
+        # buffer's drain transfers.  Absorbed originals never owned the
+        # bus — live TLM observers never see them either.
+        completed = [
+            txn
+            for agent in self.agents
+            for txn in agent.completed
+            if not txn.via_write_buffer
+        ]
+        completed.extend(self.buffer_master.drained_txns)
+        completed.sort(key=lambda txn: (txn.finished_at, txn.uid))
+        for observer in self.observers:
+            for txn in completed:
+                observer(txn, txn.granted_at, txn.started_at, txn.finished_at)
+
+    def _result(self) -> AhbPlusRunResult:
+        transactions = self.ddrc.reads + self.ddrc.writes
+        data_beats = self.ddrc.data_beats
+        for slave in self.static_slaves:
+            transactions += slave.reads + slave.writes
+            data_beats += slave.data_beats
+        return AhbPlusRunResult(
+            cycles=self.engine.cycle,
+            transactions=transactions,
+            bytes_transferred=data_beats * self.config.bus_width_bytes,
+            busy_cycles=data_beats,
+            per_master_transactions=[
+                agent.transactions_completed for agent in self.agents
+            ],
+            error_responses=sum(a.error_aborts for a in self.agents),
+            retry_responses=sum(a.retry_responses for a in self.agents),
+            absorbed_writes=self.write_buffer.absorbed,
+            drained_writes=self.write_buffer.drained,
+            max_buffer_occupancy=self.write_buffer.max_occupancy,
+            rt_deadline_hits=self.qos.deadline_hits,
+            rt_deadline_misses=self.qos.deadline_misses,
+            pipelined_grants=self.arbiter.pipelined_grants,
+            bi_next_info=self.arbiter.bi_next_info,
+            filter_stats=self.arbiter.decision.filter_stats(),
+        )
+
+
+AnyPlatform = Union[TlmPlatform, RtlPlatform]
 
 
 def platform_agents(platform) -> List:
     """The traffic agents of any engine's platform.
 
-    The TLM/plain platforms expose them as ``masters``; the RTL
+    The TLM platforms expose them as ``masters``; the RTL
     platform's ``masters`` are FSMs, its traffic agents live on
     ``agents``.  Analysis collectors use this to stay engine-agnostic.
     """
@@ -139,9 +315,7 @@ class PlatformBuilder:
         cfg = self.spec.config()
         if level == "rtl":
             return self._build_rtl(cfg, trace=trace, full_sweep=full_sweep)
-        if level == "plain":
-            return self._build_plain(cfg)
-        return self._build_tlm(cfg, threaded=(level == "tlm-threaded"))
+        return self._build_tlm(cfg, level)
 
     # -- transaction level -------------------------------------------------------
 
@@ -171,42 +345,30 @@ class PlatformBuilder:
             if sspec.fault is not None
         )
 
-    def _build_tlm(self, cfg: AhbPlusConfig, threaded: bool) -> TlmPlatform:
+    def _build_tlm(self, cfg: AhbPlusConfig, level: str) -> TlmPlatform:
         workload = self.spec.workload
         masters = workload.build_masters(extra_faults=self._slave_faults(cfg))
         slaves = self._tlm_slaves(cfg)
         ddrc = slaves[self._ddr_index(cfg)]
         assert isinstance(ddrc, DdrControllerTlm)
         address_map = self.spec.address_map(cfg)
-        bus_cls = ThreadedAhbPlusBus if threaded else AhbPlusBusTlm
-        bus = bus_cls(masters, slaves, config=cfg, address_map=address_map)
+        bus: Union[AhbPlusBusTlm, PlainAhbBus]
+        if level == "plain":
+            bus = PlainAhbBus(
+                masters,
+                slaves,
+                address_map,
+                arbitration_cycles=max(cfg.arbitration_cycles, 1),
+            )
+        else:
+            bus_cls = ThreadedAhbPlusBus if level == "tlm-threaded" else AhbPlusBusTlm
+            bus = bus_cls(masters, slaves, config=cfg, address_map=address_map)
         return TlmPlatform(
             workload=workload,
             config=cfg,
             masters=masters,
             ddrc=ddrc,
             bus=bus,
-            slaves=slaves,
-        )
-
-    def _build_plain(self, cfg: AhbPlusConfig) -> PlainPlatform:
-        workload = self.spec.workload
-        masters = workload.build_masters(extra_faults=self._slave_faults(cfg))
-        slaves = self._tlm_slaves(cfg)
-        ddrc = slaves[self._ddr_index(cfg)]
-        assert isinstance(ddrc, DdrControllerTlm)
-        bus = PlainAhbBus(
-            masters,
-            slaves,
-            self.spec.address_map(cfg),
-            arbitration_cycles=max(cfg.arbitration_cycles, 1),
-        )
-        return PlainPlatform(
-            workload=workload,
-            masters=masters,
-            ddrc=ddrc,
-            bus=bus,
-            config=cfg,
             slaves=slaves,
         )
 
@@ -237,8 +399,7 @@ class PlatformBuilder:
         static_slaves: List[StaticSlaveRtl] = []
         responses: List[SlaveResponseSignals] = []
         if single_ddr:
-            # Paper topology: the DDRC answers on the shared bus itself —
-            # structurally identical to the legacy hard-coded builder.
+            # Paper topology: the DDRC answers on the shared bus itself.
             ddrc = DdrcRtl(
                 bus=bus,
                 bi=bi,
@@ -464,15 +625,3 @@ class PlatformBuilder:
 
         return ddrc, score
 
-
-def build_platform(
-    spec: SystemSpec,
-    level: str = "tlm",
-    *,
-    trace: bool = False,
-    full_sweep: bool = False,
-) -> AnyPlatform:
-    """One-call elaboration: ``build_platform(spec, "rtl")``."""
-    return PlatformBuilder(spec).build(
-        level, trace=trace, full_sweep=full_sweep
-    )

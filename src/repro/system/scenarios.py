@@ -44,8 +44,7 @@ def paper_topology(
     """The paper's system: four masters, one DDR controller at zero.
 
     With no arguments this is the Table-1 pattern-A platform; pass any
-    :class:`Workload` to re-target the same topology (that is all the
-    legacy ``build_*_platform`` helpers ever did).
+    :class:`Workload` to re-target the same topology.
     """
     bound = workload if workload is not None else table1_pattern_a(transactions)
     return SystemSpec(

@@ -23,7 +23,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.ahb.decoder import AddressMap
 from repro.canonical import register_content_schema
-from repro.core.config import AhbPlusConfig
+from repro.core.config import AhbPlusConfig, config_for_workload
 from repro.errors import ConfigError
 from repro.traffic.faults import FaultSpec
 from repro.traffic.workloads import Workload
@@ -121,8 +121,6 @@ class BusSpec:
 
     def resolve(self, workload: Workload) -> AhbPlusConfig:
         """The concrete config for *workload* (validated, QoS-merged)."""
-        from repro.core.platform import config_for_workload
-
         return config_for_workload(workload, self.config)
 
     def to_dict(self) -> Dict[str, object]:

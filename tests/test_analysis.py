@@ -79,6 +79,33 @@ class TestSpeed:
         assert method.simulated_cycles == thread.simulated_cycles
         assert method.wall_seconds <= thread.wall_seconds * 1.05
 
+    @pytest.mark.parametrize(
+        "engine, level", [("method", "tlm"), ("thread", "tlm-threaded")]
+    )
+    def test_measure_tlm_times_the_named_engine(self, monkeypatch, engine, level):
+        from repro.analysis import measure_tlm, speed
+
+        timed = []
+        real = speed._measure
+
+        def spy(label, lvl, *args):
+            timed.append((label, lvl))
+            return real(label, lvl, *args)
+
+        monkeypatch.setattr(speed, "_measure", spy)
+        sample = measure_tlm(single_master_workload(5), engine=engine, repeats=1)
+        assert timed == [(f"tlm-{engine}", level)]
+        assert sample.model == f"tlm-{engine}"
+        assert sample.simulated_cycles > 0
+
+    @pytest.mark.parametrize("engine", ["rtl", "tlm", "methd"])
+    def test_measure_tlm_rejects_unknown_engine(self, engine):
+        from repro.analysis import measure_tlm
+        from repro.errors import ConfigError
+
+        with pytest.raises(ConfigError, match="unknown engine"):
+            measure_tlm(single_master_workload(5), engine=engine, repeats=1)
+
     def test_kernel_comparison(self):
         native, event = kernel_comparison(single_master_workload(30), cycles=400)
         assert native.simulated_cycles == event.simulated_cycles == 400

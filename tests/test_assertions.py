@@ -11,12 +11,17 @@ from repro.assertions import (
     RtlProtocolChecker,
     TransactionChecker,
 )
-from repro.core import build_tlm_platform
 from repro.ddr.bank import BankFsm
 from repro.ddr.timing import DDR_TEST
 from repro.errors import PropertyViolation, ProtocolError
-from repro.rtl import build_rtl_platform
+from repro.system import PlatformBuilder, paper_topology
 from repro.traffic import single_master_workload, table1_pattern_c
+
+
+def _platform(workload, level="tlm", config=None, **options):
+    """*workload* on the paper topology, elaborated at *level*."""
+    spec = paper_topology(workload=workload, config=config)
+    return PlatformBuilder(spec).build(level, **options)
 
 
 def served(txn, issued=0, grant=1, start=1, finish=10):
@@ -28,7 +33,7 @@ def served(txn, issued=0, grant=1, start=1, finish=10):
 
 class TestTransactionChecker:
     def test_clean_run_has_no_violations(self):
-        platform = build_tlm_platform(table1_pattern_c(30))
+        platform = _platform(table1_pattern_c(30))
         checker = TransactionChecker()
         platform.bus.add_observer(checker)
         platform.run()
@@ -64,7 +69,7 @@ class TestTransactionChecker:
 
 class TestRtlProtocolChecker:
     def test_clean_on_real_rtl_run(self):
-        platform = build_rtl_platform(single_master_workload(15))
+        platform = _platform(single_master_workload(15), "rtl")
         checker = RtlProtocolChecker(
             [m.sig for m in platform.masters] + [platform.buffer_master.sig],
             platform.bus,
@@ -74,7 +79,7 @@ class TestRtlProtocolChecker:
         assert checker.clean
 
     def test_multiple_grants_flagged(self):
-        platform = build_rtl_platform(table1_pattern_c(5))
+        platform = _platform(table1_pattern_c(5), "rtl")
         checker = RtlProtocolChecker(
             [m.sig for m in platform.masters], platform.bus
         )
@@ -128,7 +133,7 @@ class TestOrderingChecker:
         assert any(v.rule == "stale-read" for v in checker.violations)
 
     def test_clean_on_real_run(self):
-        platform = build_tlm_platform(table1_pattern_c(30))
+        platform = _platform(table1_pattern_c(30))
         checker = OrderingChecker()
         platform.bus.add_observer(checker)
         platform.run()
@@ -146,7 +151,7 @@ class TestBankFsmChecker:
         assert checker.clean
 
     def test_clean_on_real_rtl_run(self):
-        platform = build_rtl_platform(single_master_workload(10))
+        platform = _platform(single_master_workload(10), "rtl")
         checker = BankFsmChecker(platform.ddrc.banks)
         platform.engine.add_cycle_hook(checker.sample)
         platform.run()

@@ -2,15 +2,11 @@
 
 import pytest
 
-from repro.core import (
-    AhbPlusConfig,
-    QosSetting,
-    build_plain_platform,
-    build_tlm_platform,
-)
-from repro.core.platform import config_for_workload
+from repro.core import AhbPlusConfig, QosSetting
+from repro.core.config import config_for_workload
 from repro.ddr.timing import DDR_TEST
 from repro.errors import ConfigError
+from repro.system import PlatformBuilder, paper_topology
 from repro.traffic import (
     bank_striped_workload,
     saturating_workload,
@@ -23,16 +19,22 @@ from repro.traffic import (
 from dataclasses import fields, replace
 
 
+def _platform(workload, level="tlm", config=None, **options):
+    """*workload* on the paper topology, elaborated at *level*."""
+    spec = paper_topology(workload=workload, config=config)
+    return PlatformBuilder(spec).build(level, **options)
+
+
 class TestMethodEngine:
     def test_single_master_completes_all_traffic(self):
-        platform = build_tlm_platform(single_master_workload(40))
+        platform = _platform(single_master_workload(40))
         result = platform.run()
         assert result.per_master_transactions == [40]
         assert platform.masters[0].done
 
     def test_multi_master_conservation(self):
         workload = table1_pattern_a(50)
-        platform = build_tlm_platform(workload)
+        platform = _platform(workload)
         result = platform.run()
         # Every issued transaction is served exactly once on the bus
         # (absorbed writes replay as drains).
@@ -40,27 +42,23 @@ class TestMethodEngine:
         assert result.drained_writes == result.absorbed_writes
 
     def test_utilization_bounded(self):
-        result = build_tlm_platform(table1_pattern_a(50)).run()
+        result = _platform(table1_pattern_a(50)).run()
         assert 0.0 < result.utilization <= 1.0
 
     def test_pipelining_reduces_cycles(self):
         workload = table1_pattern_a(50)
         base = config_for_workload(workload)
-        on = build_tlm_platform(workload, config=base).run()
-        off = build_tlm_platform(
-            workload, config=replace(base, request_pipelining=False)
-        ).run()
+        on = _platform(workload, config=base).run()
+        off = _platform(workload, config=replace(base, request_pipelining=False)).run()
         assert on.cycles < off.cycles
         assert on.pipelined_grants > 0 and off.pipelined_grants == 0
 
     def test_write_buffer_hides_write_latency(self):
         workload = write_heavy_workload(60)
         base = config_for_workload(workload)
-        with_buffer = build_tlm_platform(workload, config=base)
+        with_buffer = _platform(workload, config=base)
         r_on = with_buffer.run()
-        without = build_tlm_platform(
-            workload, config=replace(base, write_buffer_enabled=False)
-        )
+        without = _platform(workload, config=replace(base, write_buffer_enabled=False))
         r_off = without.run()
         assert r_on.absorbed_writes > 0 and r_off.absorbed_writes == 0
 
@@ -79,7 +77,7 @@ class TestMethodEngine:
         # RAW hazard: the hazard filter must drain the buffer before a
         # read of the same address is served.
         workload = write_heavy_workload(60)
-        platform = build_tlm_platform(workload)
+        platform = _platform(workload)
         platform.run()
         for master in platform.masters:
             last_written = {}
@@ -95,32 +93,32 @@ class TestMethodEngine:
 
     def test_qos_deadlines_met_under_saturation(self):
         workload = saturating_workload(40)
-        result = build_tlm_platform(workload).run()
+        result = _platform(workload).run()
         assert result.rt_deadline_misses == 0
         assert result.rt_deadline_hits > 0
 
     def test_bi_disabled_means_no_preparation(self):
         workload = bank_striped_workload(60)
         cfg = replace(config_for_workload(workload), bus_interface_enabled=False)
-        platform = build_tlm_platform(workload, config=cfg)
+        platform = _platform(workload, config=cfg)
         result = platform.run()
         assert result.bi_next_info == 0
         assert platform.ddrc.prepared_banks == 0
 
     def test_observers_see_all_transactions(self):
-        platform = build_tlm_platform(table1_pattern_a(30))
+        platform = _platform(table1_pattern_a(30))
         seen = []
         platform.bus.add_observer(lambda txn, g, s, f: seen.append(txn.uid))
         result = platform.run()
         assert len(seen) == result.transactions
 
     def test_max_cycles_truncates(self):
-        platform = build_tlm_platform(table1_pattern_a(100))
+        platform = _platform(table1_pattern_a(100))
         result = platform.run(max_cycles=200)
         assert result.cycles <= 400  # a transfer may straddle the limit
 
     def test_filter_stats_present(self):
-        result = build_tlm_platform(table1_pattern_c(30)).run()
+        result = _platform(table1_pattern_c(30)).run()
         assert set(result.filter_stats) == {
             "request",
             "hazard",
@@ -133,8 +131,8 @@ class TestMethodEngine:
 
     def test_plain_platform_is_slower_than_ahbplus(self):
         workload = table1_pattern_a(60)
-        plain = build_plain_platform(workload).run()
-        ahbp = build_tlm_platform(workload).run()
+        plain = _platform(workload, "plain").run()
+        ahbp = _platform(workload).run()
         assert ahbp.cycles < plain.cycles
 
 
@@ -142,17 +140,17 @@ class TestPlatformBuilders:
     def test_config_master_count_mismatch(self):
         workload = table1_pattern_a(10)
         with pytest.raises(ConfigError):
-            build_tlm_platform(workload, config=AhbPlusConfig(num_masters=2))
+            _platform(workload, config=AhbPlusConfig(num_masters=2))
 
     def test_workload_qos_merged_into_config(self):
         workload = table1_pattern_c(10)
-        platform = build_tlm_platform(workload)
+        platform = _platform(workload)
         assert platform.config.qos[0].real_time
         assert platform.bus.qos.is_real_time(0)
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ConfigError):
-            build_tlm_platform(table1_pattern_a(10), engine="fpga")
+            _platform(table1_pattern_a(10), "fpga")
 
     def test_config_for_workload_keeps_every_field(self):
         base = AhbPlusConfig(

@@ -15,8 +15,8 @@ from dataclasses import replace
 import pytest
 
 from repro.ahb.master import TlmMaster
-from repro.core import AhbPlusBusTlm, ThreadedAhbPlusBus, build_tlm_platform
-from repro.core.platform import config_for_workload
+from repro.core import AhbPlusBusTlm, ThreadedAhbPlusBus
+from repro.core.config import config_for_workload
 from repro.errors import ConfigError
 from repro.system import PlatformBuilder
 from repro.system.scenarios import paper_topology, scenario, scenario_names
@@ -101,12 +101,15 @@ def test_thread_engine_rejects_zero_lead():
     workload = table1_pattern_a(5)
     cfg = replace(config_for_workload(workload), pipeline_lead=0)
     with pytest.raises(ConfigError):
-        build_tlm_platform(workload, config=cfg, engine="thread")
+        PlatformBuilder(paper_topology(workload=workload, config=cfg)).build(
+            "tlm-threaded"
+        )
 
 
 def test_thread_engine_without_pipelining():
     workload = table1_pattern_a(30)
     cfg = replace(config_for_workload(workload), request_pipelining=False)
-    method = build_tlm_platform(workload, config=cfg, engine="method").run()
-    thread = build_tlm_platform(workload, config=cfg, engine="thread").run()
+    builder = PlatformBuilder(paper_topology(workload=workload, config=cfg))
+    method = builder.build("tlm").run()
+    thread = builder.build("tlm-threaded").run()
     assert method.cycles == thread.cycles

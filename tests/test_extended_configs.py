@@ -9,12 +9,12 @@ import pytest
 from repro.ahb.decoder import AddressMap
 from repro.ahb.slave import SramSlave
 from repro.ahb.master import TlmMaster
-from repro.core import AhbPlusConfig, build_tlm_platform
+from repro.core import AhbPlusConfig
 from repro.core.bus import AhbPlusBusTlm
-from repro.core.platform import config_for_workload
+from repro.core.config import config_for_workload
 from repro.ddr.controller import DdrControllerTlm
 from repro.ddr.timing import DDR_TEST
-from repro.rtl import build_rtl_platform
+from repro.system import PlatformBuilder, paper_topology
 from repro.traffic import (
     CPU,
     MasterSpec,
@@ -22,6 +22,12 @@ from repro.traffic import (
     generate_items,
     single_master_workload,
 )
+
+
+def _platform(workload, level="tlm", config=None, **options):
+    """*workload* on the paper topology, elaborated at *level*."""
+    spec = paper_topology(workload=workload, config=config)
+    return PlatformBuilder(spec).build(level, **options)
 
 
 def wrap_pattern(index: int = 0):
@@ -54,17 +60,17 @@ class TestWrappingBursts:
 
     def test_wrapping_functional_across_engines(self):
         workload = wrap_workload()
-        method = build_tlm_platform(workload, engine="method")
+        method = _platform(workload)
         method.run()
-        thread = build_tlm_platform(workload, engine="thread")
+        thread = _platform(workload, "tlm-threaded")
         thread.run()
         assert method.memory.equal_contents(thread.memory)
 
     def test_wrapping_functional_on_rtl(self):
         workload = wrap_workload(transactions=25, masters=1)
-        rtl = build_rtl_platform(workload)
+        rtl = _platform(workload, "rtl")
         rtl.run()
-        tlm = build_tlm_platform(workload)
+        tlm = _platform(workload)
         tlm.run()
         assert rtl.memory.equal_contents(tlm.memory)
         for r, t in zip(rtl.agents[0].completed, tlm.masters[0].completed):
@@ -77,7 +83,7 @@ class TestWideBus:
     def test_wide_bus_platform_runs(self, width):
         workload = single_master_workload(30)
         cfg = replace(config_for_workload(workload), bus_width_bytes=width)
-        platform = build_tlm_platform(workload, config=cfg)
+        platform = _platform(workload, config=cfg)
         result = platform.run()
         assert result.transactions == 30
         assert platform.ddrc.bus_bytes == width
@@ -85,7 +91,7 @@ class TestWideBus:
     def test_wide_bus_rtl_signals_sized(self):
         workload = single_master_workload(10)
         cfg = replace(config_for_workload(workload), bus_width_bytes=8)
-        platform = build_rtl_platform(workload, config=cfg)
+        platform = _platform(workload, "rtl", config=cfg)
         assert platform.bus.hwdata.width == 64
         platform.run()
 

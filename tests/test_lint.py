@@ -144,11 +144,11 @@ def test_shipped_tree_is_clean():
 
 def test_shipped_busmux_declares_every_read():
     """The real BusMux (unlike the scratch fixture) is NET-SENS clean."""
-    from repro.system import build_platform, scenario
+    from repro.system import PlatformBuilder, scenario
 
     spec = scenario("multi-slave-soc", transactions=2)
     with lint_elaboration() as netlist:
-        build_platform(spec, "rtl")
+        PlatformBuilder(spec).build("rtl")
     findings = run_netlist_rules(netlist, "soc")
     mux_findings = [f for f in findings if "BusMux" in f.location]
     assert mux_findings == []

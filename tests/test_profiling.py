@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core import build_tlm_platform
 from repro.errors import ConfigError
 from repro.profiling import (
     BusMonitor,
@@ -14,6 +13,7 @@ from repro.profiling import (
     format_table,
     port_report,
 )
+from repro.system import PlatformBuilder, paper_topology
 from repro.traffic import table1_pattern_a, table1_pattern_c
 
 
@@ -66,7 +66,7 @@ class TestThroughputWindow:
 
 class TestBusMonitor:
     def _run_monitored(self, workload):
-        platform = build_tlm_platform(workload)
+        platform = PlatformBuilder(paper_topology(workload=workload)).build("tlm")
         monitor = BusMonitor()
         platform.bus.add_observer(monitor)
         result = platform.run()
@@ -122,7 +122,9 @@ class TestReports:
         assert len(set(len(l) for l in lines)) == 1
 
     def test_reports_render(self):
-        platform = build_tlm_platform(table1_pattern_c(30))
+        platform = PlatformBuilder(
+            paper_topology(workload=table1_pattern_c(30))
+        ).build("tlm")
         monitor = BusMonitor()
         platform.bus.add_observer(monitor)
         result = platform.run()

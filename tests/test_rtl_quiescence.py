@@ -20,8 +20,8 @@ import pytest
 from repro.errors import SimulationError
 from repro.kernel.cycle import CycleEngine, NULL_SEQ_HANDLE
 from repro.kernel.signal import Signal
-from repro.rtl import build_rtl_platform
 from repro.rtl.master import MasterRtl
+from repro.system import PlatformBuilder, paper_topology
 from repro.traffic.patterns import CPU, DMA
 from repro.traffic.workloads import MasterSpec, Workload
 
@@ -59,9 +59,9 @@ class TestQuiescenceSpy:
             orig(self)
 
         monkeypatch.setattr(MasterRtl, "update", counting)
-        platform = build_rtl_platform(
-            _uneven_workload(), full_sweep=full_sweep
-        )
+        platform = PlatformBuilder(
+            paper_topology(workload=_uneven_workload())
+        ).build("rtl", full_sweep=full_sweep)
         result = platform.run()
         return dict(calls), platform, result
 
@@ -96,8 +96,9 @@ class TestQuiescenceSpy:
 class TestSkipAhead:
     def test_think_gaps_are_skipped_with_identical_results(self):
         workload = _think_heavy_workload()
-        fast = build_rtl_platform(workload)
-        reference = build_rtl_platform(workload, full_sweep=True)
+        builder = PlatformBuilder(paper_topology(workload=workload))
+        fast = builder.build("rtl")
+        reference = builder.build("rtl", full_sweep=True)
         fast_result = fast.run()
         ref_result = reference.run()
         assert fast_result.cycles == ref_result.cycles
@@ -108,7 +109,9 @@ class TestSkipAhead:
         assert reference.engine.cycles_skipped == 0
 
     def test_cycle_hooks_observe_every_skipped_cycle(self):
-        platform = build_rtl_platform(_think_heavy_workload(5))
+        platform = PlatformBuilder(
+            paper_topology(workload=_think_heavy_workload(5))
+        ).build("rtl")
         seen = []
         platform.engine.add_cycle_hook(seen.append)
         result = platform.run()

@@ -18,19 +18,23 @@ from dataclasses import replace
 
 import pytest
 
-from repro.rtl import build_rtl_platform
-from repro.system.platform import build_platform
-from repro.system.scenarios import scenario
+from repro.system import PlatformBuilder, paper_topology, scenario
 from repro.traffic import (
     single_master_workload,
     table1_pattern_a,
     table1_pattern_c,
     write_heavy_workload,
 )
-from repro.core.platform import config_for_workload
+from repro.core.config import config_for_workload
 from repro.ddr.timing import DdrTiming
 from repro.traffic.patterns import CPU, DMA
 from repro.traffic.workloads import MasterSpec, Workload
+
+
+def _platform(workload, level="tlm", config=None, **options):
+    """*workload* on the paper topology, elaborated at *level*."""
+    spec = paper_topology(workload=workload, config=config)
+    return PlatformBuilder(spec).build(level, **options)
 
 
 def _wrapping_workload(transactions: int) -> Workload:
@@ -112,10 +116,8 @@ WORKLOADS = [
 @pytest.mark.parametrize("make_workload", WORKLOADS)
 def test_sensitivity_engine_vcd_identical(make_workload):
     workload, config = make_workload()
-    fast = build_rtl_platform(workload, config=config, trace=True)
-    reference = build_rtl_platform(
-        workload, config=config, trace=True, full_sweep=True
-    )
+    fast = _platform(workload, "rtl", config=config, trace=True)
+    reference = _platform(workload, "rtl", config=config, trace=True, full_sweep=True)
     assert fast.engine.sensitivity_enabled
     assert not reference.engine.sensitivity_enabled
 
@@ -142,8 +144,8 @@ def test_sensitivity_engine_does_less_work(make_workload):
     cycle) — while both drain at the same cycle.
     """
     workload, config = make_workload()
-    fast = build_rtl_platform(workload, config=config)
-    reference = build_rtl_platform(workload, config=config, full_sweep=True)
+    fast = _platform(workload, "rtl", config=config)
+    reference = _platform(workload, "rtl", config=config, full_sweep=True)
     fast.run()
     reference.run()
     assert reference.engine.cycles_skipped == 0
@@ -154,18 +156,18 @@ def test_sensitivity_engine_does_less_work(make_workload):
 
 def test_streaming_exercises_the_hard_burst_shapes():
     """The streaming-equality workloads really hit their target paths."""
-    wrap = build_rtl_platform(_wrapping_workload(15))
+    wrap = _platform(_wrapping_workload(15), "rtl")
     wrap.run()
     assert any(
         txn.wrapping for agent in wrap.agents for txn in agent.completed
     )
-    sub = build_rtl_platform(_subword_workload(15))
+    sub = _platform(_subword_workload(15), "rtl")
     sub.run()
     assert any(
         txn.size_bytes == 1 for agent in sub.agents for txn in agent.completed
     )
     split_workload, split_config = _row_split_workload(15)
-    split = build_rtl_platform(split_workload, config=split_config)
+    split = _platform(split_workload, "rtl", config=split_config)
     split.run()
     assert split.ddrc.split_bursts > 0
 
@@ -187,8 +189,8 @@ def test_fast_forward_scenarios_bit_identical(name, kwargs):
     engine must actually have skipped cycles.
     """
     spec = scenario(name, **kwargs)
-    fast = build_platform(spec, "rtl", trace=True)
-    reference = build_platform(spec, "rtl", trace=True, full_sweep=True)
+    fast = PlatformBuilder(spec).build("rtl", trace=True)
+    reference = PlatformBuilder(spec).build("rtl", trace=True, full_sweep=True)
     fast_result = fast.run()
     ref_result = reference.run()
     assert fast_result.cycles == ref_result.cycles

@@ -3,10 +3,8 @@
 import pytest
 
 from repro.ahb.types import HTrans
-from repro.core.config import AhbPlusConfig
-from repro.core.platform import config_for_workload
+from repro.core.config import AhbPlusConfig, config_for_workload
 from repro.kernel.cycle import CycleEngine
-from repro.rtl import build_rtl_platform
 from repro.rtl.mux import BusMux
 from repro.rtl.signals import (
     BiSignals,
@@ -15,6 +13,7 @@ from repro.rtl.signals import (
     SharedBusSignals,
     all_signals,
 )
+from repro.system import PlatformBuilder, paper_topology
 from repro.traffic import table1_pattern_a, table1_pattern_c
 
 from dataclasses import replace
@@ -80,7 +79,9 @@ class TestBusMux:
 
 class TestRtlArbiterBehaviour:
     def test_only_one_grant_ever(self):
-        platform = build_rtl_platform(table1_pattern_a(20))
+        platform = PlatformBuilder(
+            paper_topology(workload=table1_pattern_a(20))
+        ).build("rtl")
         grants_per_cycle = []
 
         def watch(cycle):
@@ -95,7 +96,9 @@ class TestRtlArbiterBehaviour:
 
     def test_filter_sharing_with_tlm(self):
         # RTL arbiter uses the same filter classes as the TLM engines.
-        platform = build_rtl_platform(table1_pattern_c(10))
+        platform = PlatformBuilder(
+            paper_topology(workload=table1_pattern_c(10))
+        ).build("rtl")
         names = [f.name for f in platform.arbiter.decision.filters]
         assert names == [
             "request",
@@ -112,10 +115,14 @@ class TestRtlArbiterBehaviour:
         cfg = replace(
             config_for_workload(workload), disabled_filters=("bank",)
         )
-        platform = build_rtl_platform(workload, config=cfg)
+        platform = PlatformBuilder(
+            paper_topology(workload=workload, config=cfg)
+        ).build("rtl")
         assert not platform.arbiter.decision.filter_by_name("bank").enabled
 
     def test_grants_issued_counted(self):
-        platform = build_rtl_platform(table1_pattern_a(15))
+        platform = PlatformBuilder(
+            paper_topology(workload=table1_pattern_a(15))
+        ).build("rtl")
         platform.run()
         assert platform.arbiter.grants_issued > 0

@@ -13,14 +13,14 @@ from dataclasses import replace
 
 import pytest
 
-from repro.system import build_platform, scenario
+from repro.system import PlatformBuilder, scenario
 from repro.traffic.faults import FaultSpec
 
 
 def _vcd_pair(spec):
-    fast = build_platform(spec, "rtl", trace=True)
+    fast = PlatformBuilder(spec).build("rtl", trace=True)
     fast_result = fast.run()
-    ref = build_platform(spec, "rtl", trace=True, full_sweep=True)
+    ref = PlatformBuilder(spec).build("rtl", trace=True, full_sweep=True)
     ref_result = ref.run()
     return fast, fast_result, ref, ref_result
 

@@ -8,12 +8,14 @@ re-running; and crash/timeout rows are never cached as authoritative
 results (a retry re-runs the point).
 """
 
+import gc
 import json
 import socket
 import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -913,22 +915,21 @@ class TestClientResilience:
         def serve():
             for script in scripts:
                 conn, _addr = listener.accept()
-                with conn:
-                    conn.makefile("r", encoding="utf-8").readline()
-                    writer = conn.makefile("w", encoding="utf-8")
-                    for event in script:
-                        writer.write(json.dumps(event) + "\n")
-                    writer.flush()
+                with conn, conn.makefile("r", encoding="utf-8") as reader:
+                    reader.readline()
+                    with conn.makefile("w", encoding="utf-8") as writer:
+                        for event in script:
+                            writer.write(json.dumps(event) + "\n")
             listener.close()
 
         thread = threading.Thread(target=serve, daemon=True)
         thread.start()
         return listener.getsockname()[1], thread
 
-    def test_overloaded_retry_honours_the_servers_hint(self):
-        record = _one_record()
-        [point] = _grid(values=(4,))
-        success = [
+    @staticmethod
+    def _store_hit():
+        """A canned script: one point answered from the store."""
+        return [
             {"event": "accepted", "job": 1, "points": 1},
             {
                 "event": "result",
@@ -937,10 +938,14 @@ class TestClientResilience:
                 "key": "k",
                 "cached": True,
                 "source": "store",
-                "record": record.to_dict(),
+                "record": _one_record().to_dict(),
             },
             {"event": "done", "job": 1, "hits": 1, "misses": 0},
         ]
+
+    def test_overloaded_retry_honours_the_servers_hint(self):
+        [point] = _grid(values=(4,))
+        success = self._store_hit()
         port, thread = self._canned_server(
             [
                 [
@@ -971,21 +976,8 @@ class TestClientResilience:
         assert "overloaded" in reason and delay == pytest.approx(0.7)
 
     def test_draining_response_is_retried(self):
-        record = _one_record()
         [point] = _grid(values=(4,))
-        success = [
-            {"event": "accepted", "job": 1, "points": 1},
-            {
-                "event": "result",
-                "job": 1,
-                "index": 0,
-                "key": "k",
-                "cached": True,
-                "source": "store",
-                "record": record.to_dict(),
-            },
-            {"event": "done", "job": 1, "hits": 1, "misses": 0},
-        ]
+        success = self._store_hit()
         port, thread = self._canned_server(
             [[{"event": "draining", "message": "going down"}], success]
         )
@@ -996,6 +988,29 @@ class TestClientResilience:
         thread.join(timeout=10)
         assert result.hits == 1
         assert "draining" in client.retry_log[0][0]
+
+    def test_connections_are_closed_on_success_and_retry(self):
+        """Reader, writer and socket close together: no fd outlives a call."""
+        [point] = _grid(values=(4,))
+        port, thread = self._canned_server(
+            [
+                [{"event": "pong", "protocol": PROTOCOL}],
+                [{"event": "draining", "message": "going down"}],
+                self._store_hit(),
+            ]
+        )
+        client = ServeClient(
+            port=port, retries=1, backoff_base=0.001, sleep=lambda _d: None
+        )
+        gc.collect()  # earlier tests' garbage must not count here
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert client.ping() == PROTOCOL
+            assert client.submit([point]).hits == 1
+            thread.join(timeout=10)
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert leaks == [], [str(w.message) for w in leaks]
 
     def test_shutdown_and_drain_return_false_on_dead_server(self):
         """Satellite: idempotent teardown — no raise, just False."""

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from repro.ahb.burst import check_burst_legal
 from repro.ahb.transaction import WRITE_BUFFER_MASTER, Transaction
 from repro.ahb.types import AccessKind
-from repro.core import build_tlm_platform
 from repro.core.write_buffer import WriteBuffer
+from repro.system import PlatformBuilder, paper_topology
 from repro.traffic import (
     CPU,
     DMA,
@@ -179,7 +179,9 @@ class TestWorkloads:
 
 class TestTrace:
     def test_record_dump_load_roundtrip(self):
-        platform = build_tlm_platform(single_master_workload(15))
+        platform = PlatformBuilder(
+            paper_topology(workload=single_master_workload(15))
+        ).build("tlm")
         recorder = TraceRecorder()
         platform.bus.add_observer(recorder)
         platform.run()
@@ -192,7 +194,9 @@ class TestTrace:
         assert records[0].master == 0
 
     def test_replay_items_preserve_issue_times(self):
-        platform = build_tlm_platform(single_master_workload(10))
+        platform = PlatformBuilder(
+            paper_topology(workload=single_master_workload(10))
+        ).build("tlm")
         recorder = TraceRecorder()
         platform.bus.add_observer(recorder)
         platform.run()
@@ -205,7 +209,9 @@ class TestTrace:
             load_trace(io.StringIO("not json\n"))
 
     def test_by_master_grouping(self):
-        platform = build_tlm_platform(table1_workloads(5)[0])
+        platform = PlatformBuilder(
+            paper_topology(workload=table1_workloads(5)[0])
+        ).build("tlm")
         recorder = TraceRecorder()
         platform.bus.add_observer(recorder)
         platform.run()
@@ -220,7 +226,7 @@ class TestTrace:
         workloads replay.
         """
         workload = table1_workloads(8)[0]
-        platform = build_tlm_platform(workload)
+        platform = PlatformBuilder(paper_topology(workload=workload)).build("tlm")
         recorder = TraceRecorder()
         platform.bus.add_observer(recorder)
         result = platform.run()
