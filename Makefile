@@ -1,12 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test smoke lint bench bench-baseline bench-tables bench-trajectory profile perfbench perfbench-smoke sweep-demo trace-demo serve-demo fuzz fuzz-long chaos chaos-long
-
-# Optional bench filter: `make bench MODELS=rtl` measures/gates only
-# the named models (space-separated subset of tlm_method
-# tlm_single_master rtl).
-MODELS ?=
+.PHONY: test smoke lint bench bench-baseline bench-tables perfbench perfbench-smoke sweep-demo trace-demo serve-demo fuzz fuzz-long chaos chaos-long
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -26,25 +21,18 @@ lint:
 smoke:
 	$(PYTHON) -m pytest tests/test_examples_smoke.py -q
 
-# Run the §4 speed suite and fail on >20% regression vs BENCH_speed.json
-# (prints a per-model delta table; narrow with MODELS=rtl).
+# Run every BENCHMARK.json workload once at seed 1 through perfbench and
+# fail if a run is incorrect (any failed operation counts) or an
+# end-to-end metric is worse than its BENCH_speed.json median by more
+# than its BENCHMARK.json bound.
 bench:
-	$(PYTHON) -m benchmarks.bench_regression $(if $(MODELS),--models $(MODELS))
+	$(PYTHON) -m benchmarks.bench_regression
 
-# Re-record BENCH_speed.json's `current` block (preserves the seed block
-# and appends this revision to the speed-trajectory history).
+# Re-record BENCH_speed.json from three perfbench runs per workload
+# (median and quartiles per end-to-end metric); the outgoing `current`
+# block is appended to `history`.
 bench-baseline:
 	$(PYTHON) -m benchmarks.bench_regression --write-baseline
-
-# Print the committed speed trajectory (seed -> milestones -> current).
-bench-trajectory:
-	$(PYTHON) -m benchmarks.bench_regression --trajectory
-
-# cProfile one run of each bench model; top cumulative functions per
-# model (narrow with MODELS=rtl, deepen with TOP=25).
-TOP ?= 15
-profile:
-	$(PYTHON) -m benchmarks.profile_hotspots --top $(TOP) $(if $(MODELS),--models $(MODELS))
 
 # The repository benchmark (BENCHMARK.json): every workload once,
 # end-to-end metrics scaled to a reference host (see perfbench/run.py

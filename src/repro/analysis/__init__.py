@@ -1,14 +1,10 @@
-"""Analysis: accuracy (Table 1), speed (§4), tables and experiment drivers."""
+"""Analysis: accuracy (Table 1), speed (§4), tables and experiment drivers.
 
-from repro.analysis.bench_io import (
-    compare_reports,
-    load_report,
-    make_report,
-    run_speed_suite,
-    run_sweep_suite,
-    run_trafficgen_suite,
-    write_report,
-)
+``speed`` is the paper's §4 TLM-vs-RTL experiment.  The repository's
+speed ledger and regression gate are not here: ``make bench`` drives
+``perfbench/`` and writes ``BENCH_speed.json``.
+"""
+
 from repro.analysis.accuracy import (
     MasterAccuracy,
     Table1Result,
@@ -58,7 +54,6 @@ __all__ = [
     "WorkloadAccuracy",
     "WriteBufferPoint",
     "compare_models",
-    "compare_reports",
     "experiment_bank_interleaving",
     "experiment_filters",
     "experiment_qos",
@@ -66,17 +61,11 @@ __all__ = [
     "experiment_table1",
     "experiment_write_buffer",
     "kernel_comparison",
-    "load_report",
-    "make_report",
     "measure_rtl",
     "measure_tlm",
     "render_speed",
     "render_table1",
-    "run_speed_suite",
-    "run_sweep_suite",
     "run_table1",
-    "run_trafficgen_suite",
     "speed_comparison",
     "trace_diff",
-    "write_report",
 ]

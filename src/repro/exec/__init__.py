@@ -30,7 +30,6 @@ from repro.exec.runner import (
     SweepRunner,
     default_workers,
     run_grid,
-    shared_pool,
 )
 
 __all__ = [
@@ -44,5 +43,4 @@ __all__ = [
     "default_workers",
     "point_key",
     "run_grid",
-    "shared_pool",
 ]

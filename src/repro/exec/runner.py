@@ -27,7 +27,6 @@ only ``run()``; counters are checked identical across repeats.
 
 from __future__ import annotations
 
-import atexit
 import multiprocessing
 import os
 import time
@@ -65,38 +64,6 @@ def default_workers(grid_size: Optional[int] = None) -> int:
     if grid_size is None:
         return cpus
     return max(1, min(cpus, grid_size))
-
-
-#: Lazily created pools keyed by worker count, reused across runs.
-_SHARED_POOLS: Dict[int, "multiprocessing.pool.Pool"] = {}
-
-
-def _close_shared_pools() -> None:
-    """Terminate every cached pool (registered atexit; callable in tests)."""
-    for pool in _SHARED_POOLS.values():
-        pool.terminate()
-        pool.join()
-    _SHARED_POOLS.clear()
-
-
-def shared_pool(workers: Optional[int] = None) -> "multiprocessing.pool.Pool":
-    """A process pool reused across :class:`SweepRunner` invocations.
-
-    Pool start-up (fork + interpreter bookkeeping per worker) dominates
-    small sweeps — on a 1-CPU host it single-handedly made the process
-    backend slower than serial.  Callers that run many grids (benchmark
-    repeats, experiment batteries) share one pool per worker count; the
-    pools are torn down atexit.  Pass the pool to
-    ``SweepRunner(backend="process", pool=shared_pool(n))``.
-    """
-    count = workers if workers is not None else default_workers()
-    pool = _SHARED_POOLS.get(count)
-    if pool is None:
-        if not _SHARED_POOLS:
-            atexit.register(_close_shared_pools)
-        pool = multiprocessing.Pool(processes=count)
-        _SHARED_POOLS[count] = pool
-    return pool
 
 
 @dataclass(frozen=True)
@@ -167,15 +134,10 @@ class SweepRunner:
         workers: Optional[int] = None,
         chunksize: Optional[int] = None,
         repeats: int = 1,
-        pool: Optional["multiprocessing.pool.Pool"] = None,
         on_error: str = "raise",
         timeout: Optional[float] = None,
     ) -> None:
-        """``pool`` lends the process backend an externally owned pool
-        (see :func:`shared_pool`): the runner maps over it but never
-        closes it, so repeated runs skip the per-run fork cost.
-
-        ``on_error="record"`` makes the sweep crash-tolerant: a point
+        """``on_error="record"`` makes the sweep crash-tolerant: a point
         that raises (or, with ``timeout=``, takes too long) yields an
         error row (:meth:`RunRecord.from_error`) in its grid slot and
         the remaining points still run.
@@ -185,9 +147,7 @@ class SweepRunner:
         delivery*: dispatch switches to per-point ``apply_async`` and
         a point whose record has not arrived ``timeout`` seconds after
         the runner starts waiting on it is abandoned.  The stuck worker
-        is not killed — an owned pool is terminated when the run
-        returns; a borrowed ``pool=`` keeps its worker busy until the
-        abandoned point finishes on its own.
+        is not killed; the pool is terminated when the run returns.
         """
         if backend not in BACKENDS:
             raise ConfigError(
@@ -199,8 +159,6 @@ class SweepRunner:
             raise ConfigError(f"chunksize must be positive, got {chunksize}")
         if repeats < 1:
             raise ConfigError(f"repeats must be positive, got {repeats}")
-        if pool is not None and backend != "process":
-            raise ConfigError("pool= only applies to the process backend")
         if on_error not in ON_ERROR:
             raise ConfigError(
                 f"unknown on_error policy {on_error!r}; choose from {ON_ERROR}"
@@ -216,7 +174,6 @@ class SweepRunner:
         self.workers = workers
         self.chunksize = chunksize
         self.repeats = repeats
-        self.pool = pool
         self.on_error = on_error
         self.timeout = timeout
 
@@ -316,25 +273,14 @@ class SweepRunner:
         chunksize = self._chunksize(len(jobs), workers)
         # Pool.map/imap preserve input order, so the merge is
         # deterministic no matter which worker finished first.
-        if self.pool is not None:
-            return self._pool_map(self.pool, jobs, chunksize, on_result)
         with multiprocessing.Pool(processes=workers) as pool:
-            return self._pool_map(pool, jobs, chunksize, on_result)
-
-    @staticmethod
-    def _pool_map(
-        pool: "multiprocessing.pool.Pool",
-        jobs: Sequence[_PointJob],
-        chunksize: int,
-        on_result: Optional[OnResult],
-    ) -> List[RunRecord]:
-        if on_result is None:
-            return pool.map(_execute, jobs, chunksize=chunksize)
-        records: List[RunRecord] = []
-        for record in pool.imap(_execute, jobs, chunksize=chunksize):
-            on_result(len(records), record)
-            records.append(record)
-        return records
+            if on_result is None:
+                return pool.map(_execute, jobs, chunksize=chunksize)
+            records: List[RunRecord] = []
+            for record in pool.imap(_execute, jobs, chunksize=chunksize):
+                on_result(len(records), record)
+                records.append(record)
+            return records
 
     def _run_pool_deadline(
         self,
@@ -352,10 +298,7 @@ class SweepRunner:
         ``on_result`` fires per collected row — timeout rows included —
         as the grid-order walk reaches it.
         """
-        pool = self.pool
-        owned = pool is None
-        if owned:
-            pool = multiprocessing.Pool(processes=workers)
+        pool = multiprocessing.Pool(processes=workers)
         try:
             pending = [pool.apply_async(_execute, (job,)) for job in jobs]
             records: List[RunRecord] = []
@@ -378,11 +321,10 @@ class SweepRunner:
                 records.append(record)
             return records
         finally:
-            if owned:
-                # terminate(), not close(): a timed-out worker may still
-                # be grinding through its abandoned point.
-                pool.terminate()
-                pool.join()
+            # terminate(), not close(): a timed-out worker may still be
+            # grinding through its abandoned point.
+            pool.terminate()
+            pool.join()
 
 
 def run_grid(

@@ -163,7 +163,7 @@ class _Daemon:
         if "listening on" not in banner:
             rest = self.proc.stdout.read()
             self.proc.kill()
-            self.proc.wait()
+            self._close()
             raise SimulationError(
                 f"chaos daemon failed to start: {banner!r}{rest!r}"
             )
@@ -173,14 +173,19 @@ class _Daemon:
 
     def kill9(self) -> None:
         self.proc.kill()  # SIGKILL: no cleanup, no flush, no goodbye
-        self.proc.wait()
+        self._close()
 
     def reap(self, timeout: float = 30.0) -> None:
         try:
             self.proc.wait(timeout=timeout)
         except subprocess.TimeoutExpired:
             self.proc.kill()
-            self.proc.wait()
+        self._close()
+
+    def _close(self) -> None:
+        """Wait for the process and close its output pipe."""
+        self.proc.wait()
+        self.proc.stdout.close()
 
     def alive(self) -> bool:
         return self.proc.poll() is None

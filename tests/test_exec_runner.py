@@ -6,6 +6,7 @@ and filter grids — same counters, same order — with only wall time
 (excluded from equality) differing.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import repro.core  # noqa: F401  (anchor package import order)
+from repro.analysis.accuracy import _collect_functional
 from repro.analysis.experiments import (
     _collect_deadline_stats,
     filter_ablation_grid,
@@ -33,23 +35,32 @@ def _qos_grid(transactions=30):
     )
 
 
+def _run_one_and_round_trip(collect=None):
+    [point] = sweep(
+        paper_topology(workload=write_heavy_workload(20)),
+        axis="write_buffer_depth",
+        values=(4,),
+    )
+    [record] = SweepRunner().run([point], collect=collect)
+    assert record.axis == "write_buffer_depth"
+    assert record.value == "4"
+    assert record.engine == "tlm"
+    assert record.system == point.spec.name
+    assert record.cycles > 0 and record.transactions > 0
+    assert 0.0 < record.utilization <= 1.0
+    assert record.wall_seconds > 0
+    rebuilt = RunRecord.from_dict(json.loads(json.dumps(record.to_dict())))
+    assert rebuilt == record
+    return rebuilt
+
+
 class TestRunRecord:
     def test_from_run_and_round_trip(self):
-        [point] = sweep(
-            paper_topology(workload=write_heavy_workload(20)),
-            axis="write_buffer_depth",
-            values=(4,),
-        )
-        [record] = SweepRunner().run([point])
-        assert record.axis == "write_buffer_depth"
-        assert record.value == "4"
-        assert record.engine == "tlm"
-        assert record.system == point.spec.name
-        assert record.cycles > 0 and record.transactions > 0
-        assert 0.0 < record.utilization <= 1.0
-        assert record.wall_seconds > 0
-        rebuilt = RunRecord.from_dict(record.to_dict())
-        assert rebuilt == record
+        _run_one_and_round_trip()
+
+    def test_round_trip_keeps_nested_collector_metrics(self):
+        rebuilt = _run_one_and_round_trip(collect=_collect_functional)
+        hash(rebuilt)  # nested collector metrics must stay hashable
 
     def test_equality_ignores_wall_time(self):
         grid = _qos_grid(10)
@@ -163,23 +174,6 @@ class TestRunnerKnobs:
     def test_default_workers_caps(self):
         assert default_workers(1) == 1
         assert default_workers() >= 1
-
-    def test_shared_pool_is_reused_and_deterministic(self):
-        from repro.exec import shared_pool
-
-        pool = shared_pool(1)
-        assert shared_pool(1) is pool  # cached per worker count
-        grid = _qos_grid(10)
-        runner = SweepRunner(backend="process", workers=1, pool=pool)
-        first = runner.run(grid)
-        second = runner.run(grid)  # pool survives across runs
-        assert first == second == SweepRunner(backend="serial").run(grid)
-
-    def test_pool_requires_process_backend(self):
-        from repro.exec import shared_pool
-
-        with pytest.raises(ConfigError):
-            SweepRunner(backend="serial", pool=shared_pool(1))
 
     def test_backends_constant(self):
         assert BACKENDS == ("serial", "process")

@@ -11,7 +11,8 @@ Three layers of coverage:
   only the documented waivers present; and
 * the instrumentation hooks are invisible outside a lint elaboration
   (plain :class:`Signal` construction, no observer) — the structural
-  half of the zero-hot-path-cost claim that ``make bench`` quantifies.
+  half of the zero-hot-path-cost claim; ``make bench`` gates the timing
+  half through the perfbench workloads.
 """
 
 import importlib.util

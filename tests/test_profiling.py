@@ -100,20 +100,6 @@ class TestBusMonitor:
         assert video.deadline_hits + video.deadline_misses > 0
 
 
-class TestProfileSmoke:
-    def test_rtl_hotspot_profile_runs_clean(self, capsys):
-        # `make profile MODELS=rtl` in-process: the event-driven kernel
-        # must survive a cProfile pass over the exact bench workload
-        # without tripping any internal assertion.  No perf numbers are
-        # graded — this is a does-it-run gate for the profiling path.
-        from benchmarks.profile_hotspots import main
-
-        assert main(["--models", "rtl", "--top", "5"]) == 0
-        out = capsys.readouterr().out
-        assert "== rtl: top 5 by cumulative time ==" in out
-        assert "run_until" in out
-
-
 class TestReports:
     def test_format_table_alignment(self):
         text = format_table(["a", "bb"], [["1", "2"], ["333", "4"]])

@@ -482,7 +482,7 @@ class TestCli:
         finally:
             if daemon.poll() is None:
                 daemon.kill()
-                daemon.wait()
+            daemon.communicate()  # reaps it and closes its pipes
 
     def test_submit_against_dead_server_fails_cleanly(self):
         result = self._run("status", "--port", "1", timeout=60)
@@ -656,6 +656,14 @@ class TestCrashRecovery:
 
     def test_finished_work_replays_from_store_not_rerun(self, tmp_path):
         """A result that landed without its done mark replays for free."""
+        self._recover_one_finished_point(tmp_path, cold_values=())
+
+    def test_journaled_points_without_results_rerun_beside_a_replay(self, tmp_path):
+        """Journaled points with no stored result re-run next to the replay."""
+        self._recover_one_finished_point(tmp_path, cold_values=(1, 2))
+
+    @staticmethod
+    def _recover_one_finished_point(tmp_path, cold_values):
         store_path = tmp_path / "results.jsonl"
         journal_path = tmp_path / "journal.jsonl"
         [point] = _grid(values=(4,))
@@ -665,13 +673,24 @@ class TestCrashRecovery:
         journal = Journal(journal_path)
         journal.record_accept(key, point_to_wire(point), None)
         journal.record_start(key)  # killed between store.put and done mark
+        cold = _grid(values=cold_values) if cold_values else []
+        for extra in cold:
+            journal.record_accept(
+                point_key(extra.spec, engine=extra.engine, max_cycles=None),
+                point_to_wire(extra),
+                None,
+            )
         with SweepServer(
             store=ResultStore(store_path), journal=Journal(journal_path)
         ) as server:
             stats = server.stats()
             assert stats["recovery_replayed"] == 1
-            assert stats["recovered_rerun"] == 0
-            assert len(server.journal) == 0  # done mark was re-stamped
+            assert stats["recovered_rerun"] == len(cold)
+            # The replay's done mark is re-stamped during recovery, before
+            # the executor starts; the re-runs write theirs as they finish.
+            assert len(server.journal) <= len(cold)
+            assert _wait_until(lambda: len(server.journal) == 0)
+            assert len(server.store) == 1 + len(cold)
 
     def test_unrecoverable_accept_entry_is_failed_not_fatal(self, tmp_path):
         journal_path = tmp_path / "journal.jsonl"
@@ -747,7 +766,7 @@ class TestDrain:
         finally:
             if daemon.poll() is None:
                 daemon.kill()
-                daemon.wait()
+            daemon.communicate()  # reaps it and closes its pipes
 
 
 class TestBackpressure:
