@@ -1,16 +1,12 @@
 """Generic AMBA 2.0 AHB substrate.
 
 Protocol types, burst address math, the shared transaction object, the
-address decoder, master traffic agents, transaction-level slaves and the
-plain (unextended) AHB bus used as the paper's comparison baseline.
+address decoder, master traffic agents and transaction-level slaves.
+The buses live in :mod:`repro.core`: the paper's plain AMBA 2.0
+baseline is the AHB+ engine run with
+:meth:`~repro.core.config.AhbPlusConfig.without_extensions`.
 """
 
-from repro.ahb.arbiter import (
-    BaselineArbiter,
-    FixedPriorityArbiter,
-    RoundRobinArbiter,
-    make_baseline_arbiter,
-)
 from repro.ahb.burst import (
     KB_BOUNDARY,
     beat_addresses,
@@ -19,7 +15,6 @@ from repro.ahb.burst import (
     split_at_kb_boundary,
     transaction_addresses,
 )
-from repro.ahb.bus import BusRunResult, PlainAhbBus
 from repro.ahb.decoder import AddressMap, Region, single_slave_map
 from repro.ahb.master import TlmMaster, TrafficItem
 from repro.ahb.slave import ApbBridgeSlave, SramSlave, TlmSlave
@@ -30,17 +25,12 @@ __all__ = [
     "AccessKind",
     "AddressMap",
     "ApbBridgeSlave",
-    "BaselineArbiter",
-    "BusRunResult",
-    "FixedPriorityArbiter",
     "HBurst",
     "HResp",
     "HSize",
     "HTrans",
     "KB_BOUNDARY",
-    "PlainAhbBus",
     "Region",
-    "RoundRobinArbiter",
     "SramSlave",
     "TlmMaster",
     "TlmSlave",
@@ -51,7 +41,6 @@ __all__ = [
     "burst_for_beats",
     "check_burst_legal",
     "crosses_kb_boundary",
-    "make_baseline_arbiter",
     "single_slave_map",
     "split_at_kb_boundary",
     "transaction_addresses",

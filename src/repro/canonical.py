@@ -74,7 +74,7 @@ def canonical_json(value: object) -> str:
 def stable_hash(value: object, schema: str) -> str:
     """Content address of *value*: hex sha256 over its canonical JSON.
 
-    *schema* names the payload layout (e.g. ``"ahbplus-point-v1"``) and
+    *schema* names the payload layout (e.g. ``"ahbplus-point-v2"``) and
     is mixed into the digest, so two different key kinds can never
     collide even when their payloads happen to serialise identically —
     and bumping a schema version invalidates every old key at once
@@ -98,7 +98,7 @@ def register_content_schema(tag: str, owner: str) -> str:
     Returns the tag so registration doubles as the constant definition::
 
         POINT_KEY_SCHEMA = register_content_schema(
-            "ahbplus-point-v1", "repro.exec.records.point_key"
+            "ahbplus-point-v2", "repro.exec.records.point_key"
         )
 
     Registering the same tag twice from the same owner is idempotent

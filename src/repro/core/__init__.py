@@ -4,7 +4,9 @@ Public surface:
 
 * :class:`AhbPlusConfig` — every §3.7 parameter in one place.
 * :class:`AhbPlusBusTlm` — the method-based engine, the one definition
-  of AHB+ transaction-level semantics.
+  of AHB+ transaction-level semantics; run on
+  :meth:`AhbPlusConfig.without_extensions` it is the plain AMBA 2.0
+  baseline.
 * :class:`ThreadedAhbPlusBus` — the same bus run as threads (a subclass
   that adds only the thread machinery), for the paper's §4
   method-vs-thread comparison.

@@ -29,9 +29,8 @@ buffer occupancy, QoS misses) is counted, feeding the profiling layer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.ahb.bus import BusRunResult, TransactionObserver
 from repro.ahb.decoder import AddressMap, single_slave_map
 from repro.ahb.master import TlmMaster
 from repro.ahb.slave import TlmSlave
@@ -45,10 +44,23 @@ from repro.core.write_buffer import WriteBuffer
 from repro.errors import ConfigError, SimulationError
 
 
-@dataclass
-class AhbPlusRunResult(BusRunResult):
-    """Run summary with the AHB+-specific counters added."""
+#: Observer signature: ``(txn, grant_cycle, start_cycle, finish_cycle)``.
+TransactionObserver = Callable[[Transaction, int, int, int], None]
 
+
+@dataclass
+class AhbPlusRunResult:
+    """Summary of one bus run, returned by every engine."""
+
+    cycles: int
+    transactions: int
+    bytes_transferred: int
+    busy_cycles: int
+    per_master_transactions: List[int] = field(default_factory=list)
+    #: Transfers abandoned after a final non-OKAY response.
+    error_responses: int = 0
+    #: RETRY responses absorbed (each one is a re-arbitrated request).
+    retry_responses: int = 0
     absorbed_writes: int = 0
     drained_writes: int = 0
     max_buffer_occupancy: int = 0
@@ -57,6 +69,13 @@ class AhbPlusRunResult(BusRunResult):
     pipelined_grants: int = 0
     bi_next_info: int = 0
     filter_stats: Dict[str, Dict[str, int]] = field(default_factory=dict)
+
+    @property
+    def utilization(self) -> float:
+        """Fraction of cycles the data bus carried a transfer."""
+        if self.cycles == 0:
+            return 0.0
+        return self.busy_cycles / self.cycles
 
     @property
     def rt_miss_rate(self) -> float:

@@ -162,11 +162,15 @@ class AhbPlusConfig:
         return arbiter
 
     def without_extensions(self) -> "AhbPlusConfig":
-        """A copy with every AHB+ extension off — plain-AHB behaviour.
+        """A copy with every AHB+ extension off: the plain AMBA 2.0 bus.
 
-        Used by comparisons that ask "what does the unextended bus do
-        on this workload": no write buffer, no pipelining, no BI, and
-        only the tie-break filter deciding.
+        This is the one definition of the paper's baseline; the
+        ``plain`` platform level runs the AHB+ engine on it.  No write
+        buffer, no pipelining, no BI, and only a fixed-priority
+        tie-break deciding (lowest master index wins).  The idle bus
+        pays at least one HBUSREQ→HGRANT cycle per transfer.  The QoS
+        registers stay programmed, so deadline outcomes are still
+        counted even though no filter acts on them.
         """
         return replace(
             self,
@@ -175,7 +179,9 @@ class AhbPlusConfig:
             request_pipelining=False,
             pipeline_lead=0,
             bus_interface_enabled=False,
+            tie_break="fixed",
             disabled_filters=tuple(SWITCHABLE_FILTERS),
+            arbitration_cycles=max(self.arbitration_cycles, 1),
             qos=dict(self.qos),
         )
 

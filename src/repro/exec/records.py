@@ -57,7 +57,7 @@ _MISSING = object()
 #: Schema tags mixed into the content hashes (bumping one invalidates
 #: every key of that kind at once — the cache invalidation story).
 POINT_KEY_SCHEMA = register_content_schema(
-    "ahbplus-point-v1", "repro.exec.records.point_key"
+    "ahbplus-point-v2", "repro.exec.records.point_key"
 )
 RECORD_KEY_SCHEMA = register_content_schema(
     "ahbplus-record-v1", "repro.exec.records.RunRecord"
@@ -124,7 +124,7 @@ class RunRecord:
     transactions: int
     bytes_transferred: int
     busy_cycles: int
-    # -- AHB+-specific counters (zero on the plain engine) --------------------
+    # -- AHB+-specific counters ------------------------------------------------
     absorbed_writes: int = 0
     drained_writes: int = 0
     rt_deadline_hits: int = 0
@@ -193,8 +193,9 @@ class RunRecord:
     ) -> "RunRecord":
         """Build a record from a sweep point and its run result.
 
-        Works for every engine: AHB+-specific counters missing from a
-        plain :class:`~repro.ahb.bus.BusRunResult` default to zero.
+        Every engine returns an
+        :class:`~repro.core.bus.AhbPlusRunResult`, so the counters are
+        read directly.
         """
         spec = point.spec
         return cls(
@@ -209,12 +210,12 @@ class RunRecord:
             transactions=result.transactions,
             bytes_transferred=result.bytes_transferred,
             busy_cycles=result.busy_cycles,
-            absorbed_writes=getattr(result, "absorbed_writes", 0),
-            drained_writes=getattr(result, "drained_writes", 0),
-            rt_deadline_hits=getattr(result, "rt_deadline_hits", 0),
-            rt_deadline_misses=getattr(result, "rt_deadline_misses", 0),
-            error_responses=getattr(result, "error_responses", 0),
-            retry_responses=getattr(result, "retry_responses", 0),
+            absorbed_writes=result.absorbed_writes,
+            drained_writes=result.drained_writes,
+            rt_deadline_hits=result.rt_deadline_hits,
+            rt_deadline_misses=result.rt_deadline_misses,
+            error_responses=result.error_responses,
+            retry_responses=result.retry_responses,
             metrics=_freeze_metrics(metrics),
             wall_seconds=wall_seconds,
         )

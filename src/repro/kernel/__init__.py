@@ -1,17 +1,19 @@
 """Simulation kernel: event-driven scheduler and 2-step cycle engine.
 
-The transaction-level models run on :class:`Simulator` (sparse,
-per-transaction events over a *bucketed* :class:`EventQueue` — one heap
-entry per distinct timestamp, FIFO deques within it); the pin-accurate
-RTL reference runs on :class:`CycleEngine` (per-cycle evaluate/update
-with registered *sensitivity lists*, so only combinational processes
-whose inputs changed re-evaluate).  Both count time in integer bus
-cycles so accuracy comparisons are exact, and both are observably
-equivalent to their naive full-sweep forms — see the module docstrings
-of :mod:`repro.kernel.events` and :mod:`repro.kernel.cycle`.
+The method-based AHB+ TLM needs no kernel: it advances its own cycle
+counter from transaction boundary to transaction boundary.  The
+thread-based TLM and the §4 kernel comparison run on :class:`Simulator`
+(sparse, per-transaction events over a *bucketed* :class:`EventQueue`
+— one heap entry per distinct timestamp, FIFO deques within it); the
+pin-accurate RTL reference runs on :class:`CycleEngine` (per-cycle
+evaluate/update with registered *sensitivity lists*, so only
+combinational processes whose inputs changed re-evaluate).  Both
+count time in integer bus cycles so accuracy comparisons are exact, and
+both are observably equivalent to their naive full-sweep forms — see
+the module docstrings of :mod:`repro.kernel.events` and
+:mod:`repro.kernel.cycle`.
 """
 
-from repro.kernel.clock import Clock
 from repro.kernel.cycle import (
     CombHandle,
     CycleEngine,
@@ -20,32 +22,24 @@ from repro.kernel.cycle import (
     SeqHandle,
 )
 from repro.kernel.events import Event, EventQueue
-from repro.kernel.process import (
-    MethodProcess,
-    ThreadProcess,
-    WaitCycles,
-    WaitEvent,
-)
+from repro.kernel.process import ThreadProcess, WaitCycles, WaitEvent
 from repro.kernel.signal import (
     Signal,
     SignalBundle,
     bytes_to_vector,
     vector_to_bytes,
 )
-from repro.kernel.simulator import RepeatingTask, Simulator
+from repro.kernel.simulator import Simulator
 from repro.kernel.tracing import VcdTracer
 
 __all__ = [
-    "Clock",
     "CombHandle",
     "CycleEngine",
     "Event",
     "EventQueue",
     "MAX_SETTLE_ITERATIONS",
-    "MethodProcess",
     "NULL_SEQ_HANDLE",
     "SeqHandle",
-    "RepeatingTask",
     "Signal",
     "SignalBundle",
     "Simulator",

@@ -233,19 +233,17 @@ class CycleEngine:
         When true (default), sensitivity-listed combinational processes
         are skipped while their inputs are unchanged.  When false the
         engine sweeps every process every pass — the original reference
-        behaviour, kept for equivalence testing.
-    quiescence:
-        When true, idle-declared sequential processes are skipped and
+        behaviour, kept for equivalence testing.  It also governs
+        quiescence: idle-declared sequential processes are skipped and
         :meth:`run`/:meth:`run_until` may skip ahead over fully idle
-        cycle ranges.  Defaults to *sensitivity*, so ``full_sweep``
-        platforms get the reference per-cycle sweep on both phases.
+        cycle ranges only when it is true, so ``full_sweep`` platforms
+        get the reference per-cycle sweep on both phases.
     """
 
     def __init__(
         self,
         name: str = "cycle-engine",
         sensitivity: bool = True,
-        quiescence: Optional[bool] = None,
     ) -> None:
         self.name = name
         self._comb: List[CombHandle] = []
@@ -255,7 +253,7 @@ class CycleEngine:
         self._eval_passes = 0
         self._on_cycle_end: List[Callable[[int], None]] = []
         self._sensitivity = sensitivity
-        self._quiescence = sensitivity if quiescence is None else quiescence
+        self._quiescence = sensitivity
         #: Number of currently active (non-idle) sequential handles.
         self._active_seq = 0
         self._seq_total = 0

@@ -1,24 +1,19 @@
-"""Method-based and thread-based process shells.
+"""Thread-based process shell over the event-driven Simulator.
 
 Section 4 of the paper notes that the AHB+ TLM uses *method-based*
 modeling rather than *thread-based* modeling "to increase simulation
-speed".  This module provides both styles over the same
-:class:`~repro.kernel.simulator.Simulator` so the claim can be measured:
-
-* :class:`MethodProcess` — a plain callback invoked by the kernel; state
-  lives in instance attributes.  No context switching, no suspended
-  frame.  This is the style the production TLM bus uses.
-* :class:`ThreadProcess` — a Python generator that ``yield``s wait
-  requests.  Each resume costs a generator frame switch, mirroring the
-  ``sc_thread`` overhead the paper avoided.
-
-Both styles schedule on integer cycle time and may wait on
-:class:`~repro.kernel.events.Event` objects.
+speed".  The method-based bus (:class:`~repro.core.bus.AhbPlusBusTlm`)
+needs no kernel at all: it advances its own cycle counter.  The
+thread-based comparison engine runs its masters and bus as
+:class:`ThreadProcess` generators that ``yield`` wait requests; each
+resume costs a generator frame switch, mirroring the ``sc_thread``
+overhead the paper avoided.  Threads schedule on integer cycle time and
+may wait on :class:`~repro.kernel.events.Event` objects.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Optional, Union
+from typing import Generator, Optional, Union
 
 from repro.errors import SimulationError
 from repro.kernel.events import Event
@@ -47,35 +42,6 @@ class WaitEvent:
 
 WaitRequest = Union[WaitCycles, WaitEvent]
 ThreadBody = Generator[WaitRequest, None, None]
-
-
-class MethodProcess:
-    """Callback-style process: the kernel calls :attr:`action` directly.
-
-    The action receives the owning process so it can re-arm itself via
-    :meth:`call_after` — the idiom used throughout the TLM bus model.
-    """
-
-    def __init__(
-        self, sim: Simulator, name: str, action: Callable[["MethodProcess"], None]
-    ) -> None:
-        self.sim = sim
-        self.name = name
-        self.action = action
-        self.invocations = 0
-
-    def call_now(self) -> None:
-        """Invoke the action synchronously."""
-        self.invocations += 1
-        self.action(self)
-
-    def call_after(self, delay: int) -> None:
-        """Schedule the action *delay* cycles in the future."""
-        self.sim.schedule_after(delay, self.call_now)
-
-    def sensitize(self, event: Event) -> None:
-        """Invoke the action every time *event* fires."""
-        event.subscribe(self.call_now)
 
 
 class ThreadProcess:

@@ -1,8 +1,9 @@
 """Discrete-event simulation scheduler.
 
-This is the general-purpose kernel used by the transaction-level models:
-components schedule callbacks at future cycle counts and the simulator
-executes them in time order.  Time is an integer number of bus clock
+The thread-based TLM (:class:`~repro.core.threaded.ThreadedAhbPlusBus`)
+and the §4 event-driven kernel comparison run on it: components
+schedule callbacks at future cycle counts and the simulator executes
+them in time order.  Time is an integer number of bus clock
 cycles — the library never uses floating-point time, which keeps
 RTL-vs-TLM cycle comparisons exact.
 
@@ -14,7 +15,7 @@ a pin-accurate model does work every *cycle*.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Optional
 
 from repro.errors import SchedulingError, SimulationError
 from repro.kernel.events import Action, EventQueue
@@ -120,40 +121,3 @@ class Simulator:
         self._now = 0
         self._stopped = False
 
-
-class RepeatingTask:
-    """A helper that re-schedules a callback every *period* cycles.
-
-    Used for periodic model behaviour such as DDR refresh in the TLM and
-    real-time traffic sources.  The callback may return ``False`` to
-    cancel further repetitions.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        period: int,
-        action: Callable[[], Any],
-        start: Optional[int] = None,
-    ) -> None:
-        if period <= 0:
-            raise SchedulingError(f"period must be positive, got {period}")
-        self._sim = sim
-        self._period = period
-        self._action = action
-        self._cancelled = False
-        first = sim.now + period if start is None else start
-        sim.schedule_at(first, self._fire)
-
-    def cancel(self) -> None:
-        """Stop future firings (the currently queued one becomes a no-op)."""
-        self._cancelled = True
-
-    def _fire(self) -> None:
-        if self._cancelled:
-            return
-        keep_going = self._action()
-        if keep_going is False:
-            self._cancelled = True
-            return
-        self._sim.schedule_after(self._period, self._fire)

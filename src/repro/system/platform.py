@@ -7,13 +7,13 @@ level        engine                                                 result
 ============ ====================================================== ===========
 tlm          method-based AHB+ TLM (:class:`AhbPlusBusTlm`)         TlmPlatform
 tlm-threaded thread-based AHB+ TLM (:class:`ThreadedAhbPlusBus`)    TlmPlatform
-plain        unextended AMBA 2.0 baseline (:class:`PlainAhbBus`)    TlmPlatform
+plain        AHB+ TLM with ``without_extensions()`` (AMBA 2.0)      TlmPlatform
 rtl          pin-accurate 2-step cycle model                        RtlPlatform
 ============ ====================================================== ===========
 
 Every product satisfies the :class:`Platform` protocol — ``run()``
-returning a :class:`~repro.ahb.bus.BusRunResult` (or richer subclass)
-and ``attach(observer)`` for profiling/assertion hooks — so analysis
+returning a :class:`~repro.core.bus.AhbPlusRunResult` and
+``attach(observer)`` for profiling/assertion hooks — so analysis
 code is engine-agnostic: elaborating the same spec at a different level
 is a one-argument change, which is the paper's portability claim turned
 into an API.
@@ -32,10 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Protocol, Union, runtime_checkable
 
-from repro.ahb.bus import BusRunResult, PlainAhbBus, TransactionObserver
 from repro.ahb.master import TlmMaster
 from repro.ahb.slave import ApbBridgeSlave, SramSlave, TlmSlave
-from repro.core.bus import AhbPlusBusTlm, AhbPlusRunResult
+from repro.core.bus import AhbPlusBusTlm, AhbPlusRunResult, TransactionObserver
 from repro.core.config import AhbPlusConfig
 from repro.core.qos import QosRegisterFile
 from repro.core.threaded import ThreadedAhbPlusBus
@@ -66,7 +65,7 @@ from repro.traffic.workloads import Workload
 class Platform(Protocol):
     """What every elaborated system exposes, regardless of engine."""
 
-    def run(self, max_cycles: Optional[int] = None) -> BusRunResult:
+    def run(self, max_cycles: Optional[int] = None) -> AhbPlusRunResult:
         """Run the bound workload to completion."""
         ...
 
@@ -80,10 +79,11 @@ class TlmPlatform:
     """An assembled transaction-level system (AHB+ or the plain baseline)."""
 
     workload: Workload
+    #: The configuration the bus runs (extensions off at ``plain``).
     config: AhbPlusConfig
     masters: List[TlmMaster]
     ddrc: DdrControllerTlm
-    bus: Union[AhbPlusBusTlm, PlainAhbBus]
+    bus: AhbPlusBusTlm
     #: All slaves in address-map order (``[ddrc]`` on the paper topology).
     slaves: List[TlmSlave]
 
@@ -92,7 +92,7 @@ class TlmPlatform:
         """The DDR backing store (for functional checks)."""
         return self.ddrc.memory
 
-    def run(self, max_cycles: Optional[int] = None) -> BusRunResult:
+    def run(self, max_cycles: Optional[int] = None) -> AhbPlusRunResult:
         """Run the workload to completion."""
         return self.bus.run(max_cycles=max_cycles)
 
@@ -352,17 +352,10 @@ class PlatformBuilder:
         ddrc = slaves[self._ddr_index(cfg)]
         assert isinstance(ddrc, DdrControllerTlm)
         address_map = self.spec.address_map(cfg)
-        bus: Union[AhbPlusBusTlm, PlainAhbBus]
         if level == "plain":
-            bus = PlainAhbBus(
-                masters,
-                slaves,
-                address_map,
-                arbitration_cycles=max(cfg.arbitration_cycles, 1),
-            )
-        else:
-            bus_cls = ThreadedAhbPlusBus if level == "tlm-threaded" else AhbPlusBusTlm
-            bus = bus_cls(masters, slaves, config=cfg, address_map=address_map)
+            cfg = cfg.without_extensions()
+        bus_cls = ThreadedAhbPlusBus if level == "tlm-threaded" else AhbPlusBusTlm
+        bus = bus_cls(masters, slaves, config=cfg, address_map=address_map)
         return TlmPlatform(
             workload=workload,
             config=cfg,

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import AhbPlusConfig, QosSetting
+from repro.ahb import AccessKind, SramSlave, TlmMaster, TrafficItem, Transaction
+from repro.core import AhbPlusBusTlm, AhbPlusConfig, QosSetting
 from repro.core.config import config_for_workload
 from repro.ddr.timing import DDR_TEST
 from repro.errors import ConfigError
@@ -181,11 +182,17 @@ class TestPlatformBuilders:
             assert getattr(derived, f.name) == getattr(base, f.name), f.name
 
     def test_without_extensions(self):
-        cfg = AhbPlusConfig(num_masters=4).without_extensions()
+        cfg = AhbPlusConfig(
+            num_masters=4, tie_break="round_robin", arbitration_cycles=0
+        ).without_extensions()
         assert not cfg.write_buffer_enabled
         assert not cfg.request_pipelining
         assert not cfg.bus_interface_enabled
         assert len(cfg.disabled_filters) == 6
+        assert cfg.tie_break == "fixed"
+        assert cfg.arbitration_cycles == 1
+        slow = AhbPlusConfig(arbitration_cycles=5).without_extensions()
+        assert slow.arbitration_cycles == 5
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -196,3 +203,77 @@ class TestPlatformBuilders:
             AhbPlusConfig(disabled_filters=("tie-break",))
         with pytest.raises(ConfigError):
             AhbPlusConfig(num_masters=2, qos={5: QosSetting(True, 10)})
+
+
+def _agent(index, *items):
+    return TlmMaster(index, f"m{index}", list(items))
+
+
+def _item(master, addr, kind=AccessKind.READ, beats=1, think=0, data=None):
+    txn = Transaction(
+        master=master, kind=kind, addr=addr, beats=beats, data=list(data or [])
+    )
+    return TrafficItem(txn, think_cycles=think)
+
+
+def _plain_bus(*agents, arbitration_cycles=1):
+    """The plain AMBA 2.0 baseline: the AHB+ engine, extensions off."""
+    # ``or 1`` keeps a master-less call failing in the bus, not the config.
+    config = AhbPlusConfig(
+        num_masters=len(agents) or 1, arbitration_cycles=arbitration_cycles
+    ).without_extensions()
+    return AhbPlusBusTlm(list(agents), [SramSlave()], config=config)
+
+
+class TestPlainBaseline:
+    def test_single_master_runs_to_completion(self):
+        bus = _plain_bus(
+            _agent(
+                0,
+                _item(0, 0x0, AccessKind.WRITE, 2, data=[1, 2]),
+                _item(0, 0x0, beats=2, think=1),
+            )
+        )
+        result = bus.run()
+        assert result.transactions == 2
+        assert bus.masters[0].completed[1].data == [1, 2]
+
+    def test_fixed_priority_ordering(self):
+        low = _agent(0, _item(0, 0x10))
+        high = _agent(1, _item(1, 0x20))
+        _plain_bus(low, high).run()
+        assert low.completed[0].finished_at < high.completed[0].finished_at
+
+    def test_idle_gap_advances_time(self):
+        bus = _plain_bus(_agent(0, _item(0, 0x0), _item(0, 0x4, think=50)))
+        result = bus.run()
+        assert result.cycles > 50
+        assert result.utilization < 0.5
+
+    def test_observer_called_per_transaction(self):
+        seen = []
+        bus = _plain_bus(_agent(0, _item(0, 0x0), _item(0, 0x4)))
+        bus.add_observer(lambda txn, g, s, f: seen.append((txn.uid, g, s, f)))
+        bus.run()
+        assert len(seen) == 2
+        for _uid, grant, start, finish in seen:
+            assert grant <= start <= finish
+
+    def test_max_cycles_stops_early(self):
+        items = [_item(0, 4 * i, think=10) for i in range(50)]
+        result = _plain_bus(_agent(0, *items)).run(max_cycles=30)
+        assert result.transactions < 50
+
+    def test_arbitration_latency_counted(self):
+        fast = _plain_bus(_agent(0, _item(0, 0x0)), arbitration_cycles=1)
+        slow = _plain_bus(_agent(0, _item(0, 0x0)), arbitration_cycles=6)
+        assert slow.run().cycles == fast.run().cycles + 5
+
+    def test_empty_masters_rejected(self):
+        with pytest.raises(ConfigError):
+            _plain_bus()
+
+    def test_per_master_counts(self):
+        a = _agent(0, _item(0, 0x0), _item(0, 0x8))
+        b = _agent(1, _item(1, 0x100))
+        assert _plain_bus(a, b).run().per_master_transactions == [2, 1]

@@ -30,7 +30,7 @@ class TestPaperClaims:
         """Plain AHB starves the low-priority RT stream; AHB+ does not."""
         workload = saturating_workload(30)
         plain = _platform(workload, "plain")
-        plain.run()
+        plain_result = plain.run()
         rt = workload.num_masters - 1
         plain_misses = sum(
             1 for t in plain.masters[rt].completed if t.met_deadline is False
@@ -38,6 +38,8 @@ class TestPaperClaims:
         ahbp = _platform(workload)
         result = ahbp.run()
         assert plain_misses > 0
+        # The plain record counts deadline outcomes like every engine.
+        assert plain_result.rt_deadline_misses == plain_misses
         assert result.rt_deadline_misses == 0
 
     def test_three_models_agree_functionally(self):

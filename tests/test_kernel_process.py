@@ -1,52 +1,14 @@
-"""Tests for method/thread process shells and the VCD tracer."""
+"""Tests for the thread process shell and the VCD tracer."""
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.kernel.cycle import CycleEngine
 from repro.kernel.events import Event
-from repro.kernel.process import (
-    MethodProcess,
-    ThreadProcess,
-    WaitCycles,
-    WaitEvent,
-)
+from repro.kernel.process import ThreadProcess, WaitCycles, WaitEvent
 from repro.kernel.signal import Signal
 from repro.kernel.simulator import Simulator
 from repro.kernel.tracing import VcdTracer
-
-
-class TestMethodProcess:
-    def test_call_after_schedules(self):
-        sim = Simulator()
-        seen = []
-        proc = MethodProcess(sim, "p", lambda p: seen.append(sim.now))
-        proc.call_after(4)
-        sim.run()
-        assert seen == [4]
-        assert proc.invocations == 1
-
-    def test_self_rearming(self):
-        sim = Simulator()
-        seen = []
-
-        def action(proc):
-            seen.append(sim.now)
-            if sim.now < 6:
-                proc.call_after(2)
-
-        MethodProcess(sim, "p", action).call_after(2)
-        sim.run()
-        assert seen == [2, 4, 6]
-
-    def test_sensitize(self):
-        sim = Simulator()
-        event = Event()
-        seen = []
-        MethodProcess(sim, "p", lambda p: seen.append(1)).sensitize(event)
-        event.notify()
-        event.notify()
-        assert seen == [1, 1]
 
 
 class TestThreadProcess:

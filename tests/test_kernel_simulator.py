@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SchedulingError, SimulationError
-from repro.kernel.simulator import RepeatingTask, Simulator
+from repro.kernel.simulator import Simulator
 
 
 class TestSimulator:
@@ -75,35 +75,3 @@ class TestSimulator:
         sim.run()
         assert seen == [3]
 
-
-class TestRepeatingTask:
-    def test_fires_every_period(self):
-        sim = Simulator()
-        seen = []
-        RepeatingTask(sim, period=10, action=lambda: seen.append(sim.now))
-        sim.run(until=35)
-        assert seen == [10, 20, 30]
-
-    def test_action_returning_false_cancels(self):
-        sim = Simulator()
-        seen = []
-
-        def action():
-            seen.append(sim.now)
-            return len(seen) < 2
-
-        RepeatingTask(sim, period=5, action=action)
-        sim.run(until=100)
-        assert seen == [5, 10]
-
-    def test_cancel(self):
-        sim = Simulator()
-        seen = []
-        task = RepeatingTask(sim, period=5, action=lambda: seen.append(sim.now))
-        sim.schedule_at(12, task.cancel)
-        sim.run(until=100)
-        assert seen == [5, 10]
-
-    def test_bad_period_raises(self):
-        with pytest.raises(SchedulingError):
-            RepeatingTask(Simulator(), period=0, action=lambda: None)

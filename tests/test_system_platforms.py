@@ -14,7 +14,6 @@ import warnings
 
 import pytest
 
-from repro.ahb import PlainAhbBus
 from repro.ahb.burst import transaction_addresses
 from repro.core import AhbPlusBusTlm, ThreadedAhbPlusBus
 from repro.profiling import BusMonitor
@@ -53,7 +52,7 @@ class TestPlatformRecords:
         [
             ("tlm", TlmPlatform, AhbPlusBusTlm),
             ("tlm-threaded", TlmPlatform, ThreadedAhbPlusBus),
-            ("plain", TlmPlatform, PlainAhbBus),
+            ("plain", TlmPlatform, AhbPlusBusTlm),
             ("rtl", RtlPlatform, None),
         ],
     )
