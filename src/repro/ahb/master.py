@@ -25,7 +25,7 @@ from repro.ahb.types import HResp
 from repro.errors import TrafficError
 
 
-@dataclass
+@dataclass(slots=True)
 class TrafficItem:
     """One request produced by a traffic source.
 

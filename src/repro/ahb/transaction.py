@@ -65,7 +65,7 @@ class Transaction:
     data: List[int] = field(default_factory=list)
 
     # Bookkeeping filled in by the bus models.
-    uid: int = field(default_factory=lambda: next(_txn_ids))
+    uid: int = field(default_factory=_txn_ids.__next__)
     issued_at: int = -1
     granted_at: int = -1
     started_at: int = -1
@@ -104,7 +104,7 @@ class Transaction:
             raise ProtocolError(
                 f"address {self.addr:#x} not aligned to beat size {self.size_bytes}"
             )
-        if self.kind.is_write and self.data and len(self.data) != self.beats:
+        if self.is_write and self.data and len(self.data) != self.beats:
             raise ProtocolError(
                 f"write supplies {len(self.data)} beats of data but "
                 f"declares {self.beats} beats"

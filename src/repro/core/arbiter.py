@@ -21,6 +21,7 @@ from repro.core.filters import (
     Candidate,
     TieBreakFilter,
     default_filter_chain,
+    narrow,
 )
 from repro.errors import ConfigError, SimulationError
 
@@ -86,11 +87,7 @@ class AhbPlusArbiter:
         if not candidates:
             raise SimulationError("arbitration invoked with no candidates")
         self.rounds += 1
-        survivors = candidates
-        for filt in self._narrowing:
-            if len(survivors) == 1:
-                break
-            survivors = filt.apply(survivors, ctx)
+        survivors = narrow(self._narrowing, candidates, ctx)
         winners = self._tie_break.apply(survivors, ctx)
         if len(winners) != 1:
             raise SimulationError(

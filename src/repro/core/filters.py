@@ -29,9 +29,10 @@ Filter order (first applied first):
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from repro.ahb.burst import transaction_footprint
 from repro.ahb.transaction import WRITE_BUFFER_MASTER, Transaction
 from repro.errors import ConfigError
 
@@ -47,6 +48,18 @@ class Candidate:
     real_time: bool = False
     #: Absolute completion deadline derived by the QoS register file.
     deadline: Optional[int] = None
+    #: Byte footprint ``[lo, hi)`` of a master's read, computed once
+    #: here for the write buffer's RAW-hazard check; ``None`` for writes
+    #: and write-buffer drains.
+    footprint: Optional[Tuple[int, int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        txn = self.txn
+        self.footprint = (
+            None
+            if txn.is_write or self.from_write_buffer
+            else transaction_footprint(txn)
+        )
 
     @property
     def master(self) -> int:
@@ -86,7 +99,11 @@ class ArbitrationContext:
 
 
 class ArbitrationFilter(abc.ABC):
-    """Base class: narrows candidates, abstaining instead of emptying."""
+    """Base class: narrows candidates, abstaining instead of emptying.
+
+    A filter implements :meth:`_narrow`; :func:`narrow` runs it, alone
+    (:meth:`apply`) or as one link of the arbiter's chain.
+    """
 
     #: Short name used in profiling reports and config switches.
     name: str = "filter"
@@ -100,21 +117,40 @@ class ArbitrationFilter(abc.ABC):
         self, candidates: List[Candidate], ctx: ArbitrationContext
     ) -> List[Candidate]:
         """Run the filter; guaranteed to return a non-empty subset."""
-        if not self.enabled or len(candidates) <= 1:
-            return candidates
-        self.rounds_applied += 1
-        narrowed = self._narrow(candidates, ctx)
-        if not narrowed:
-            return candidates  # abstain rather than starve the bus
-        if len(narrowed) < len(candidates):
-            self.rounds_narrowed += 1
-        return narrowed
+        return narrow((self,), candidates, ctx)
 
     @abc.abstractmethod
     def _narrow(
         self, candidates: List[Candidate], ctx: ArbitrationContext
     ) -> List[Candidate]:
         """Return the surviving candidates (may be empty = abstain)."""
+
+
+def narrow(
+    filters: Sequence[ArbitrationFilter],
+    candidates: List[Candidate],
+    ctx: ArbitrationContext,
+) -> List[Candidate]:
+    """Run *filters* in order over a non-empty candidate set.
+
+    A disabled filter is skipped, and once one candidate is left the
+    rest are too, without counting an application.  A filter that would
+    empty the set abstains rather than starve the bus.  The arbiter runs
+    its whole chain in this one call instead of one call per filter.
+    """
+    survivors = candidates
+    for filt in filters:
+        if len(survivors) <= 1:
+            break
+        if not filt.enabled:
+            continue
+        filt.rounds_applied += 1
+        narrowed = filt._narrow(survivors, ctx)
+        if narrowed:
+            if len(narrowed) < len(survivors):
+                filt.rounds_narrowed += 1
+            survivors = narrowed
+    return survivors
 
 
 class RequestFilter(ArbitrationFilter):
@@ -270,12 +306,12 @@ class TieBreakFilter(ArbitrationFilter):
     def _rank_fixed(self, candidate: Candidate) -> int:
         if candidate.from_write_buffer:
             return WRITE_BUFFER_MASTER
-        return candidate.master
+        return candidate.txn.master
 
     def _rank_round_robin(self, candidate: Candidate) -> int:
         if candidate.from_write_buffer:
             return WRITE_BUFFER_MASTER
-        return (candidate.master - self._last_winner - 1) % self.num_masters
+        return (candidate.txn.master - self._last_winner - 1) % self.num_masters
 
     def _narrow(
         self, candidates: List[Candidate], ctx: ArbitrationContext

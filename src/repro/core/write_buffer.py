@@ -20,6 +20,7 @@ from typing import Deque, Optional, Tuple
 
 from repro.ahb.burst import transaction_footprint
 from repro.ahb.transaction import WRITE_BUFFER_MASTER, Transaction
+from repro.core.filters import Candidate
 from repro.errors import ConfigError, SimulationError
 
 
@@ -118,42 +119,37 @@ class WriteBuffer:
     # -- hazard detection ---------------------------------------------------------------
 
     def read_hazard(self, candidates) -> bool:
-        """True when any non-buffer read candidate overlaps a buffered write.
+        """True when any read candidate overlaps a buffered write.
 
         The shared RAW-hazard predicate every bus engine feeds into
         :class:`~repro.core.filters.ArbitrationContext` — occupancy is
         checked once up front so the common empty-buffer round costs a
         single test.  *candidates* is any iterable of
-        :class:`~repro.core.filters.Candidate`.
+        :class:`~repro.core.filters.Candidate`: a master's read carries
+        the footprint computed when its Candidate was built, and each
+        buffered write the footprint computed when it was absorbed, so
+        a round only compares ranges.  Footprints come from
+        :func:`~repro.ahb.burst.transaction_footprint`, so wrapping
+        bursts count the bytes below their wrap point — a linear
+        ``[addr, addr+total)`` range would miss those and let a wrapped
+        read sail past a buffered write it depends on.
         """
         if not self._drains:
             return False
         for cand in candidates:
-            if (
-                not cand.from_write_buffer
-                and not cand.txn.is_write
-                and self.conflicts_with(cand.txn)
-            ):
-                return True
+            footprint = cand.footprint
+            if footprint is None:
+                continue
+            lo, hi = footprint
+            for p_lo, p_hi in self._footprints:
+                if lo < p_hi and p_lo < hi:
+                    self.hazard_hits += 1
+                    return True
         return False
 
     def conflicts_with(self, txn: Transaction) -> bool:
-        """True when *txn* (a read) overlaps any buffered write's bytes.
-
-        Footprints come from :func:`~repro.ahb.burst.transaction_footprint`
-        so wrapping bursts count the bytes below their wrap point — a
-        linear ``[addr, addr+total)`` range would miss those and let a
-        wrapped read sail past a buffered write it depends on.  Buffered
-        writes carry the footprint computed when they were absorbed.
-        """
-        if txn.is_write or not self._drains:
-            return False
-        lo, hi = transaction_footprint(txn)
-        for p_lo, p_hi in self._footprints:
-            if lo < p_hi and p_lo < hi:
-                self.hazard_hits += 1
-                return True
-        return False
+        """True when *txn*, as a master's read, overlaps a buffered write."""
+        return self.read_hazard((Candidate(txn),))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -16,7 +16,7 @@ Implements :class:`~repro.ahb.slave.TlmSlave` on top of the analytic
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.ahb.burst import transaction_addresses
 from repro.ahb.slave import TlmSlave
@@ -49,6 +49,9 @@ class DdrControllerTlm(TlmSlave):
         self.refresh_enabled = refresh_enabled
         self._next_refresh_at = timing.t_refi
         self._refresh_ready_at = 0
+        #: The transaction :meth:`notify_next` last decoded, and its
+        #: first beat's bank address.
+        self._hint: Tuple[Optional[Transaction], Optional[BankAddress]] = (None, None)
         # Statistics
         self.reads = 0
         self.writes = 0
@@ -59,7 +62,11 @@ class DdrControllerTlm(TlmSlave):
     # -- refresh --------------------------------------------------------------
 
     def _refresh_catchup(self, cycle: int) -> None:
-        """Execute refreshes that came due at or before *cycle*."""
+        """Execute refreshes that came due at or before *cycle*.
+
+        Callers test ``_next_refresh_at <= cycle`` first, so a transfer
+        with no refresh due pays one compare per entry point.
+        """
         while self.refresh_enabled and self._next_refresh_at <= cycle:
             ready = self.timeline.close_all(self._next_refresh_at)
             self._refresh_ready_at = max(self._refresh_ready_at, ready)
@@ -68,13 +75,19 @@ class DdrControllerTlm(TlmSlave):
 
     def idle_until(self, cycle: int) -> None:
         """Age refresh state while the bus is idle."""
-        self._refresh_catchup(cycle)
+        if self._next_refresh_at <= cycle:
+            self._refresh_catchup(cycle)
 
     # -- Bus Interface hooks (paper sections 2 / 3.4) ---------------------------
 
     def notify_next(self, txn: Transaction, cycle: int) -> bool:
-        """Receive next-transaction info; open its first row early."""
+        """Receive next-transaction info; open its first row early.
+
+        The decoded first beat is kept with *txn*, so serving that same
+        transaction object does not decode it again.
+        """
         baddr = decode_address(txn.addr, self.timing, self.bus_bytes)
+        self._hint = (txn, baddr)
         if self.timeline.prepare(baddr, cycle):
             self.prepared_banks += 1
             return True
@@ -90,54 +103,73 @@ class DdrControllerTlm(TlmSlave):
 
     def access_permitted_at(self, txn: Transaction, cycle: int) -> int:
         """Address phases may not begin while a refresh burst is draining."""
-        self._refresh_catchup(cycle)
+        if self._next_refresh_at <= cycle:
+            self._refresh_catchup(cycle)
         return max(cycle, self._refresh_ready_at)
 
     # -- data service -----------------------------------------------------------
 
-    def _segments(self, txn: Transaction) -> List[Tuple[BankAddress, List[int]]]:
+    def _segments(self, txn: Transaction) -> List[Tuple[BankAddress, Sequence[int]]]:
         """Split the burst's beats into runs sharing one (bank, row).
 
-        The layout is row : bank : column, so ``word >> bank_shift`` is a
-        monotone (bank, row) key.  A burst whose lowest and highest beat
-        share it is one segment — nearly every burst, since a burst is
-        short against a row — and decoding its first beat raises the
-        same error any illegal beat of it would.  Otherwise each beat is
+        An incrementing burst's beats are a ``range`` and each run is a
+        slice of it; a wrapping burst's are a list.  The layout is
+        row : bank : column, so ``word >> bank_shift`` is a monotone
+        (bank, row) key.  A burst whose lowest and highest beat share it
+        is one segment — nearly every burst, since a burst is short
+        against a row — and decoding its first beat raises the same
+        error any illegal beat of it would.  Otherwise each beat is
         decoded in order.
         """
         timing, bus_bytes = self.timing, self.bus_bytes
-        addrs = transaction_addresses(txn)
+        addr = txn.addr
+        addrs: Sequence[int]
+        if txn.wrapping:
+            addrs = transaction_addresses(txn)
+            lo, hi = min(addrs), max(addrs)
+        else:
+            size = txn.size_bytes
+            hi = addr + (txn.beats - 1) * size
+            addrs = range(addr, hi + 1, size)
+            lo = addr
         shift = timing._bank_shift
-        if (min(addrs) // bus_bytes) >> shift == (max(addrs) // bus_bytes) >> shift:
-            return [(decode_address(txn.addr, timing, bus_bytes), addrs)]
-        segments: List[Tuple[BankAddress, List[int]]] = []
-        for addr in addrs:
-            baddr = decode_address(addr, timing, bus_bytes)
-            if segments and same_row(segments[-1][0], baddr):
-                segments[-1][1].append(addr)
-            else:
-                segments.append((baddr, [addr]))
+        if (lo // bus_bytes) >> shift == (hi // bus_bytes) >> shift:
+            hint_txn, baddr = self._hint
+            if hint_txn is not txn:
+                baddr = decode_address(addr, timing, bus_bytes)
+            return [(baddr, addrs)]
+        segments: List[Tuple[BankAddress, Sequence[int]]] = []
+        first = 0
+        head = decode_address(addrs[0], timing, bus_bytes)
+        for index in range(1, len(addrs)):
+            baddr = decode_address(addrs[index], timing, bus_bytes)
+            if not same_row(head, baddr):
+                segments.append((head, addrs[first:index]))
+                first, head = index, baddr
+        segments.append((head, addrs[first:]))
         return segments
 
     def serve(self, txn: Transaction, start_cycle: int) -> int:
         """Serve one burst; returns the cycle of its last data beat."""
-        self._refresh_catchup(start_cycle)
+        if self._next_refresh_at <= start_cycle:
+            self._refresh_catchup(start_cycle)
         txn.started_at = start_cycle
         command_from = start_cycle + 1  # the AHB address phase
         finish = command_from
         is_write = txn.is_write
+        size = txn.size_bytes
+        memory = self.memory
+        schedule_access = self.timeline.schedule_access
         write_data = (txn.data or [0] * txn.beats) if is_write else None
         read_data: List[int] = []
         done = 0
         for baddr, addresses in self._segments(txn):
             beats = len(addresses)
-            plan = self.timeline.schedule_access(baddr, is_write, beats, command_from)
+            plan = schedule_access(baddr, is_write, beats, command_from)
             if is_write:
-                self.memory.write_beats(
-                    addresses, txn.size_bytes, write_data[done : done + beats]
-                )
+                memory.write_beats(addresses, size, write_data[done : done + beats])
             else:
-                read_data += self.memory.read_beats(addresses, txn.size_bytes)
+                read_data += memory.read_beats(addresses, size)
             done += beats
             finish = plan.finish
             command_from = plan.cas_at + 1

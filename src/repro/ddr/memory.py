@@ -18,7 +18,8 @@ match the original byte-only store exactly.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Sequence, Tuple
+from itertools import repeat
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import MemoryError_
 
@@ -107,26 +108,42 @@ class MemoryModel:
 
     # -- burst-segment fast paths ----------------------------------------------
 
+    def _word_keys(
+        self, addrs: Sequence[int], size_bytes: int
+    ) -> Optional[Sequence[int]]:
+        """Word indices of *addrs* when the burst can bypass per-beat calls.
+
+        That is an aligned-word burst (every address non-negative and
+        4-byte aligned) over a clean byte store; ``None`` sends the
+        caller down the per-beat path.  A ``range`` burst is checked from
+        its start and step alone and maps to a ``range`` of indices.
+        """
+        if size_bytes != _WORD or self._bytes:
+            return None
+        if type(addrs) is range:
+            start, step = addrs.start, addrs.step
+            if start < 0 or step <= 0 or (start | step) & 3:
+                return None
+            return range(start >> 2, (addrs.stop + 3) >> 2, step >> 2)
+        for addr in addrs:
+            if addr < 0 or addr & 3:
+                return None
+        return [addr >> 2 for addr in addrs]
+
     def read_beats(self, addrs: Sequence[int], size_bytes: int) -> List[int]:
         """Load one value per beat address — a burst segment in one call.
 
         Semantics (values, zero-for-unwritten, ``read_ops`` accounting)
-        are identical to calling :meth:`read` per beat; the aligned-word
-        burst with no byte-store residue runs as a single dict-probe
-        loop, which is how the RTL DDRC prefetches a read segment.
+        are identical to calling :meth:`read` per beat; an aligned-word
+        burst over a clean byte store is one ``map`` over the word dict,
+        which is how both DDR controllers move a read segment.
         """
-        if size_bytes == _WORD and not self._bytes:
-            words = self._words
-            values: List[int] = []
-            append = values.append
-            for addr in addrs:
-                if addr < 0 or addr & 3:
-                    break
-                append(words.get(addr >> 2, 0))
-            else:
-                self.read_ops += len(values)
-                return values
-        return [self.read(addr, size_bytes) for addr in addrs]
+        keys = self._word_keys(addrs, size_bytes)
+        if keys is None:
+            return [self.read(addr, size_bytes) for addr in addrs]
+        values = list(map(self._words.get, keys, repeat(0)))
+        self.read_ops += len(values)
+        return values
 
     def write_beats(
         self, addrs: Sequence[int], size_bytes: int, values: Sequence[int]
@@ -134,23 +151,22 @@ class MemoryModel:
         """Store one value per beat address — a burst segment in one call.
 
         Mirrors per-beat :meth:`write` exactly (validation, byte-residue
-        eviction, ``write_ops``); aligned-word bursts against a clean
-        byte store take the single-loop fast path the RTL DDRC uses to
-        flush a captured write segment.
+        eviction, ``write_ops``); an aligned-word burst of in-range
+        values over a clean byte store is one ``dict.update``.  Any
+        other burst goes beat by beat, so a bad value raises after the
+        same written prefix.  *values* must hold one value per address.
         """
-        if size_bytes == _WORD and not self._bytes:
-            words = self._words
-            done = 0
-            for addr, value in zip(addrs, values):
-                if addr < 0 or addr & 3 or value < 0 or value >> 32:
-                    break
-                words[addr >> 2] = value
-                done += 1
-            self.write_ops += done
-            if done == len(addrs):
-                return
-            addrs = addrs[done:]
-            values = values[done:]
+        if len(values) != len(addrs):
+            raise MemoryError_(
+                f"{self.name}: {len(values)} values for {len(addrs)} beat addresses"
+            )
+        keys = self._word_keys(addrs, size_bytes)
+        if keys is not None and (
+            not values or (min(values) >= 0 and not max(values) >> 32)
+        ):
+            self._words.update(zip(keys, values))
+            self.write_ops += len(values)
+            return
         for addr, value in zip(addrs, values):
             self.write(addr, size_bytes, value)
 

@@ -72,6 +72,8 @@ class ArbiterRtl:
         self.grants_issued = 0
         self.pipelined_grants = 0
         self.bi_next_info = 0
+        self._master_cands: List[Optional[Candidate]] = [None] * len(self.masters)
+        self._head_cand: Optional[Candidate] = None
         # Reused across rounds; _ctx() refreshes every varying field.
         self._ctx_cache = ArbitrationContext(
             now=0,
@@ -83,8 +85,14 @@ class ArbiterRtl:
     # -- candidate assembly ------------------------------------------------------
 
     def _candidates(self) -> List[Candidate]:
+        """Requesting masters and the drain engine, one Candidate per transaction.
+
+        As in the TLM bus, a Candidate is built when its transaction
+        first requests and reused by every later round that sees it.
+        """
         candidates: List[Candidate] = []
-        for master in self.masters:
+        cached = self._master_cands
+        for slot, master in enumerate(self.masters):
             txn = master.current_transaction
             if txn is None:
                 continue
@@ -92,19 +100,22 @@ class ArbiterRtl:
             # its request is being consumed, not awaiting arbitration.
             if master.sig.htrans.value == int(HTrans.NONSEQ):
                 continue
-            candidates.append(
-                Candidate(
+            cand = cached[slot]
+            if cand is None or cand.txn is not txn:
+                cand = cached[slot] = Candidate(
                     txn=txn,
-                    from_write_buffer=False,
                     real_time=self.qos.is_real_time(master.index),
                     deadline=self.qos.deadline_for(txn),
                 )
-            )
+            candidates.append(cand)
         head = self.buffer_master.current_transaction
         if head is not None and self.buffer_master.sig.htrans.value != int(
             HTrans.NONSEQ
         ):
-            candidates.append(Candidate(txn=head, from_write_buffer=True))
+            cand = self._head_cand
+            if cand is None or cand.txn is not head:
+                cand = self._head_cand = Candidate(txn=head, from_write_buffer=True)
+            candidates.append(cand)
         return candidates
 
     def _ctx(self, now: int, candidates: Sequence[Candidate]) -> ArbitrationContext:

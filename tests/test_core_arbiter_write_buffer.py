@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ahb.burst import transaction_footprint
+from repro.ahb.master import TlmMaster, TrafficItem
 from repro.ahb.transaction import WRITE_BUFFER_MASTER, Transaction
 from repro.ahb.types import AccessKind
 from repro.core.arbiter import AhbPlusArbiter
+from repro.core.bus import AhbPlusBusTlm
 from repro.core.filters import (
     FILTER_NAMES,
     ArbitrationContext,
@@ -15,7 +17,11 @@ from repro.core.filters import (
     default_filter_chain,
 )
 from repro.core.write_buffer import WriteBuffer
+from repro.ddr.controller import DdrControllerTlm
+from repro.ddr.timing import DDR_TEST
 from repro.errors import ConfigError, SimulationError
+from repro.rtl.master import MasterState
+from repro.system import PlatformBuilder, paper_topology
 
 
 def write(master=0, addr=0x0, data=(1,), locked=False):
@@ -297,6 +303,41 @@ def overlaps(a, b):
     return a_lo < b_hi and b_lo < a_hi
 
 
+def tlm_candidates(reads):
+    """The Candidates the TLM bus builds for one pending read per master."""
+    masters = [
+        TlmMaster(index, f"m{index}", [TrafficItem(txn=txn)])
+        for index, txn in enumerate(reads)
+    ]
+    bus = AhbPlusBusTlm(masters, [DdrControllerTlm(timing=DDR_TEST)])
+    return bus._collect(0)
+
+
+def rtl_candidates(platform, reads):
+    """The Candidates the RTL arbiter builds with masters requesting *reads*."""
+    for master in platform.masters:
+        master.state, master._txn = MasterState.IDLE, None
+    for master, txn in zip(platform.masters, reads):
+        master.state, master._txn = MasterState.REQUEST, txn
+    return platform.arbiter._candidates()
+
+
+@st.composite
+def read_sets(draw):
+    """One to four reads (some wrapping), the i-th issued by master i."""
+    reads = draw(st.lists(bursts(AccessKind.READ), min_size=1, max_size=4))
+    return [
+        Transaction(
+            master=index,
+            kind=AccessKind.READ,
+            addr=txn.addr,
+            beats=txn.beats,
+            wrapping=txn.wrapping,
+        )
+        for index, txn in enumerate(reads)
+    ]
+
+
 class TestStoredFootprints:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -325,3 +366,59 @@ class TestStoredFootprints:
                 assert buffer.conflicts_with(txn) is expected
                 hits += expected
         assert buffer.hazard_hits == hits
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        engine=st.sampled_from(("tlm", "rtl")),
+        ops=st.lists(
+            st.one_of(
+                st.tuples(st.just("absorb"), bursts(AccessKind.WRITE)),
+                st.tuples(st.just("pop"), st.none()),
+                st.tuples(st.just("query"), read_sets()),
+            ),
+            max_size=20,
+        ),
+    )
+    def test_read_hazard_agrees_with_recomputed_footprints(self, engine, ops):
+        """Footprints the bus engines put on Candidates drive ``read_hazard``.
+
+        Candidates come from the TLM bus's ``_collect`` or the RTL
+        arbiter's ``_candidates``; the verdict and ``hazard_hits`` must
+        match footprints recomputed from the transactions.
+        """
+        platform = None
+        if engine == "rtl":
+            platform = PlatformBuilder(paper_topology(transactions=1)).build("rtl")
+        buffer = WriteBuffer(depth=4)
+        held = []
+        hits = 0
+        for op, payload in ops:
+            if op == "absorb":
+                if buffer.can_absorb(payload):
+                    held.append(buffer.absorb(payload, 0))
+            elif op == "pop":
+                if held:
+                    buffer.pop_head(held.pop(0))
+            else:
+                if platform is None:
+                    candidates = tlm_candidates(payload)
+                else:
+                    candidates = rtl_candidates(platform, payload)
+                assert [c.txn for c in candidates] == payload
+                for c in candidates:
+                    assert c.footprint == transaction_footprint(c.txn)
+                expected = any(
+                    overlaps(txn, drain) for txn in payload for drain in held
+                )
+                assert buffer.read_hazard(candidates) is expected
+                hits += expected
+        assert buffer.hazard_hits == hits
+
+    def test_writes_and_drains_carry_no_footprint(self):
+        assert Candidate(txn=write(0, 0x40)).footprint is None
+        drain = write(WRITE_BUFFER_MASTER, 0x40)
+        assert Candidate(txn=drain, from_write_buffer=True).footprint is None
+        wrapped = Transaction(
+            master=1, kind=AccessKind.READ, addr=0x2C, beats=4, wrapping=True
+        )
+        assert Candidate(txn=wrapped).footprint == (0x20, 0x30)

@@ -162,8 +162,11 @@ def per_beat_serve(ctrl, txn, start_cycle):
         finish = plan.finish
         command_from = plan.cas_at + 1
         ctrl.data_beats += len(addrs)
-    if not txn.is_write:
+    if txn.is_write:
+        ctrl.writes += 1
+    else:
         txn.data = read_data
+        ctrl.reads += 1
     return finish
 
 
@@ -198,6 +201,19 @@ def bursts(draw):
     )
 
 
+def twin(txn):
+    """An equal but distinct copy of *txn*, for a second controller."""
+    return Transaction(
+        master=txn.master,
+        kind=txn.kind,
+        addr=txn.addr,
+        beats=txn.beats,
+        size_bytes=txn.size_bytes,
+        wrapping=txn.wrapping,
+        data=list(txn.data),
+    )
+
+
 def _outcome(call):
     try:
         return "ok", call()
@@ -210,9 +226,12 @@ class TestSegmentService:
     @given(txn=bursts())
     def test_segments_match_per_beat_split(self, txn):
         ctrl = ddrc(refresh_enabled=False)
-        assert _outcome(lambda: ctrl._segments(txn)) == _outcome(
-            lambda: per_beat_segments(ctrl, txn)
-        )
+
+        def listed():
+            # Segments may hold ranges; compare their beat addresses as lists.
+            return [(baddr, list(addrs)) for baddr, addrs in ctrl._segments(txn)]
+
+        assert _outcome(listed) == _outcome(lambda: per_beat_segments(ctrl, txn))
 
     @settings(max_examples=150, deadline=None)
     @given(txns=st.lists(bursts(), min_size=1, max_size=8))
@@ -220,20 +239,12 @@ class TestSegmentService:
         fast, slow = ddrc(), ddrc()
         cycle = 0
         for txn in txns:
-            twin = Transaction(
-                master=0,
-                kind=txn.kind,
-                addr=txn.addr,
-                beats=txn.beats,
-                size_bytes=txn.size_bytes,
-                wrapping=txn.wrapping,
-                data=list(txn.data),
-            )
+            copy = twin(txn)
             got = _outcome(lambda: fast.serve(txn, cycle))
-            want = _outcome(lambda: per_beat_serve(slow, twin, cycle))
+            want = _outcome(lambda: per_beat_serve(slow, copy, cycle))
             assert got == want
             if got[0] == "ok":
-                assert txn.data == twin.data
+                assert txn.data == copy.data
                 cycle = got[1] + 1
         assert fast.memory.equal_contents(slow.memory)
         assert fast.memory.touched_bytes() == slow.memory.touched_bytes()
@@ -241,4 +252,98 @@ class TestSegmentService:
             slow.memory.read_ops,
             slow.memory.write_ops,
         )
-        assert fast.data_beats == slow.data_beats
+        assert (fast.data_beats, fast.reads, fast.writes) == (
+            slow.data_beats,
+            slow.reads,
+            slow.writes,
+        )
+
+
+# -- the next-transaction hint against a controller that never reuses it -------------
+
+
+@st.composite
+def in_capacity_bursts(draw):
+    """Incrementing or wrapping 4-byte bursts wholly inside the device."""
+    wrapping = draw(st.booleans())
+    beats = draw(st.sampled_from((4, 8, 16))) if wrapping else draw(st.integers(1, 16))
+    addr = draw(st.integers(0, CAPACITY // 4 - 16)) * 4
+    if wrapping:
+        addr -= addr % (4 * beats)
+    data = []
+    if draw(st.booleans()):
+        words = st.integers(0, 0xFFFF_FFFF)
+        data = draw(st.lists(words, min_size=beats, max_size=beats))
+    kind = AccessKind.WRITE if data else AccessKind.READ
+    return Transaction(
+        master=0, kind=kind, addr=addr, beats=beats, wrapping=wrapping, data=data
+    )
+
+
+@st.composite
+def hinted_services(draw):
+    """Earlier traffic, a hinted transaction *a* and a served one *b*."""
+    history = draw(st.lists(in_capacity_bursts(), max_size=4))
+    a = draw(in_capacity_bursts())
+    case = draw(st.sampled_from(("same", "same-address", "elsewhere", "beyond")))
+    if case == "same":
+        b = a
+    elif case == "same-address":
+        other = draw(in_capacity_bursts())
+        b = Transaction(
+            master=0, kind=other.kind, addr=a.addr, beats=other.beats, data=other.data
+        )
+    elif case == "elsewhere":
+        b = draw(in_capacity_bursts())
+    else:
+        b = read(CAPACITY + draw(st.integers(0, 64)) * 4, beats=draw(st.integers(1, 4)))
+    gap = draw(st.integers(0, 2 * T.t_refi))
+    lead = draw(st.integers(0, 12))
+    return history, a, b, gap, lead
+
+
+def _state(ctrl):
+    return (
+        ctrl.reads,
+        ctrl.writes,
+        ctrl.refreshes,
+        ctrl.data_beats,
+        ctrl.prepared_banks,
+        ctrl.memory.read_ops,
+        ctrl.memory.write_ops,
+        ctrl.memory.touched_bytes(),
+        ctrl.timeline.stats(),
+        ctrl.timeline.data_busy_until,
+    )
+
+
+class TestNextInfoHint:
+    @settings(max_examples=200, deadline=None)
+    @given(services=hinted_services())
+    def test_hint_never_changes_service(self, services):
+        """``notify_next(a); serve(b)`` equals serving *b* with no hint.
+
+        The reference controller gets the same row preparation from a
+        copy of *a*, then serves a copy of *b* through the per-beat
+        reference, which decodes every beat itself.  Whether *b* is *a*,
+        another transaction at *a*'s address, one elsewhere or one
+        beyond the device (which must still raise), the finish cycle,
+        read data, memory image and counters agree.
+        """
+        history, a, b, gap, lead = services
+        hinted, fresh = ddrc(), ddrc()
+        cycle = 0
+        for txn in history:
+            finish = hinted.serve(txn, cycle)
+            assert per_beat_serve(fresh, twin(txn), cycle) == finish
+            cycle = finish + 1
+        serve_at = cycle + gap
+        notify_at = max(cycle, serve_at - lead)
+        b_twin = twin(b)
+        assert hinted.notify_next(a, notify_at) == fresh.notify_next(twin(a), notify_at)
+        got = _outcome(lambda: hinted.serve(b, serve_at))
+        want = _outcome(lambda: per_beat_serve(fresh, b_twin, serve_at))
+        assert got == want
+        assert b.data == b_twin.data
+        assert hinted.memory.equal_contents(fresh.memory)
+        assert _state(hinted) == _state(fresh)

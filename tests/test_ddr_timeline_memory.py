@@ -253,3 +253,96 @@ class TestWordFastPath:
         for addr in range(0, 72):
             assert mem.read(addr, 1) == oracle.get(addr, 0)
         assert mem.touched_bytes() == len(oracle)
+
+
+class TestMemoryBulkBeats:
+    def test_write_beats_matches_per_beat_writes(self):
+        bulk, single = MemoryModel("bulk"), MemoryModel("single")
+        addrs = [0x100, 0x104, 0x108, 0x10C]
+        values = [1, 2, 3, 0xFFFF_FFFF]
+        bulk.write_beats(addrs, 4, values)
+        for addr, value in zip(addrs, values):
+            single.write(addr, 4, value)
+        assert bulk.equal_contents(single)
+        assert bulk.write_ops == single.write_ops
+        assert bulk.read_beats(addrs, 4) == [
+            single.read(addr, 4) for addr in addrs
+        ]
+
+    def test_bulk_beats_spill_to_byte_store_like_write(self):
+        bulk, single = MemoryModel("bulk"), MemoryModel("single")
+        addrs = [0x10, 0x11, 0x12]
+        values = [0xAA, 0xBB, 0xCC]
+        bulk.write_beats(addrs, 1, values)
+        for addr, value in zip(addrs, values):
+            single.write(addr, 1, value)
+        assert bulk.equal_contents(single)
+        # Word reads over byte residue merge identically.
+        assert bulk.read_beats([0x10], 4) == [single.read(0x10, 4)]
+
+    @pytest.mark.parametrize("size", [4, 1])
+    @pytest.mark.parametrize("count", [2, 6])
+    def test_write_beats_rejects_value_count_mismatch(self, size, count):
+        """Fewer or more values than addresses raise; nothing is written."""
+        mem = MemoryModel()
+        addrs = [0, 4, 8, 12] if size == 4 else [0, 1, 2, 3]
+        with pytest.raises(MemoryError_, match="values for 4 beat addresses"):
+            mem.write_beats(addrs, size, list(range(1, count + 1)))
+        assert mem.touched_bytes() == 0 and mem.write_ops == 0
+
+
+def _outcome(call):
+    try:
+        return "ok", call()
+    except MemoryError_ as exc:
+        return "error", str(exc)
+
+
+def _per_beat_write(mem, addrs, size, values):
+    for addr, value in zip(addrs, values):
+        mem.write(addr, size, value)
+
+
+@st.composite
+def bulk_bursts(draw):
+    """A burst as a ``range`` or a list, with values some of which may be bad."""
+    size = draw(st.sampled_from((1, 2, 4, 8)))
+    beats = draw(st.integers(0, 8))
+    start = draw(st.integers(-2, 40)) * size + draw(st.sampled_from((0, 0, 0, 1, 2)))
+    addrs = range(start, start + beats * size, size)
+    if draw(st.booleans()):
+        addrs = list(addrs)
+    good = st.integers(0, (1 << (8 * size)) - 1)
+    bad = st.sampled_from((-1, 1 << (8 * size), 1 << 32))
+    value = st.one_of(good, good, good, bad)
+    values = draw(st.lists(value, min_size=beats, max_size=beats))
+    residue = draw(st.lists(st.integers(0, 80), max_size=3))
+    return addrs, size, values, residue
+
+
+class TestBulkBeatsAgainstPerBeat:
+    @settings(max_examples=300, deadline=None)
+    @given(burst=bulk_bursts())
+    def test_bulk_calls_match_per_beat_loop(self, burst):
+        """``read_beats``/``write_beats`` equal per-beat ``read``/``write``.
+
+        Same values, ``read_ops``/``write_ops``, memory image and byte
+        accounting — with or without byte residue, from an unaligned
+        start, and raising the same error after the same written prefix
+        for a negative address or a negative or too-wide value.
+        """
+        addrs, size, values, residue = burst
+        bulk, single = MemoryModel(), MemoryModel()
+        for mem in (bulk, single):
+            mem.write_beats(range(0, 64, 4), 4, list(range(100, 116)))
+            for addr in residue:
+                mem.write(addr, 1, 0x5A)
+        got = _outcome(lambda: bulk.write_beats(addrs, size, values))
+        want = _outcome(lambda: _per_beat_write(single, addrs, size, values))
+        assert got == want
+        assert bulk.equal_contents(single)
+        assert bulk.touched_bytes() == single.touched_bytes()
+        got = _outcome(lambda: bulk.read_beats(addrs, size))
+        want = _outcome(lambda: [single.read(addr, size) for addr in addrs])
+        assert got == want
+        assert (bulk.read_ops, bulk.write_ops) == (single.read_ops, single.write_ops)

@@ -192,32 +192,3 @@ class TestSeqHandleKernel:
         NULL_SEQ_HANDLE.idle(until=5)
         NULL_SEQ_HANDLE.wake()
 
-
-class TestMemoryBulkBeats:
-    def test_write_beats_matches_per_beat_writes(self):
-        from repro.ddr.memory import MemoryModel
-
-        bulk, single = MemoryModel("bulk"), MemoryModel("single")
-        addrs = [0x100, 0x104, 0x108, 0x10C]
-        values = [1, 2, 3, 0xFFFF_FFFF]
-        bulk.write_beats(addrs, 4, values)
-        for addr, value in zip(addrs, values):
-            single.write(addr, 4, value)
-        assert bulk.equal_contents(single)
-        assert bulk.write_ops == single.write_ops
-        assert bulk.read_beats(addrs, 4) == [
-            single.read(addr, 4) for addr in addrs
-        ]
-
-    def test_bulk_beats_spill_to_byte_store_like_write(self):
-        from repro.ddr.memory import MemoryModel
-
-        bulk, single = MemoryModel("bulk"), MemoryModel("single")
-        addrs = [0x10, 0x11, 0x12]
-        values = [0xAA, 0xBB, 0xCC]
-        bulk.write_beats(addrs, 1, values)
-        for addr, value in zip(addrs, values):
-            single.write(addr, 1, value)
-        assert bulk.equal_contents(single)
-        # Word reads over byte residue merge identically.
-        assert bulk.read_beats([0x10], 4) == [single.read(0x10, 4)]
