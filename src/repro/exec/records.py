@@ -59,6 +59,11 @@ _MISSING = object()
 POINT_KEY_SCHEMA = register_content_schema(
     "ahbplus-point-v2", "repro.exec.records.point_key"
 )
+#: Digest of the records a fixed set of points produces at every level
+#: under ``POINT_KEY_SCHEMA`` (``tests/test_record_fingerprint.py``).
+#: A change that moves a cycle at any level must bump that tag and
+#: re-record this digest, so stores keyed under the old tag go cold.
+POINT_KEY_FINGERPRINT = "6e11394130550bc9"
 RECORD_KEY_SCHEMA = register_content_schema(
     "ahbplus-record-v1", "repro.exec.records.RunRecord"
 )
