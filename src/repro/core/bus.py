@@ -7,12 +7,10 @@ transaction boundary to transaction boundary.
 
 Per arbitration round the engine:
 
-1. collects live candidates — pending master transactions plus the
-   write buffer's head when occupied ("the write buffer behaves as
-   another master", §3.3); each candidate is built once per transaction
-   and reused by every round that sees it;
-2. runs the seven-filter arbiter to pick the winner;
-3. lets the write buffer absorb the *losing* writes ("stores the
+1-3. runs the :class:`~repro.core.arbiter.ArbitrationRound` the RTL
+   arbiter runs too: the pending master transactions and the write
+   buffer's head ("the write buffer behaves as another master", §3.3)
+   compete, and the buffer absorbs the *losing* writes ("stores the
    information of write transactions when a master cannot get a bus
    grant at the right time", §3.3), freeing those masters immediately;
 4. serves the winner through the Bus Interface (refresh permission,
@@ -29,6 +27,7 @@ buffer occupancy, QoS misses) is counted, feeding the profiling layer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.ahb.decoder import AddressMap, single_slave_map
@@ -36,9 +35,10 @@ from repro.ahb.master import TlmMaster
 from repro.ahb.slave import TlmSlave
 from repro.ahb.transaction import Transaction
 from repro.ahb.types import HResp
-from repro.core.bus_interface import BusInterface, arbitration_context
+from repro.core.arbiter import ArbitrationRound
+from repro.core.bus_interface import BusInterface, bank_oracle
 from repro.core.config import AhbPlusConfig
-from repro.core.filters import ArbitrationContext, Candidate
+from repro.core.filters import Candidate
 from repro.core.qos import QosRegisterFile
 from repro.core.write_buffer import WriteBuffer
 from repro.errors import ConfigError, SimulationError
@@ -97,15 +97,15 @@ class RequestLine:
         return self.txn
 
 
-class AhbPlusBusTlm:
+class AhbPlusBusTlm(ArbitrationRound):
     """The AHB+ main bus, memory controller attached over the BI.
 
     This class is the one definition of AHB+ transaction-level
-    semantics.  The thread-based engine subclasses it and replaces only
-    where requests are read (``_request_lines``), what answering a
-    master does (:meth:`_released`) and the run loop.  The port API
-    subclasses it to drive the same candidates, context and transfer
-    from calls.
+    semantics, built on the shared :class:`ArbitrationRound`.  The
+    thread-based engine subclasses it and replaces only where requests
+    are read (``_request_lines``), what answering a master does
+    (:meth:`_released`) and the run loop.  The port API subclasses it to
+    drive the same round and transfer from calls.
     """
 
     def __init__(
@@ -128,16 +128,19 @@ class AhbPlusBusTlm:
         self.address_map = (
             address_map if address_map is not None else single_slave_map()
         )
-        self.qos = qos if qos is not None else self.config.build_qos()
-        self.write_buffer = WriteBuffer(
-            depth=self.config.write_buffer_depth,
-            enabled=self.config.write_buffer_enabled,
-        )
-        self.arbiter = self.config.build_arbiter()
         self.bus_interfaces = [
             BusInterface(slave, enabled=self.config.bus_interface_enabled)
             for slave in self.slaves
         ]
+        super().__init__(
+            self.config,
+            WriteBuffer(
+                depth=self.config.write_buffer_depth,
+                enabled=self.config.write_buffer_enabled,
+            ),
+            qos if qos is not None else self.config.build_qos(),
+            partial(bank_oracle, self.bus_interfaces, self.address_map),
+        )
         self._observers: List[TransactionObserver] = []
         self._now = 0
         self._busy_cycles = 0
@@ -146,20 +149,10 @@ class AhbPlusBusTlm:
         self._bytes = 0
         self._pipelined: Optional[Tuple[Candidate, int]] = None
         self._pipelined_grants = 0
-        # Where _collect reads each master's bus request: the traffic
+        # Where the round reads each master's bus request: the traffic
         # agents themselves.  The thread-based engine and the port API
         # substitute RequestLines that their threads or calls raise.
         self._request_lines: Sequence[Union[TlmMaster, RequestLine]] = self.masters
-        # Candidates live as long as their transaction: one per master,
-        # built when its transaction becomes pending, and one for the
-        # write-buffer head, built when that write becomes head.
-        self._master_cands: List[Optional[Candidate]] = [None] * len(self.masters)
-        self._head_cand: Optional[Candidate] = None
-        # One context reused across rounds; _refresh updates the fields
-        # that vary per round.
-        self._ctx = arbitration_context(
-            self.config, self.write_buffer, self.bus_interfaces, self.address_map
-        )
 
     # -- instrumentation ---------------------------------------------------------
 
@@ -176,77 +169,32 @@ class AhbPlusBusTlm:
     def _released(self, txn: Transaction) -> None:
         """*txn*'s master was answered (completed, absorbed, failed or retried)."""
 
-    # -- candidate handling ---------------------------------------------------------
+    # -- what the round reads and frees ---------------------------------------------
 
-    def _collect(
-        self, now: int, exclude: Optional[Transaction] = None
-    ) -> List[Candidate]:
-        """Live candidates at *now*, reusing each transaction's Candidate."""
-        candidates: List[Candidate] = []
-        cached = self._master_cands
-        for index, line in enumerate(self._request_lines):
+    def _requests(self, now: int) -> List[Transaction]:
+        held: List[Transaction] = []
+        for line in self._request_lines:
             txn = line.pending(now)
-            if txn is None or txn is exclude:
-                continue
-            cand = cached[index]
-            if cand is None or cand.txn is not txn:
-                cand = cached[index] = Candidate(
-                    txn=txn,
-                    real_time=self.qos.is_real_time(index),
-                    deadline=self.qos.deadline_for(txn),
-                )
-            candidates.append(cand)
+            if txn is not None:
+                held.append(txn)
         head = self.write_buffer.head()
         if head is not None:
-            cand = self._head_cand
-            if cand is None or cand.txn is not head:
-                cand = self._head_cand = Candidate(txn=head, from_write_buffer=True)
-            candidates.append(cand)
-        return candidates
+            held.append(head)
+        return held
 
-    def _refresh(
-        self, now: int, candidates: List[Candidate]
-    ) -> ArbitrationContext:
-        """The shared context with this round's varying fields updated."""
-        ctx = self._ctx
-        ctx.now = now
-        ctx.write_buffer_occupancy = self.write_buffer.occupancy
-        ctx.read_hazard = self.write_buffer.read_hazard(candidates)
-        return ctx
+    def _free(self, txn: Transaction, now: int) -> None:
+        self.masters[txn.master].absorb(txn, now)
+        self._released(txn)
 
     def _route(self, txn: Transaction) -> Tuple[TlmSlave, BusInterface]:
         index = self.address_map.slave_for(txn.addr)
         return self.slaves[index], self.bus_interfaces[index]
 
-    def _arbitrate(
-        self, now: int, exclude: Optional[Transaction] = None
-    ) -> Optional[Candidate]:
-        """One arbitration round at *now*; ``None`` when nobody requests.
-
-        Losing writes are posted into the write buffer, freeing their
-        masters at once.
-        """
-        candidates = self._collect(now, exclude)
-        if not candidates:
-            return None
-        winner = self.arbiter.choose(candidates, self._refresh(now, candidates))
-        buffer = self.write_buffer
-        for cand in candidates:
-            if cand is winner or cand.from_write_buffer:
-                continue
-            txn = cand.txn
-            if buffer.can_absorb(txn):
-                buffer.absorb(txn, now)
-                self.masters[txn.master].absorb(txn, now)
-                self.qos.record_completion(txn)
-                self._released(txn)
-        return winner
-
     def _lock_next(
         self, sample: int, exclude: Optional[Transaction]
     ) -> Optional[Candidate]:
         """One pipelined sampling point: arbitrate and tell the BI."""
-        winner = self._arbitrate(sample, exclude)
+        winner = self.arbitrate(sample, exclude)
         if winner is not None:
             _slave, bi = self._route(winner.txn)
             bi.send_next_info(winner.txn, sample)
@@ -400,7 +348,7 @@ class AhbPlusBusTlm:
                 self._pipelined = None
                 self._serve(winner, max(self._now, grant_at))
                 continue
-            winner = self._arbitrate(self._now)
+            winner = self.arbitrate(self._now)
             if winner is None:
                 if not self._advance_to_next_request():
                     break

@@ -20,9 +20,7 @@ from typing import Callable, Optional, Sequence
 from repro.ahb.decoder import AddressMap
 from repro.ahb.slave import TlmSlave
 from repro.ahb.transaction import Transaction
-from repro.core.config import AhbPlusConfig
 from repro.core.filters import ArbitrationContext
-from repro.core.write_buffer import WriteBuffer
 
 
 class BusInterface:
@@ -99,13 +97,12 @@ class BusInterface:
         return self.slave.access_permitted_at(txn, cycle)
 
 
-def arbitration_context(
-    config: AhbPlusConfig,
-    write_buffer: WriteBuffer,
+def bank_oracle(
     bus_interfaces: Sequence[BusInterface],
-    address_map: Optional[AddressMap] = None,
-) -> ArbitrationContext:
-    """The context an engine refreshes every round, its bank oracle built once.
+    address_map: AddressMap,
+    ctx: ArbitrationContext,
+) -> Optional[Callable[[int], int]]:
+    """The bank filter's oracle over *bus_interfaces*, built once per bus.
 
     One slave's BI scores every candidate (the paper topology).  On a
     multi-slave map one round's candidates may target different slaves,
@@ -115,20 +112,14 @@ def arbitration_context(
     oracle and the bank filter abstains, as in the RTL arbiter.  The
     oracle scores against ``ctx.now``.
     """
-    ctx = ArbitrationContext(
-        now=0,
-        write_buffer_depth=write_buffer.depth if write_buffer.enabled else 0,
-        urgency_margin=config.urgency_margin,
-        starvation_limit=config.starvation_limit,
-    )
     if len(bus_interfaces) == 1:
-        ctx.access_score = bus_interfaces[0].access_score_fn(ctx)
-    elif config.bus_interface_enabled:
-        scores = [bi.access_score_fn(ctx) for bi in bus_interfaces]
+        return bus_interfaces[0].access_score_fn(ctx)
+    if not any(bi.enabled for bi in bus_interfaces):
+        return None
+    scores = [bi.access_score_fn(ctx) for bi in bus_interfaces]
 
-        def routed(addr: int) -> int:
-            fn = scores[address_map.slave_for(addr)]
-            return 0 if fn is None else fn(addr)
+    def routed(addr: int) -> int:
+        fn = scores[address_map.slave_for(addr)]
+        return 0 if fn is None else fn(addr)
 
-        ctx.access_score = routed
-    return ctx
+    return routed

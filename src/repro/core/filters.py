@@ -76,9 +76,10 @@ class Candidate:
 class ArbitrationContext:
     """Round-shared state the filters consult.
 
-    The bus engines keep one instance alive and refresh its fields each
-    round (see ``AhbPlusBusTlm._refresh``) instead of allocating a new
-    context per arbitration — filters must treat it as read-only.
+    Each :class:`~repro.core.arbiter.ArbitrationRound` keeps one
+    instance alive and refreshes its per-round fields in ``decide``
+    instead of allocating a new context per arbitration — filters must
+    treat it as read-only.
     """
 
     now: int

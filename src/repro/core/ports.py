@@ -17,8 +17,9 @@ an instruction-set simulator or a hand-written test stimulus uses.
 it adds is only the call-driven flow: each call arbitrates one port's
 transaction against the write buffer's next drain, posts writes
 directly into the buffer, and advances the clock past each transfer.
-Candidates, the arbitration context, the arbiter, the QoS registers and
-the slave transfer are the method bus's own.
+It runs the method bus's own arbitration round — collect and decide,
+without absorbing a losing write — and its QoS registers and slave
+transfer.
 """
 
 from __future__ import annotations
@@ -86,9 +87,9 @@ class InteractiveAhbPlus(AhbPlusBusTlm):
         """Arbitrate *txn* against the write buffer's next drain now."""
         line = self._request_lines[txn.master]
         line.txn = txn
-        candidates = self._collect(self._now)
+        candidates = self.collect(self._now)
         line.txn = None
-        return self.arbiter.choose(candidates, self._refresh(self._now, candidates))
+        return self.decide(self._now, candidates)
 
     def _ride(self, cand: Candidate) -> None:
         """Grant *cand* the bus and serve it; advances the clock."""
@@ -137,7 +138,7 @@ class InteractiveAhbPlus(AhbPlusBusTlm):
     def drain_write_buffer(self) -> int:
         """Flush all posted writes; returns the cycle after the last drain."""
         # With no port request raised, the buffer head is the only candidate.
-        while candidates := self._collect(self._now):
+        while candidates := self.collect(self._now):
             self._ride(candidates[0])
         return self._now
 

@@ -110,7 +110,7 @@ class ThreadedAhbPlusBus(AhbPlusBusTlm):
                 yield from self._wait_until(grant_at)
                 pipelined = yield from self._serve_gen(cand)
                 continue
-            winner = self._arbitrate(self.sim.now)
+            winner = self.arbitrate(self.sim.now)
             if winner is None:
                 if self._all_done():
                     self._now = self.sim.now

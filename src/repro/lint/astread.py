@@ -51,9 +51,13 @@ from repro.lint.trace import suppressed_tracking
 #: the cap keeps pathological containers from exploding the analysis.
 MAX_CANDIDATES = 32
 
-#: Interprocedural recursion bound.  The deepest shipped chain is
-#: ``update -> _pipeline_round -> _candidates``; six levels is plenty
-#: while still terminating on accidental recursion.
+#: Interprocedural recursion bound.  The deepest shipped chain runs
+#: through the shared arbitration round, six calls below the entry:
+#: ``ArbiterRtl.update -> _idle_round -> ArbitrationRound.arbitrate ->
+#: decide -> AhbPlusArbiter.choose -> narrow -> <filter>._narrow``.
+#: Its signal reads sit shallower (``arbitrate -> collect ->
+#: ArbiterRtl._requests``, depth 4); the bound still terminates on
+#: accidental recursion.
 MAX_DEPTH = 6
 
 _DRIVE_KINDS = ("drive", "drive_next", "drive_next_lazy")

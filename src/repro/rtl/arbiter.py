@@ -1,32 +1,34 @@
 """Pin-accurate AHB+ arbiter.
 
-Runs the *same* seven-filter decision logic as the TLM arbiter
-(:mod:`repro.core.filters` is shared), but evaluated the RTL way: the
-candidate set is sampled from the HBUSREQ signals at every clock edge,
-grants are registered outputs, and the request-pipelining lock is
-triggered by the DDRC's remaining-beat signal instead of an analytic
-``finish - lead`` computation.  Those sampling-point differences are
-one of the deliberate abstraction gaps that give the TLM its small
-cycle error against this reference.
+Runs the *same* arbitration round as the TLM bus
+(:class:`~repro.core.arbiter.ArbitrationRound`), but evaluated the RTL
+way: the round reads the masters' and the drain engine's requests at a
+clock edge, grants are registered outputs, and the request-pipelining
+lock is triggered by the DDRC's remaining-beat signal instead of an
+analytic ``finish - lead`` computation.  Those sampling-point
+differences are one of the deliberate abstraction gaps that give the
+TLM its small cycle error against this reference.
 
 Decision events:
 
 * **Idle round** — no transfer in flight and no grant outstanding:
-  choose a winner, register its HGRANT, absorb losing writes.
+  run a round, register the winner's HGRANT.
 * **Pipelined lock** — a transfer is streaming and its remaining data
-  beats have fallen to ``pipeline_lead + 1``: choose the *next* winner,
-  register its HGRANT (it waits for ``bus_available``), absorb losing
-  writes, and pulse the next-transaction info over the BI so the DDRC
-  can open the target row early (bank interleaving).
+  beats have fallen to ``pipeline_lead + 1``: run a round for the
+  *next* winner, register its HGRANT (it waits for ``bus_available``)
+  and pulse the next-transaction info over the BI so the DDRC can open
+  the target row early (bank interleaving).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
+from repro.ahb.transaction import Transaction
 from repro.ahb.types import HTrans
+from repro.core.arbiter import ArbitrationRound
 from repro.core.config import AhbPlusConfig
-from repro.core.filters import ArbitrationContext, Candidate
+from repro.core.filters import Candidate
 from repro.core.qos import QosRegisterFile
 from repro.core.write_buffer import WriteBuffer
 from repro.kernel.cycle import CycleEngine, NULL_SEQ_HANDLE
@@ -35,7 +37,7 @@ from repro.rtl.signals import BiSignals, MasterSignals, SharedBusSignals
 from repro.rtl.write_buffer import BufferMasterRtl
 
 
-class ArbiterRtl:
+class ArbiterRtl(ArbitrationRound):
     """The AHB+ arbiter at signal level."""
 
     def __init__(
@@ -52,15 +54,10 @@ class ArbiterRtl:
     ) -> None:
         self.masters = list(masters)
         self.buffer_master = buffer_master
-        self.write_buffer = write_buffer
-        self.qos = qos
         self.config = config
         self.bus = bus
         self.bi = bi
         self.engine = engine
-        #: ``addr -> score`` oracle from the DDRC (None when BI is off).
-        self._ddrc_score = ddrc_score if config.bus_interface_enabled else None
-        self.decision = config.build_arbiter()
         self._idle_grantee: Optional[int] = None  # owner index awaiting start
         self._locked_next = True  # no lock allowed until a transfer begins
         #: Quiescence handle, bound by the platform builder.  The
@@ -72,60 +69,31 @@ class ArbiterRtl:
         self.grants_issued = 0
         self.pipelined_grants = 0
         self.bi_next_info = 0
-        self._master_cands: List[Optional[Candidate]] = [None] * len(self.masters)
-        self._head_cand: Optional[Candidate] = None
-        # Reused across rounds; _ctx() refreshes every varying field.
-        self._ctx_cache = ArbitrationContext(
-            now=0,
-            access_score=self._ddrc_score,
-            urgency_margin=config.urgency_margin,
-            starvation_limit=config.starvation_limit,
-        )
+        # Requesters in round order: the masters, then the drain engine.
+        self._requesters = [*self.masters, buffer_master]
+        # The DDRC's ``addr -> score`` oracle; none when the BI is off.
+        score = ddrc_score if config.bus_interface_enabled else None
+        super().__init__(config, write_buffer, qos, lambda _ctx: score)
 
-    # -- candidate assembly ------------------------------------------------------
+    # -- what the round reads and frees ---------------------------------------------
 
-    def _candidates(self) -> List[Candidate]:
-        """Requesting masters and the drain engine, one Candidate per transaction.
+    def _requests(self, now: int) -> List[Transaction]:
+        """Requested transactions, skipping any whose NONSEQ is on the bus
+        this cycle: that request is being consumed, not awaiting a grant."""
+        nonseq = int(HTrans.NONSEQ)
+        held: List[Transaction] = []
+        for requester in self._requesters:
+            txn = requester.current_transaction
+            if txn is not None and requester.sig.htrans.value != nonseq:
+                held.append(txn)
+        return held
 
-        As in the TLM bus, a Candidate is built when its transaction
-        first requests and reused by every later round that sees it.
-        """
-        candidates: List[Candidate] = []
-        cached = self._master_cands
-        for slot, master in enumerate(self.masters):
-            txn = master.current_transaction
-            if txn is None:
-                continue
-            # Skip a master whose address phase is on the bus this cycle;
-            # its request is being consumed, not awaiting arbitration.
-            if master.sig.htrans.value == int(HTrans.NONSEQ):
-                continue
-            cand = cached[slot]
-            if cand is None or cand.txn is not txn:
-                cand = cached[slot] = Candidate(
-                    txn=txn,
-                    real_time=self.qos.is_real_time(master.index),
-                    deadline=self.qos.deadline_for(txn),
-                )
-            candidates.append(cand)
-        head = self.buffer_master.current_transaction
-        if head is not None and self.buffer_master.sig.htrans.value != int(
-            HTrans.NONSEQ
-        ):
-            cand = self._head_cand
-            if cand is None or cand.txn is not head:
-                cand = self._head_cand = Candidate(txn=head, from_write_buffer=True)
-            candidates.append(cand)
-        return candidates
-
-    def _ctx(self, now: int, candidates: Sequence[Candidate]) -> ArbitrationContext:
-        buffer = self.write_buffer
-        ctx = self._ctx_cache
-        ctx.now = now
-        ctx.write_buffer_occupancy = buffer.occupancy
-        ctx.write_buffer_depth = buffer.depth if buffer.enabled else 0
-        ctx.read_hazard = buffer.read_hazard(candidates)
-        return ctx
+    def _free(self, txn: Transaction, now: int) -> None:
+        self.masters[txn.master].absorb_current(now)
+        # The drain engine updates after the arbiter in the same cycle,
+        # so it sees the new head immediately (reference ordering
+        # preserved).
+        self.buffer_master.seq.wake()
 
     # -- grant plumbing ---------------------------------------------------------------
 
@@ -137,27 +105,8 @@ class ArbiterRtl:
     def _drive_grants(self, winner_index: Optional[int]) -> None:
         # Lazy drives: all but the winner (and the previous winner) are
         # re-registering an unchanged 0 — eliding those no-op commits.
-        for master in self.masters:
-            master.sig.hgrant.drive_next_lazy(master.index == winner_index)
-        self.buffer_master.sig.hgrant.drive_next_lazy(
-            winner_index == self.buffer_master.index
-        )
-
-    def _absorb_losers(
-        self, candidates: Sequence[Candidate], winner: Candidate, cycle: int
-    ) -> None:
-        for cand in candidates:
-            if cand is winner or cand.from_write_buffer:
-                continue
-            txn = cand.txn
-            if self.write_buffer.can_absorb(txn):
-                self.write_buffer.absorb(txn, cycle)
-                self.masters[txn.master].absorb_current(cycle)
-                self.qos.record_completion(txn)
-                # The drain engine updates after the arbiter in the same
-                # cycle, so it sees the new head immediately (reference
-                # ordering preserved).
-                self.buffer_master.seq.wake()
+        for requester in self._requesters:
+            requester.sig.hgrant.drive_next_lazy(requester.index == winner_index)
 
     # -- sequential phase ----------------------------------------------------------------
 
@@ -193,19 +142,14 @@ class ArbiterRtl:
                 self.seq.idle()
 
     def _any_request(self) -> bool:
-        for master in self.masters:
-            if master.current_transaction is not None:
-                return True
-        return self.buffer_master.current_transaction is not None
+        return any(r.current_transaction is not None for r in self._requesters)
 
     def _idle_round(self, now: int) -> None:
         if self._idle_grantee is not None:
             return  # winner already chosen; it is waiting for the bus
-        candidates = self._candidates()
-        if not candidates:
+        winner = self.arbitrate(now)
+        if winner is None:
             return
-        winner = self.decision.choose(candidates, self._ctx(now, candidates))
-        self._absorb_losers(candidates, winner, now)
         owner = self._owner_index(winner)
         self._idle_grantee = owner
         self._drive_grants(owner)
@@ -230,11 +174,9 @@ class ArbiterRtl:
             # HBUSREQ, the transfer ending) is on the wake-on list.
             self.seq.idle(until=now + lead_gap)
             return
-        candidates = self._candidates()
-        if not candidates:
+        winner = self.arbitrate(now)
+        if winner is None:
             return
-        winner = self.decision.choose(candidates, self._ctx(now, candidates))
-        self._absorb_losers(candidates, winner, now)
         owner = self._owner_index(winner)
         self._drive_grants(owner)
         self._locked_next = True

@@ -598,14 +598,6 @@ class DdrcRtl:
 
     # -- step 6: registered outputs for the next cycle ------------------------------------------
 
-    def _beat_next_cycle(self) -> bool:
-        stream = self._stream
-        return (
-            stream is not None
-            and self.engine.cycle + 1 >= stream.data_start
-            and stream.beats_done < stream.length
-        )
-
     def _drive_outputs_lean(self, stream: _Stream) -> None:
         """Registered outputs for a steady mid-stream beat.
 

@@ -245,7 +245,7 @@ class RtlPlatform:
             rt_deadline_misses=self.qos.deadline_misses,
             pipelined_grants=self.arbiter.pipelined_grants,
             bi_next_info=self.arbiter.bi_next_info,
-            filter_stats=self.arbiter.decision.filter_stats(),
+            filter_stats=self.arbiter.arbiter.filter_stats(),
         )
 
 

@@ -16,6 +16,8 @@ from repro.analysis import (
     run_table1,
     speed_comparison,
 )
+from repro.errors import SimulationError
+from repro.exec.records import RunRecord
 from repro.traffic import (
     single_master_workload,
     table1_pattern_a,
@@ -35,6 +37,31 @@ class TestAccuracy:
         assert result.functional_match
         assert result.total_error_pct < 15.0
         assert len(result.rows) == 4
+
+    def test_compare_models_raises_on_read_data_mismatch(self):
+        # Same memory image, different data for master 1's second read.
+        def record(engine, reads):
+            return RunRecord(
+                label=engine, axis="engine", value=repr(engine), engine=engine,
+                system="stub", workload="stub", seed=0, cycles=100,
+                transactions=4, bytes_transferred=16, busy_cycles=50,
+                metrics=(
+                    ("image", ((0x40, 7),)),
+                    ("last_activity", (90, 95)),
+                    ("reads", reads),
+                ),
+            )
+
+        class StubRunner:
+            def run(self, grid, collect=None, max_cycles=None):
+                return [
+                    record("rtl", (((0x0, (1,)),), ((0x10, (2,)), (0x20, (3,))))),
+                    record("tlm", (((0x0, (1,)),), ((0x10, (2,)), (0x20, (9,))))),
+                ]
+
+        workload = single_master_workload(2)
+        with pytest.raises(SimulationError, match=r"master 1 read #1"):
+            compare_models(workload, runner=StubRunner())
 
     def test_run_table1_aggregates(self):
         result = run_table1([table1_pattern_a(30), single_master_workload(30)])

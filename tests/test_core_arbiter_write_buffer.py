@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 from repro.ahb.burst import transaction_footprint
 from repro.ahb.master import TlmMaster, TrafficItem
 from repro.ahb.transaction import WRITE_BUFFER_MASTER, Transaction
-from repro.ahb.types import AccessKind
-from repro.core.arbiter import AhbPlusArbiter
+from repro.ahb.types import AccessKind, HResp
+from repro.core.arbiter import AhbPlusArbiter, ArbitrationRound
 from repro.core.bus import AhbPlusBusTlm
+from repro.core.config import AhbPlusConfig
 from repro.core.filters import (
     FILTER_NAMES,
     ArbitrationContext,
@@ -16,6 +17,7 @@ from repro.core.filters import (
     TieBreakFilter,
     default_filter_chain,
 )
+from repro.core.qos import QosRegisterFile, QosSetting
 from repro.core.write_buffer import WriteBuffer
 from repro.ddr.controller import DdrControllerTlm
 from repro.ddr.timing import DDR_TEST
@@ -310,7 +312,7 @@ def tlm_candidates(reads):
         for index, txn in enumerate(reads)
     ]
     bus = AhbPlusBusTlm(masters, [DdrControllerTlm(timing=DDR_TEST)])
-    return bus._collect(0)
+    return bus.collect(0)
 
 
 def rtl_candidates(platform, reads):
@@ -319,7 +321,7 @@ def rtl_candidates(platform, reads):
         master.state, master._txn = MasterState.IDLE, None
     for master, txn in zip(platform.masters, reads):
         master.state, master._txn = MasterState.REQUEST, txn
-    return platform.arbiter._candidates()
+    return platform.arbiter.collect(platform.engine.cycle)
 
 
 @st.composite
@@ -382,9 +384,10 @@ class TestStoredFootprints:
     def test_read_hazard_agrees_with_recomputed_footprints(self, engine, ops):
         """Footprints the bus engines put on Candidates drive ``read_hazard``.
 
-        Candidates come from the TLM bus's ``_collect`` or the RTL
-        arbiter's ``_candidates``; the verdict and ``hazard_hits`` must
-        match footprints recomputed from the transactions.
+        Candidates come from the arbitration round of the TLM bus or of
+        the RTL arbiter, each reading its own level's requests; the
+        verdict and ``hazard_hits`` must match footprints recomputed from
+        the transactions.
         """
         platform = None
         if engine == "rtl":
@@ -422,3 +425,119 @@ class TestStoredFootprints:
             master=1, kind=AccessKind.READ, addr=0x2C, beats=4, wrapping=True
         )
         assert Candidate(txn=wrapped).footprint == (0x20, 0x30)
+
+
+# -- the arbitration round on its own ---------------------------------------------
+
+
+class Pick:
+    """Stub arbiter: the candidate issued by *master* wins every round."""
+
+    def __init__(self, master):
+        self.master = master
+
+    def choose(self, candidates, ctx):
+        return next(c for c in candidates if c.txn.master == self.master)
+
+
+class FakeLevel(ArbitrationRound):
+    """A level whose requests are a plain list and whose ``free`` records.
+
+    ``held[i]`` is what master *i* requests (``None`` when idle); the
+    write buffer's head follows the masters.  Each freed write is logged
+    with the QoS completions counted when its master was freed.
+    """
+
+    def __init__(self, held, winner, depth=4, qos=None, bank_oracle=lambda ctx: None):
+        super().__init__(
+            AhbPlusConfig(num_masters=len(held)),
+            WriteBuffer(depth=depth),
+            qos if qos is not None else QosRegisterFile(len(held)),
+            bank_oracle,
+        )
+        self.arbiter = Pick(winner)
+        self.held = list(held)
+        self.freed = []
+
+    def _requests(self, now):
+        live = [*self.held, self.write_buffer.head()]
+        return [txn for txn in live if txn is not None]
+
+    def _free(self, txn, now):
+        self.freed.append((txn, self.qos.deadline_hits + self.qos.deadline_misses))
+        txn.finished_at = now
+
+
+class TestArbitrationRound:
+    @pytest.mark.parametrize("winner", [0, 2, WRITE_BUFFER_MASTER])
+    def test_winner_and_drain_head_are_never_absorbed(self, winner):
+        writes = [write(m, 0x100 * m) for m in range(3)]
+        level = FakeLevel(writes, winner)
+        head = level.write_buffer.absorb(write(0, 0x800), 0)
+        assert level.arbitrate(5).txn.master == winner
+        losers = [txn for txn in writes if txn.master != winner]
+        assert [txn for txn, _ in level.freed] == losers
+        assert level.write_buffer.head() is head
+        assert level.write_buffer.occupancy == 1 + len(losers)
+
+    def test_locked_and_faulted_writes_are_never_absorbed(self):
+        locked = write(1, 0x100, locked=True)
+        faulted = write(2, 0x200)
+        faulted.fault_plan = (int(HResp.ERROR),)
+        level = FakeLevel([read(0), locked, faulted], 0)
+        level.arbitrate(0)
+        assert level.freed == [] and level.write_buffer.is_empty
+
+    def test_writes_offered_to_a_full_buffer_are_never_absorbed(self):
+        level = FakeLevel([write(0, 0x0), write(1, 0x100), write(2, 0x200)], 0, depth=1)
+        level.write_buffer.absorb(write(0, 0x800), 0)
+        level.arbitrate(0)
+        assert level.freed == []
+        assert level.write_buffer.occupancy == 1
+        assert level.write_buffer.rejected_full == 2
+
+    def test_free_runs_before_the_qos_completion(self):
+        qos = QosRegisterFile(2)
+        qos.configure(1, QosSetting(real_time=True, objective_cycles=10))
+        rt_write = write(1, 0x100)
+        rt_write.issued_at = 0
+        level = FakeLevel([read(0), rt_write], 0, qos=qos)
+        level.arbitrate(4)
+        # Nothing was recorded yet when the master was freed, and the
+        # absorbed real-time write then counts as a deadline hit.
+        assert level.freed == [(rt_write, 0)]
+        assert (qos.deadline_hits, qos.deadline_misses) == (1, 0)
+
+    def test_candidates_live_as_long_as_their_transaction(self):
+        level = FakeLevel([read(0, 0x0), read(1, 0x100)], 0)
+        level.write_buffer.absorb(write(0, 0x800), 0)
+        before = level.collect(0)
+        again = level.collect(3)
+        assert all(a is b for a, b in zip(before, again))
+        assert [c.from_write_buffer for c in before] == [False, False, True]
+        level.held[0] = read(0, 0x40)
+        after = level.collect(6)
+        assert after[0] is not before[0] and after[0].txn is level.held[0]
+        assert after[1] is before[1] and after[2] is before[2]
+
+    def test_excluded_transfer_is_not_a_candidate(self):
+        busy = read(0)
+        level = FakeLevel([busy, read(1)], 1)
+        assert [c.txn.master for c in level.collect(0, exclude=busy)] == [1]
+        assert level.arbitrate(0, exclude=busy).txn.master == 1
+        assert FakeLevel([None, None], 0).arbitrate(0) is None
+
+    def test_one_context_refreshed_per_round(self):
+        level = FakeLevel(
+            [read(0, 0x0), read(1, 0x100)],
+            1,
+            depth=3,
+            bank_oracle=lambda ctx: (lambda addr: ctx.now),
+        )
+        ctx = level.ctx
+        assert ctx.write_buffer_depth == 3
+        level.write_buffer.absorb(write(0, 0x0), 0)
+        level.arbitrate(9)
+        assert level.ctx is ctx
+        assert (ctx.now, ctx.write_buffer_occupancy, ctx.read_hazard) == (9, 1, True)
+        assert ctx.access_score(0x40) == 9

@@ -155,6 +155,21 @@ def test_shipped_busmux_declares_every_read():
     assert mux_findings == []
 
 
+def test_static_reads_see_through_the_arbitration_round():
+    """The RTL arbiter's request source lives behind the shared round:
+    the static walk from ``ArbiterRtl.update`` must still find every
+    master's and the drain engine's ``htrans`` read."""
+    from repro.lint.astread import analyze_process
+    from repro.system import PlatformBuilder, paper_topology
+
+    arbiter = PlatformBuilder(paper_topology(transactions=1)).build("rtl").arbiter
+    reads = analyze_process(arbiter.update).read_signals
+    requesters = [*arbiter.masters, arbiter.buffer_master]
+    assert len(requesters) == 5
+    missing = [m.sig.htrans.name for m in requesters if m.sig.htrans not in reads]
+    assert missing == []
+
+
 def test_json_report_shape(capsys):
     from repro.lint.__main__ import main
 

@@ -99,7 +99,7 @@ class TestRtlArbiterBehaviour:
         platform = PlatformBuilder(
             paper_topology(workload=table1_pattern_c(10))
         ).build("rtl")
-        names = [f.name for f in platform.arbiter.decision.filters]
+        names = [f.name for f in platform.arbiter.arbiter.filters]
         assert names == [
             "request",
             "hazard",
@@ -118,7 +118,7 @@ class TestRtlArbiterBehaviour:
         platform = PlatformBuilder(
             paper_topology(workload=workload, config=cfg)
         ).build("rtl")
-        assert not platform.arbiter.decision.filter_by_name("bank").enabled
+        assert not platform.arbiter.arbiter.filter_by_name("bank").enabled
 
     def test_grants_issued_counted(self):
         platform = PlatformBuilder(
