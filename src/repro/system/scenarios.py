@@ -65,11 +65,9 @@ def mpeg_bursty(
     Two decoder streams issue frame-sized clumps of long bursts
     separated by inter-frame gaps (the :data:`~repro.traffic.patterns.
     MPEG` pattern's ``burst_gap``) while a CPU and a writer interfere —
-    the bursty arrival process from the scenario backlog.  The workload
-    generates in ``stream`` mode, so the think-time draws (including
-    the gap draws) batch through the new stream generator; both
-    abstraction levels replay the identical stream, so the scenario is
-    runnable at TLM and RTL alike.
+    the bursty arrival process from the scenario backlog.  Both
+    abstraction levels replay the identical seeded stream, so the
+    scenario is runnable at TLM and RTL alike.
     """
     window = 1 << 20
     specs = (
@@ -96,7 +94,7 @@ def mpeg_bursty(
             transactions,
         ),
     )
-    workload = Workload("mpeg_bursty", specs, seed, gen_mode="stream")
+    workload = Workload("mpeg_bursty", specs, seed)
     return SystemSpec(
         name="mpeg_bursty", workload=workload, bus=BusSpec(config=config)
     )

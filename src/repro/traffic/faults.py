@@ -172,8 +172,7 @@ class FaultInjector:
     """Re-iterable wrapper stamping fault plans onto a traffic source.
 
     Wraps any iterable of :class:`~repro.ahb.master.TrafficItem` (a
-    list, a generator factory, a lazy
-    :class:`~repro.traffic.streams.TrafficStream`) and stamps
+    generated item list, a trace replay) and stamps
     ``fault_plan``/``retry_limit`` onto eligible transactions as they
     stream past.  The per-master ordinal counts *every* item — faulted
     or not — so plans stay aligned with the traffic regardless of the

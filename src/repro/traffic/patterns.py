@@ -197,9 +197,8 @@ WRITER = TrafficPattern(
 )
 
 #: MPEG-like decoder: frame-sized clumps of long sequential bursts
-#: separated by inter-frame idle gaps (the bursty arrival process the
-#: scenario backlog asks for; generate with ``mode="stream"`` so the
-#: gap draws batch).
+#: separated by inter-frame idle gaps (the bursty arrival process of
+#: the ``mpeg-bursty`` scenario).
 MPEG = TrafficPattern(
     name="mpeg",
     read_fraction=0.85,

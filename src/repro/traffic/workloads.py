@@ -23,8 +23,7 @@ from repro.ahb.transaction import WRITE_BUFFER_MASTER
 from repro.core.qos import QosSetting
 from repro.errors import TrafficError
 from repro.traffic.faults import FaultInjector, FaultSpec
-from repro.traffic.generator import generate_items, stream_items
-from repro.traffic.streams import GENERATION_MODES
+from repro.traffic.generator import generate_items
 from repro.traffic.patterns import (
     AUDIO,
     CPU,
@@ -90,16 +89,14 @@ WORKLOAD_KEY_SCHEMA = register_content_schema(
 class Workload:
     """A complete, seeded multi-master scenario.
 
-    ``gen_mode`` selects the traffic generator: ``"compat"`` (default)
-    materialises the legacy bit-exact stream eagerly at build time;
-    ``"stream"`` feeds masters a lazy batched
-    :class:`~repro.traffic.streams.TrafficStream`.
+    Synthetic masters draw their items eagerly at build time from
+    :func:`~repro.traffic.generator.generate_items`, the one seeded
+    generator.
     """
 
     name: str
     masters: Tuple[MasterSpec, ...]
     seed: int = 1
-    gen_mode: str = "compat"
     #: ``"synthetic"`` draws from the master specs' patterns;
     #: ``"trace"`` replays the bound :class:`TraceSource` verbatim
     #: (build via :meth:`from_trace`).
@@ -112,11 +109,6 @@ class Workload:
     def __post_init__(self) -> None:
         if not self.masters:
             raise TrafficError("workload needs at least one master")
-        if self.gen_mode not in GENERATION_MODES:
-            raise TrafficError(
-                f"unknown gen_mode {self.gen_mode!r}; "
-                f"choose from {GENERATION_MODES}"
-            )
         if self.source not in WORKLOAD_SOURCES:
             raise TrafficError(
                 f"unknown workload source {self.source!r}; "
@@ -149,13 +141,11 @@ class Workload:
     ) -> List[TlmMaster]:
         """Instantiate fresh traffic agents (one run's worth).
 
-        Compat mode materialises items eagerly (bit-exact legacy
-        behaviour: generation cost stays in the untimed build phase);
-        stream mode hands each master a lazy batched stream.  Trace
-        workloads replay the archived records instead — every engine
-        level gets the identical per-master item sequence, issue-order
-        sorted, with the original issue cycles as ``not_before``
-        constraints when the source preserves them.
+        Synthetic items are generated eagerly, before the run starts.
+        Trace workloads replay the archived records instead — every
+        engine level gets the identical per-master item sequence,
+        issue-order sorted, with the original issue cycles as
+        ``not_before`` constraints when the source preserves them.
 
         ``extra_faults`` carries slave-scoped fault models the platform
         builder collected from the system spec; together with the
@@ -205,22 +195,19 @@ class Workload:
                 )
                 for index, spec in enumerate(self.masters)
             ]
-        agents: List[TlmMaster] = []
-        for index, spec in enumerate(self.masters):
-            if self.gen_mode == "compat":
-                items = generate_items(
-                    spec.pattern, index, spec.transactions, self.seed
-                )
-            else:
-                items = stream_items(
-                    spec.pattern,
+        return [
+            TlmMaster(
+                index,
+                spec.name,
+                wrap(
+                    generate_items(
+                        spec.pattern, index, spec.transactions, self.seed
+                    ),
                     index,
-                    spec.transactions,
-                    self.seed,
-                    mode=self.gen_mode,
-                )
-            agents.append(TlmMaster(index, spec.name, wrap(items, index)))
-        return agents
+                ),
+            )
+            for index, spec in enumerate(self.masters)
+        ]
 
     def scaled(self, factor: float) -> "Workload":
         """Same mix with transaction counts scaled by *factor*."""
@@ -257,7 +244,6 @@ class Workload:
         payload = {
             "name": self.name,
             "seed": self.seed,
-            "gen_mode": self.gen_mode,
             "source": self.source,
             "masters": [spec.to_dict() for spec in self.masters],
         }
@@ -273,6 +259,15 @@ class Workload:
         missing = {"name", "masters"} - set(data)
         if missing:
             raise TrafficError(f"Workload needs fields {sorted(missing)}")
+        # Payloads once named their generator; only the one that is left
+        # may still be named, so a request for another fails loudly
+        # instead of running different traffic.
+        gen_mode = data.get("gen_mode", "compat")
+        if gen_mode != "compat":
+            raise TrafficError(
+                f"traffic generator {gen_mode!r} was removed; the one "
+                f"seeded generator is 'compat'"
+            )
         raw_trace = data.get("trace")
         raw_fault = data.get("fault")
         return cls(
@@ -281,7 +276,6 @@ class Workload:
                 MasterSpec.from_dict(spec) for spec in data["masters"]
             ),
             seed=int(data.get("seed", 1)),
-            gen_mode=str(data.get("gen_mode", "compat")),
             source=str(data.get("source", "synthetic")),
             trace=(
                 None if raw_trace is None else TraceSource.from_dict(raw_trace)

@@ -181,11 +181,15 @@ class TestRunnerKnobs:
 
 class TestImportCost:
     def test_runner_and_serving_imports_leave_numpy_unloaded(self):
-        """numpy loads only on first stream-mode traffic generation."""
+        """Importing the runner and serving layers and generating a
+        scenario's traffic never loads numpy."""
         src = Path(__file__).resolve().parent.parent / "src"
         probe = (
             "import sys; sys.path.insert(0, sys.argv[1]); "
             "import repro.system, repro.exec, repro.serve; "
+            "from repro.system.scenarios import scenario; "
+            "scenario('mpeg-bursty', transactions=20).workload"
+            ".build_masters(); "
             "print('numpy' in sys.modules)"
         )
         out = subprocess.run(
@@ -195,3 +199,27 @@ class TestImportCost:
             check=True,
         ).stdout
         assert out.strip() == "False"
+
+
+class TestWithoutNumpy:
+    def test_mpeg_bursty_plain_pin_holds_without_numpy(self):
+        """Traffic generation needs nothing beyond the standard library:
+        with numpy unimportable, the ``mpeg-bursty`` plain run still
+        reads its pinned row in ``test_plain_pin.py``."""
+        tests = Path(__file__).resolve().parent
+        probe = (
+            "import sys; sys.modules['numpy'] = None; "
+            "sys.path[:0] = sys.argv[1:3]; "
+            "from repro.system.scenarios import scenario; "
+            "from test_plain_pin import PINNED, measure; "
+            "print(measure(scenario('mpeg-bursty', transactions=60))); "
+            "print(PINNED['mpeg-bursty'])"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe, str(tests.parent / "src"), str(tests)],
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        row, pinned = out.splitlines()
+        assert row == pinned

@@ -106,7 +106,7 @@ PINNED = {
     "fuzz-7": (131, 6, 20, 58, (3, 3), 0, 1, 'c5a34c6dcb36f196'),
     "fuzz-8": (54, 6, 54, 42, (6,), 0, 2, 'a33323a9a99c6e18'),
     "fuzz-9": (178, 4, 256, 79, (8, 5), 9, 6, '0c4c02641fc753f9'),
-    "mpeg-bursty": (3645, 240, 7104, 3238, (60, 60, 60, 60), 0, 0, 'f0253d1d2a2c375d'),
+    "mpeg-bursty": (3731, 240, 7184, 3300, (60, 60, 60, 60), 0, 0, '3f5dd2e441c17aa7'),
     "multi-slave-soc": (4888, 320, 6492, 3127, (80, 80, 80, 80), 0, 0, 'fc85f65c1d5d77e1'),
     "pattern-a": (8343, 480, 19828, 7716, (120, 120, 120, 120), 0, 0, '225a405f7ee955e3'),
     "pattern-b": (5811, 480, 4952, 5038, (120, 120, 120, 120), 0, 0, 'b8cf04f9bd2d3722'),

@@ -404,6 +404,24 @@ class TestPersistenceAcrossRestart:
         assert second.sources == ("store",) * len(grid)
         assert second.records == first.records
 
+    def test_point_key_tag_bump_leaves_the_old_store_cold(
+        self, tmp_path, monkeypatch
+    ):
+        """Records filed under one point-key tag are never replayed
+        under the next: a bumped model revision reruns every point."""
+        from repro.exec import records
+
+        path = tmp_path / "results.jsonl"
+        grid = _grid()
+        with SweepServer(store=ResultStore(path)) as server:
+            cold = ServeClient(*server.address).submit(grid)
+        monkeypatch.setattr(records, "POINT_KEY_SCHEMA", "ahbplus-point-bumped")
+        with SweepServer(store=ResultStore(path)) as server:
+            bumped = ServeClient(*server.address).submit(grid)
+        assert bumped.hits == 0
+        assert bumped.sources == ("run",) * len(grid)
+        assert bumped.records == cold.records
+
 
 class TestCli:
     """`python -m repro.serve` end-to-end: serve, submit, status, shutdown."""

@@ -295,7 +295,6 @@ class TestMpegBurstyScenario:
 
     def test_registered_and_stream_mode(self):
         spec = scenario("mpeg-bursty", transactions=10)
-        assert spec.workload.gen_mode == "stream"
         patterns = [m.pattern for m in spec.workload.masters]
         assert any(p.burst_gap is not None for p in patterns)
         # RT decoder streams carry QoS settings into the config.

@@ -13,6 +13,7 @@ from repro.system import PlatformBuilder, paper_topology
 from repro.traffic import (
     CPU,
     DMA,
+    NAMED_PATTERNS,
     VIDEO,
     TraceRecord,
     TraceRecorder,
@@ -92,7 +93,7 @@ class TestGenerator:
     @settings(max_examples=25)
     @given(seed=st.integers(0, 10_000))
     def test_all_generated_traffic_is_protocol_legal(self, seed):
-        for pattern in (CPU, DMA, VIDEO):
+        for pattern in NAMED_PATTERNS.values():
             for item in generate_items(pattern, 0, 30, seed):
                 txn = item.txn
                 check_burst_legal(txn)

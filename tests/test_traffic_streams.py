@@ -1,8 +1,8 @@
-"""Batched stream generator: compat bit-exactness and stream-mode laws.
+"""The seeded traffic generator: bit-exactness, laws and workload payloads.
 
-The compat-mode contract is the strongest kind: for every
-``(pattern, master, count, seed)`` the new generator must produce the
-*identical* ``TrafficItem`` sequence the seed implementation produced.
+The generator's contract is the strongest kind: for every
+``(pattern, master, count, seed)`` it must produce the *identical*
+``TrafficItem`` sequence the seed implementation produced.
 ``_legacy_generate`` below is a verbatim frozen copy of that seed
 implementation — the golden arbitration trace pins the same property
 end-to-end, this test pins it item by item.
@@ -20,23 +20,22 @@ from repro.ahb.transaction import Transaction
 from repro.ahb.types import AccessKind
 from repro.errors import TrafficError
 from repro.traffic import (
+    AUDIO,
     CPU,
     DMA,
     MPEG,
+    RANDOM,
     VIDEO,
     WRITER,
-    GENERATION_MODES,
     TrafficPattern,
-    TrafficStream,
     Workload,
     generate_items,
-    stream_items,
     table1_pattern_a,
 )
-from repro.traffic.streams import _beat_data
+from repro.traffic.generator import _beat_data
 
 
-# -- the frozen seed implementation (reference for compat mode) -----------------
+# -- the frozen seed implementation (the generator's reference) ------------------
 
 
 def _legal_beats(addr, beats, size_bytes, span_end):
@@ -188,34 +187,30 @@ class TestCompatBitExactness:
                 assert got == want
                 assert bulk.getstate() == per_beat.getstate()
 
-    def test_lazy_stream_equals_eager_list(self):
-        stream = stream_items(CPU, 1, 50, seed=9)
-        eager = generate_items(CPU, 1, 50, seed=9)
-        assert [_item_tuple(i) for i in stream] == [
-            _item_tuple(i) for i in eager
-        ]
 
-
-class TestStreamMode:
-    def test_deterministic_per_seed_and_reiterable(self):
-        stream = stream_items(DMA, 0, 80, seed=3, mode="stream")
-        first = [_item_tuple(i) for i in stream]
-        second = [_item_tuple(i) for i in stream]  # restart from seed
-        assert first == second
-        assert first == [
-            _item_tuple(i) for i in generate_items(DMA, 0, 80, 3, mode="stream")
-        ]
+class TestGeneratorLaws:
+    def test_deterministic_per_seed(self):
+        """Every call restarts from the seed."""
+        first = [_item_tuple(i) for i in generate_items(DMA, 0, 80, 3)]
+        assert first == [_item_tuple(i) for i in generate_items(DMA, 0, 80, 3)]
 
     def test_different_seeds_differ(self):
-        a = generate_items(CPU, 0, 50, 7, mode="stream")
-        b = generate_items(CPU, 0, 50, 8, mode="stream")
+        a = generate_items(CPU, 0, 50, 7)
+        b = generate_items(CPU, 0, 50, 8)
+        assert [i.txn.addr for i in a] != [i.txn.addr for i in b]
+
+    def test_different_masters_differ(self):
+        """The master index is part of the seed: two masters on one
+        pattern do not issue the same stream."""
+        a = generate_items(CPU, 0, 50, 7)
+        b = generate_items(CPU, 1, 50, 7)
         assert [i.txn.addr for i in a] != [i.txn.addr for i in b]
 
     @pytest.mark.parametrize(
-        "pattern", (*PATTERNS, MPEG), ids=lambda p: p.name
+        "pattern", (*PATTERNS, MPEG, AUDIO, RANDOM), ids=lambda p: p.name
     )
     def test_protocol_legal(self, pattern):
-        for item in generate_items(pattern, 0, 300, 13, mode="stream"):
+        for item in generate_items(pattern, 0, 300, 13):
             txn = item.txn
             check_burst_legal(txn)
             assert txn.addr % txn.size_bytes == 0
@@ -225,31 +220,20 @@ class TestStreamMode:
 
     def test_write_items_carry_data(self):
         writer = replace(CPU, read_fraction=0.0)
-        for item in generate_items(writer, 0, 30, 3, mode="stream"):
+        for item in generate_items(writer, 0, 30, 3):
             assert item.txn.is_write
             assert len(item.txn.data) == item.txn.beats
             assert all(0 <= w < (1 << 32) for w in item.txn.data)
 
     def test_periodic_pattern_sets_schedule(self):
-        items = generate_items(VIDEO, 0, 5, 1, mode="stream")
+        items = generate_items(VIDEO, 0, 5, 1)
         assert [i.not_before for i in items] == [
             k * VIDEO.period for k in range(5)
         ]
         assert all(i.absolute_deadline is not None for i in items)
 
-    def test_chunk_boundaries_are_invisible(self):
-        whole = [
-            _item_tuple(i)
-            for i in TrafficStream(CPU, 0, 100, 5, mode="stream", chunk=1000)
-        ]
-        chunked = [
-            _item_tuple(i)
-            for i in TrafficStream(CPU, 0, 100, 5, mode="stream", chunk=7)
-        ]
-        assert whole == chunked
-
     def test_spans_legal_and_sequential_chain(self):
-        items = generate_items(STRIDED, 0, 4, 1, mode="stream")
+        items = generate_items(STRIDED, 0, 4, 1)
         addrs = [i.txn.addr for i in items]
         assert addrs == [0x0, 0x1000, 0x2000, 0x3000]
 
@@ -257,14 +241,13 @@ class TestStreamMode:
 class TestBurstGap:
     def test_gap_applies_at_burst_boundaries(self):
         per_burst, gap_lo, gap_hi = MPEG.burst_gap
-        for mode in GENERATION_MODES:
-            items = generate_items(MPEG, 0, 3 * per_burst + 1, 4, mode=mode)
-            for index, item in enumerate(items):
-                if index > 0 and index % per_burst == 0:
-                    assert gap_lo <= item.think_cycles <= gap_hi, (mode, index)
-                else:
-                    lo, hi = MPEG.think_range
-                    assert lo <= item.think_cycles <= hi, (mode, index)
+        items = generate_items(MPEG, 0, 3 * per_burst + 1, 4)
+        for index, item in enumerate(items):
+            if index > 0 and index % per_burst == 0:
+                assert gap_lo <= item.think_cycles <= gap_hi, index
+            else:
+                lo, hi = MPEG.think_range
+                assert lo <= item.think_cycles <= hi, index
 
     def test_validation(self):
         with pytest.raises(TrafficError):
@@ -279,33 +262,44 @@ class TestBurstGap:
 
 class TestModesAndWorkloads:
     def test_unknown_mode_rejected(self):
-        with pytest.raises(TrafficError):
-            generate_items(CPU, 0, 5, 1, mode="quantum")
-        with pytest.raises(TrafficError):
-            Workload("w", table1_pattern_a(5).masters, 1, gen_mode="quantum")
+        """Any generator name but the one left is refused, not only the
+        deleted ``stream``."""
+        payload = dict(
+            Workload("w", table1_pattern_a(5).masters, 1).to_dict(),
+            gen_mode="quantum",
+        )
+        with pytest.raises(TrafficError, match="'quantum'"):
+            Workload.from_dict(payload)
 
     def test_negative_count_rejected(self):
         with pytest.raises(TrafficError):
-            stream_items(CPU, 0, -1, seed=0)
+            generate_items(CPU, 0, -1, seed=0)
 
-    def test_len_without_materialising(self):
-        assert len(stream_items(CPU, 0, 123, 1, mode="stream")) == 123
+    def test_removed_generator_is_rejected_from_payloads(self):
+        """A payload asking for the deleted ``stream`` generator fails
+        loudly, at the workload and through a wire-level system spec,
+        instead of silently running the one generator's traffic."""
+        from repro.system import SystemSpec, paper_topology
 
-    def test_workload_gen_mode_round_trips(self):
-        workload = Workload(
-            "w", table1_pattern_a(5).masters, 1, gen_mode="stream"
-        )
-        rebuilt = Workload.from_dict(workload.to_dict())
-        assert rebuilt == workload
-        assert rebuilt.gen_mode == "stream"
+        workload = Workload("w", table1_pattern_a(5).masters, 1)
+        for gen_mode in ("compat", None):
+            payload = workload.to_dict()
+            if gen_mode is not None:
+                payload["gen_mode"] = gen_mode
+            assert Workload.from_dict(payload) == workload
+        stream = dict(workload.to_dict(), gen_mode="stream")
+        with pytest.raises(TrafficError, match="'stream'"):
+            Workload.from_dict(stream)
+        spec = paper_topology(workload=workload).to_dict()
+        spec["workload"] = stream
+        with pytest.raises(TrafficError, match="'stream'"):
+            SystemSpec.from_dict(spec)
 
-    def test_stream_workload_platforms_agree(self):
-        """A stream-mode workload is the same stream at every level."""
+    def test_workload_platforms_agree(self):
+        """A workload is the same stream at every level."""
         from repro.system import PlatformBuilder, paper_topology
 
-        workload = Workload(
-            "w", table1_pattern_a(12).masters, 3, gen_mode="stream"
-        )
+        workload = Workload("w", table1_pattern_a(12).masters, 3)
         builder = PlatformBuilder(paper_topology(workload=workload))
         tlm = builder.build("tlm")
         tlm_result = tlm.run()
