@@ -140,16 +140,19 @@ def narrow(
     its whole chain in this one call instead of one call per filter.
     """
     survivors = candidates
+    count = len(survivors)
     for filt in filters:
-        if len(survivors) <= 1:
+        if count <= 1:
             break
         if not filt.enabled:
             continue
         filt.rounds_applied += 1
         narrowed = filt._narrow(survivors, ctx)
         if narrowed:
-            if len(narrowed) < len(survivors):
+            left = len(narrowed)
+            if left < count:
                 filt.rounds_narrowed += 1
+                count = left
             survivors = narrowed
     return survivors
 
@@ -304,11 +307,6 @@ class TieBreakFilter(ArbitrationFilter):
             self.rounds_narrowed += 1
         return self._narrow(candidates, ctx)
 
-    def _rank_fixed(self, candidate: Candidate) -> int:
-        if candidate.from_write_buffer:
-            return WRITE_BUFFER_MASTER
-        return candidate.txn.master
-
     def _rank_round_robin(self, candidate: Candidate) -> int:
         if candidate.from_write_buffer:
             return WRITE_BUFFER_MASTER
@@ -318,7 +316,13 @@ class TieBreakFilter(ArbitrationFilter):
         self, candidates: List[Candidate], ctx: ArbitrationContext
     ) -> List[Candidate]:
         if self.policy == "fixed":
-            winner = min(candidates, key=self._rank_fixed)
+            # The first candidate of lowest rank, as min() would pick it.
+            winner = None
+            best = WRITE_BUFFER_MASTER + 1
+            for cand in candidates:
+                rank = WRITE_BUFFER_MASTER if cand.from_write_buffer else cand.txn.master
+                if rank < best:
+                    winner, best = cand, rank
         else:
             winner = min(candidates, key=self._rank_round_robin)
             if not winner.from_write_buffer:

@@ -57,6 +57,9 @@ class QosSetting:
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "QosSetting":
         """Rebuild a setting; the constructor re-validates it."""
+        unknown = set(data) - {"real_time", "objective_cycles"}
+        if unknown:
+            raise ConfigError(f"unknown QosSetting fields {sorted(unknown)}")
         return cls(
             real_time=bool(data.get("real_time", False)),
             objective_cycles=int(data.get("objective_cycles", 0)),

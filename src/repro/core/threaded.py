@@ -82,6 +82,13 @@ class ThreadedAhbPlusBus(AhbPlusBusTlm):
         self.board.lines[txn.master].txn = None
         self.done_events[txn.master].notify()
 
+    def _all_done(self) -> bool:
+        return (
+            self._pipelined is None
+            and self.write_buffer.is_empty
+            and all(master.done for master in self.masters)
+        )
+
     # -- master threads ------------------------------------------------------------
 
     def _wait_until(self, cycle: int) -> Iterator:

@@ -66,12 +66,18 @@ class BankTimeline:
         """Schedule PRE (if needed) + ACT so *row* is open; returns CAS-ready cycle."""
         t = self.timing
         if lane.open_row is not None:
-            pre_at = max(not_before, lane.pre_ready_at, lane.wr_recover_at)
-            act_earliest = pre_at + t.t_rp
+            pre_at = not_before
+            if pre_at < lane.pre_ready_at:
+                pre_at = lane.pre_ready_at
+            if pre_at < lane.wr_recover_at:
+                pre_at = lane.wr_recover_at
+            act_at = pre_at + t.t_rp
             lane.row_conflicts += 1
         else:
-            act_earliest = max(not_before, lane.idle_at)
-        act_at = max(act_earliest, self.last_activate_at + t.t_rrd)
+            act_at = not_before if not_before > lane.idle_at else lane.idle_at
+        rrd_at = self.last_activate_at + t.t_rrd
+        if act_at < rrd_at:
+            act_at = rrd_at
         self.last_activate_at = act_at
         lane.open_row = row
         lane.cas_ready_at = act_at + t.t_rcd
@@ -106,23 +112,29 @@ class BankTimeline:
         t = self.timing
         lane = self.banks[baddr.bank]
         row_hit = lane.open_row == baddr.row
+        # Compares, not max(): this runs once per served segment.
         if row_hit:
-            cas_at = max(cycle, lane.cas_ready_at)
+            cas_at = lane.cas_ready_at
             lane.row_hits += 1
         else:
-            cas_at = max(cycle, self._open_row(lane, baddr.row, cycle))
-        latency = t.write_latency if is_write else t.cas_latency
-        first_data = max(cas_at + latency, self.data_busy_until + 1)
+            cas_at = self._open_row(lane, baddr.row, cycle)
+        if cas_at < cycle:
+            cas_at = cycle
+        first_data = cas_at + (t.write_latency if is_write else t.cas_latency)
+        if first_data <= self.data_busy_until:
+            first_data = self.data_busy_until + 1
         finish = first_data + beats - 1
         self.data_busy_until = finish
         # The burst occupies the column path; a following CAS to the same
         # row cannot start until the burst's data window has drained.
-        lane.cas_ready_at = max(lane.cas_ready_at, first_data)
+        if lane.cas_ready_at < first_data:
+            lane.cas_ready_at = first_data
         if is_write:
             lane.wr_recover_at = finish + t.t_wr
         # A precharge may not pull the row out from under its own burst:
         # the earliest PRE is the cycle after the last data beat.
-        lane.pre_ready_at = max(lane.pre_ready_at, finish + 1)
+        if lane.pre_ready_at <= finish:
+            lane.pre_ready_at = finish + 1
         return AccessPlan(
             cas_at=cas_at, first_data=first_data, finish=finish, row_hit=row_hit
         )

@@ -58,7 +58,7 @@ import json
 from typing import Dict, IO, Iterable, List, Optional
 
 from repro.canonical import register_content_schema
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ReproError
 from repro.system.spec import LEVELS, SweepPoint, SystemSpec
 
 #: Protocol identifier sent in ``accepted``/``pong`` events.  v2 added
@@ -111,18 +111,31 @@ def point_to_wire(point: SweepPoint) -> Dict[str, object]:
 
 
 def point_from_wire(data: Dict[str, object]) -> SweepPoint:
-    """Rebuild a grid point from its wire form (re-validating the spec)."""
+    """Rebuild a grid point from its wire form (re-validating the spec).
+
+    Any spec that does not decode — a missing or unknown field, a value
+    of the wrong type, a validation failure at any layer — raises
+    :class:`ConfigError` naming the point, which the server answers
+    with an ``error`` event.
+    """
     missing = {"label", "axis", "value", "spec", "engine"} - set(data)
     if missing:
         raise ConfigError(f"wire point needs fields {sorted(missing)}")
+    label = str(data["label"])
     engine = str(data["engine"])
     if engine not in LEVELS:
-        raise ConfigError(f"unknown engine {engine!r}; choose from {LEVELS}")
+        raise ConfigError(
+            f"point {label!r}: unknown engine {engine!r}; choose from {LEVELS}"
+        )
+    try:
+        spec = SystemSpec.from_dict(data["spec"])  # type: ignore[arg-type]
+    except (ReproError, KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ConfigError(f"point {label!r}: bad spec: {exc}") from None
     return SweepPoint(
-        label=str(data["label"]),
+        label=label,
         axis=str(data["axis"]),
         value=_WireValue(str(data["value"])),
-        spec=SystemSpec.from_dict(data["spec"]),  # type: ignore[arg-type]
+        spec=spec,
         engine=engine,
     )
 

@@ -100,6 +100,13 @@ class SlaveSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "SlaveSpec":
+        known = {f.name for f in fields(cls)}
+        unknown = set(data) - known
+        if unknown:
+            raise ConfigError(f"unknown SlaveSpec fields {sorted(unknown)}")
+        missing = {"name", "kind", "base", "size"} - set(data)
+        if missing:
+            raise ConfigError(f"SlaveSpec needs fields {sorted(missing)}")
         data = dict(data)
         raw_fault = data.pop("fault", None)
         return cls(
@@ -130,6 +137,9 @@ class BusSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "BusSpec":
+        unknown = set(data) - {"config"}
+        if unknown:
+            raise ConfigError(f"unknown BusSpec fields {sorted(unknown)}")
         raw = data.get("config")
         return cls(
             config=None if raw is None else AhbPlusConfig.from_dict(raw)  # type: ignore[arg-type]
@@ -265,6 +275,13 @@ class SystemSpec:
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "SystemSpec":
         """Rebuild a system spec; every layer re-validates itself."""
+        known = {f.name for f in fields(cls)}
+        unknown = set(data) - known
+        if unknown:
+            raise ConfigError(f"unknown SystemSpec fields {sorted(unknown)}")
+        missing = {"name", "workload"} - set(data)
+        if missing:
+            raise ConfigError(f"SystemSpec needs fields {sorted(missing)}")
         return cls(
             name=data["name"],  # type: ignore[arg-type]
             workload=Workload.from_dict(data["workload"]),  # type: ignore[arg-type]

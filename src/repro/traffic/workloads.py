@@ -46,6 +46,10 @@ from repro.traffic.trace import (
 #: replayed verbatim from an archived trace.
 WORKLOAD_SOURCES = ("synthetic", "trace")
 
+#: Keys ``Workload.from_dict`` accepts: the ``to_dict`` fields plus the
+#: removed generator selector older payloads carry.
+_WORKLOAD_KEYS = {"name", "masters", "seed", "source", "trace", "fault", "gen_mode"}
+
 
 @dataclass(frozen=True)
 class MasterSpec:
@@ -67,6 +71,9 @@ class MasterSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MasterSpec":
+        unknown = set(data) - {"name", "pattern", "transactions", "qos"}
+        if unknown:
+            raise TrafficError(f"unknown MasterSpec fields {sorted(unknown)}")
         missing = {"name", "pattern", "transactions"} - set(data)
         if missing:
             raise TrafficError(f"MasterSpec needs fields {sorted(missing)}")
@@ -255,7 +262,14 @@ class Workload:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Workload":
-        """Rebuild a workload; constructors re-validate all the way down."""
+        """Rebuild a workload; constructors re-validate all the way down.
+
+        ``gen_mode`` is no field but is still accepted as ``"compat"``:
+        older payloads and journals carry it.
+        """
+        unknown = set(data) - _WORKLOAD_KEYS
+        if unknown:
+            raise TrafficError(f"unknown Workload fields {sorted(unknown)}")
         missing = {"name", "masters"} - set(data)
         if missing:
             raise TrafficError(f"Workload needs fields {sorted(missing)}")

@@ -1094,6 +1094,49 @@ class TestProtocolRobustness:
         assert event["event"] == "accepted"
         assert client.ping() == PROTOCOL
 
+    @staticmethod
+    def _spoiled_submit(spoil):
+        [wire] = [point_to_wire(p) for p in _grid(values=(4,))]
+        spoil(wire["spec"])
+        return {"op": "submit", "points": [wire]}
+
+    @pytest.mark.parametrize(
+        "spoil, detail",
+        [
+            (lambda spec: spec["workload"].update(gen_mode="stream"), "stream"),
+            (lambda spec: spec.pop("name"), "name"),
+            (lambda spec: spec["workload"].update(seed="x"), "'x'"),
+            (lambda spec: spec["workload"].update(sed=99), "sed"),
+        ],
+        ids=["removed-generator", "no-name", "bad-seed", "unknown-key"],
+    )
+    def test_malformed_spec_answers_error_then_serves(self, served, spoil, detail):
+        """A spec that does not decode gets an error event naming the
+        point, and the same connection still serves a valid submit."""
+        server, client = served
+        good = {
+            "op": "submit",
+            "points": [point_to_wire(p) for p in _grid(values=(4,))],
+        }
+        with socket.create_connection(server.address, timeout=30) as sock:
+            reader = sock.makefile("r", encoding="utf-8")
+            writer = sock.makefile("w", encoding="utf-8")
+            for request in (self._spoiled_submit(spoil), good):
+                writer.write(json.dumps(request) + "\n")
+                writer.flush()
+                event = json.loads(reader.readline())
+                if request is not good:
+                    assert event["event"] == "error"
+                    assert "write_buffer_depth=4" in event["message"]
+                    assert detail in event["message"]
+            assert event["event"] == "accepted"
+        assert client.ping() == PROTOCOL
+
+    def test_malformed_spec_raises_config_error_naming_the_point(self):
+        wire = self._spoiled_submit(lambda spec: spec.pop("name"))["points"][0]
+        with pytest.raises(ConfigError, match=r"point 'write_buffer_depth=4'.*'name'"):
+            point_from_wire(wire)
+
     def test_malformed_json_line_answers_error(self, served):
         server, client = served
         event = self._raw(server.address, b"this is not json\n")

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import AhbPlusConfig, QosSetting
 from repro.ddr.timing import DDR_TEST, DdrTiming
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ReproError, TrafficError
 from repro.system import (
     BusSpec,
     PlatformBuilder,
@@ -18,7 +18,8 @@ from repro.system import (
     scenario_names,
     sweep,
 )
-from repro.traffic import table1_pattern_a
+from repro.traffic import Workload, table1_pattern_a
+from repro.traffic.workloads import MasterSpec
 
 
 class TestConfigSerialisation:
@@ -116,6 +117,63 @@ class TestSlaveSpecValidation:
         )
         with pytest.raises(ConfigError, match="overlaps"):
             spec.address_map()
+
+
+class TestUnknownFieldsRejected:
+    """Every ``from_dict`` refuses keys it does not know: a misspelled
+    field must fail, not silently run with its default."""
+
+    def _spec(self):
+        return SystemSpec(
+            name="x",
+            workload=table1_pattern_a(10),
+            slaves=(SlaveSpec(name="ddr", kind="ddr", base=0, size=1 << 20),),
+        )
+
+    def test_misspelled_workload_seed_fails(self):
+        workload = table1_pattern_a(10)
+        with pytest.raises(TrafficError, match="sed"):
+            Workload.from_dict(dict(workload.to_dict(), sed=99))
+
+    @pytest.mark.parametrize(
+        "layer", ("system", "workload", "master", "qos", "bus", "slave")
+    )
+    def test_extra_key_at_each_layer(self, layer):
+        data = json.loads(json.dumps(self._spec().to_dict()))
+        target = {
+            "system": data,
+            "workload": data["workload"],
+            "master": data["workload"]["masters"][0],
+            "qos": data["workload"]["masters"][0]["qos"],
+            "bus": data["bus"],
+            "slave": data["slaves"][0],
+        }[layer]
+        target["bogus"] = 1
+        with pytest.raises(ReproError, match="bogus"):
+            SystemSpec.from_dict(data)
+
+    def test_direct_layers_raise_their_error_types(self):
+        master = table1_pattern_a(10).masters[0]
+        with pytest.raises(TrafficError, match="unknown MasterSpec"):
+            MasterSpec.from_dict(dict(master.to_dict(), qso={}))
+        with pytest.raises(ConfigError, match="unknown QosSetting"):
+            QosSetting.from_dict({"real_time": True, "objective": 5})
+        with pytest.raises(ConfigError, match="unknown BusSpec"):
+            BusSpec.from_dict({"config": None, "cfg": None})
+
+    def test_slave_spec_errors_are_config_errors(self):
+        slave = SlaveSpec(name="s", kind="sram", base=0, size=1 << 16).to_dict()
+        with pytest.raises(ConfigError, match="wait_state"):
+            SlaveSpec.from_dict(dict(slave, wait_state=3))
+        del slave["size"]
+        with pytest.raises(ConfigError, match="size"):
+            SlaveSpec.from_dict(slave)
+
+    def test_system_spec_needs_name_and_workload(self):
+        data = self._spec().to_dict()
+        del data["name"]
+        with pytest.raises(ConfigError, match="name"):
+            SystemSpec.from_dict(data)
 
 
 class TestSystemSpec:

@@ -8,6 +8,7 @@ implementation — the golden arbitration trace pins the same property
 end-to-end, this test pins it item by item.
 """
 
+import hashlib
 import random
 from dataclasses import replace
 
@@ -33,6 +34,7 @@ from repro.traffic import (
     table1_pattern_a,
 )
 from repro.traffic.generator import _beat_data
+from repro.traffic.patterns import NAMED_PATTERNS
 
 
 # -- the frozen seed implementation (the generator's reference) ------------------
@@ -186,6 +188,75 @@ class TestCompatBitExactness:
                 want = [per_beat.getrandbits(32) & data_mask for _ in range(beats)]
                 assert got == want
                 assert bulk.getstate() == per_beat.getstate()
+
+
+#: ``generate_items`` output digests recorded before the generator's
+#: loop was last rewritten: every named pattern (``burst_gap``, periods
+#: and deadlines included, which the frozen reference above does not
+#: model) at 3 seeds and 2 master indices, 200 items each.
+PINNED_DIGESTS = {
+    "audio/1/0": "cb82542016aa099e",
+    "audio/1/3": "d715e7099fb93766",
+    "audio/7/0": "8d19a390c5d7c64d",
+    "audio/7/3": "127287aee55f5fdf",
+    "audio/42/0": "f36d468eb26791b3",
+    "audio/42/3": "05221cb633d3f308",
+    "cpu/1/0": "99f50bed3ef4df2b",
+    "cpu/1/3": "6da6882f383b2e38",
+    "cpu/7/0": "0b2215a68ff8e5de",
+    "cpu/7/3": "26aa8e6a107ef164",
+    "cpu/42/0": "25d05ccc0f3c6a68",
+    "cpu/42/3": "2c3b61980a3a313f",
+    "dma/1/0": "2b3bcf37b2982bb0",
+    "dma/1/3": "56c3ebf35ad350e1",
+    "dma/7/0": "458744de7f8cb213",
+    "dma/7/3": "4b2f209ad8f69e00",
+    "dma/42/0": "63caa93c87ad311f",
+    "dma/42/3": "953ef94349826a17",
+    "mpeg/1/0": "1cc081ecea1d3a15",
+    "mpeg/1/3": "c6247b64b99a30f7",
+    "mpeg/7/0": "0fd243d3a09397db",
+    "mpeg/7/3": "63ae316d982d46c8",
+    "mpeg/42/0": "0f3c47e12284e16d",
+    "mpeg/42/3": "b9fa2343d3d6687d",
+    "random/1/0": "a8144ca3535edafe",
+    "random/1/3": "0e1e34ed694bb17a",
+    "random/7/0": "8ba076cdbf12b5ba",
+    "random/7/3": "f400f11a456765d3",
+    "random/42/0": "5b15c949aee0bd48",
+    "random/42/3": "6e74cf61e46be232",
+    "video/1/0": "72cce2ce543ca7f6",
+    "video/1/3": "34d23b502b5c062a",
+    "video/7/0": "c08226a83141fb27",
+    "video/7/3": "bc999cf6d1db1068",
+    "video/42/0": "1456f5ed436db5d0",
+    "video/42/3": "5f18865cf116c92c",
+    "writer/1/0": "10445eefc414456e",
+    "writer/1/3": "1a970d8ae75f321c",
+    "writer/7/0": "cb3af1b312822f0e",
+    "writer/7/3": "44b89e1c7abb2fef",
+    "writer/42/0": "164d2d91db3e9ee0",
+    "writer/42/3": "3e4013c0eea4e122",
+}
+
+
+def _generated_digest(pattern, master_index, seed):
+    items = generate_items(pattern, master_index, 200, seed)
+    text = repr([_item_tuple(item) for item in items])
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class TestPinnedDigests:
+    def test_pins_cover_every_named_pattern(self):
+        assert {key.split("/")[0] for key in PINNED_DIGESTS} == set(NAMED_PATTERNS)
+
+    @pytest.mark.parametrize("name", sorted(NAMED_PATTERNS))
+    def test_named_pattern_output_is_pinned(self, name):
+        pattern = NAMED_PATTERNS[name]
+        for seed in (1, 7, 42):
+            for master_index in (0, 3):
+                key = f"{name}/{seed}/{master_index}"
+                assert _generated_digest(pattern, master_index, seed) == PINNED_DIGESTS[key], key
 
 
 class TestGeneratorLaws:
