@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test smoke lint bench bench-baseline bench-tables perfbench perfbench-smoke sweep-demo trace-demo serve-demo fuzz fuzz-long chaos chaos-long
+.PHONY: test smoke lint paper bench bench-baseline perfbench perfbench-smoke sweep-demo trace-demo serve-demo fuzz fuzz-long chaos chaos-long
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -21,6 +21,13 @@ lint:
 smoke:
 	$(PYTHON) -m pytest tests/test_examples_smoke.py -q
 
+# Regenerate every cycle-deterministic paper figure (Table 1 and the
+# QoS, bank-interleaving, write-buffer and filter ablations) into
+# paper_results.json and print them.  tests/test_paper_results.py
+# compares the committed file exactly, so re-record it on purpose.
+paper:
+	$(PYTHON) -m repro.analysis
+
 # Run every BENCHMARK.json workload once at seed 1 through perfbench and
 # fail if a run is incorrect (any failed operation counts) or an
 # end-to-end metric is worse than its BENCH_speed.json median by more
@@ -30,7 +37,8 @@ bench:
 
 # Re-record BENCH_speed.json from three perfbench runs per workload
 # (median and quartiles per end-to-end metric); the outgoing `current`
-# block is appended to `history`.
+# block is appended to `history`.  Refuses, leaving the ledger as it is,
+# when a run is incorrect or a metric's spread exceeds its bound.
 bench-baseline:
 	$(PYTHON) -m benchmarks.bench_regression --write-baseline
 
@@ -43,10 +51,6 @@ perfbench:
 # The benchmark's own smoke test (~20 s).
 perfbench-smoke:
 	python3 -m pytest perfbench/smoke.py -q
-
-# The full paper-table benchmark suite (slow; pytest-benchmark output).
-bench-tables:
-	$(PYTHON) -m pytest benchmarks/bench_*.py -q
 
 # Fixed-seed protocol fuzz (small budget, deterministic): cross-checks
 # tlm/plain plus both RTL kernels (event-driven and the full-sweep

@@ -1,1 +1,1 @@
-"""Benchmark suite package (pytest-benchmark files + the regression CLI)."""
+"""The speed gate and ledger over perfbench (``bench_regression``)."""

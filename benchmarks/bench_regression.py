@@ -12,9 +12,11 @@ Usage (see also ``make bench`` / ``make bench-baseline``)::
 
     python -m benchmarks.bench_regression --write-baseline
         Run every workload three times (seeds 1-3) and, if every run is
-        correct, record each end-to-end metric's median and quartiles as
-        ``BENCH_speed.json``'s ``current`` block.  The outgoing block is
-        appended to ``history``.
+        correct and every end-to-end metric's spread ``(q3 - q1) /
+        median`` is within its bound, record each metric's median and
+        quartiles as ``BENCH_speed.json``'s ``current`` block.  The
+        outgoing block is appended to ``history``.  Otherwise exit 1
+        and leave the ledger untouched.
 
 The benchmark command, workloads, run length and each metric's
 direction and bound all come from ``BENCHMARK.json``.  Exit status: 0
@@ -85,10 +87,16 @@ def write_baseline(bench: dict) -> int:
         if not summary["correct"]:
             print(f"{spec['name']}: a run was INCORRECT; ledger not written", file=sys.stderr)
             return 1
-        workloads[spec["name"]] = {
-            name: {key: summary["metrics"][name][key] for key in ("median", "q1", "q3", "unit")}
-            for name in (metric["name"] for metric in bench["end_to_end"])
-        }
+        recorded = {}
+        for metric in bench["end_to_end"]:
+            stats = summary["metrics"][metric["name"]]
+            spread = (stats["q3"] - stats["q1"]) / stats["median"]
+            if spread > metric["bound"]:
+                print(f"{spec['name']}: {metric['name']} spread {spread:.1%} exceeds its bound "
+                      f"{metric['bound']:.0%}; ledger not written", file=sys.stderr)
+                return 1
+            recorded[metric["name"]] = {key: stats[key] for key in ("median", "q1", "q3", "unit")}
+        workloads[spec["name"]] = recorded
     previous = json.loads(LEDGER.read_text()) if LEDGER.exists() else {}
     history = previous["history"] + [previous["current"]] if previous.get("schema") == SCHEMA else []
     current = {

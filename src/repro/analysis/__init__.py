@@ -1,15 +1,18 @@
-"""Analysis: accuracy (Table 1), speed (§4), tables and experiment drivers.
+"""Analysis: Table-1 accuracy, the experiment drivers and trace diff.
 
-``speed`` is the paper's §4 TLM-vs-RTL experiment.  The repository's
-speed ledger and regression gate are not here: ``make bench`` drives
-``perfbench/`` and writes ``BENCH_speed.json``.
+:func:`paper_results` gathers every cycle-deterministic paper figure;
+``python -m repro.analysis`` (``make paper``) writes it to
+``paper_results.json``.  Timings are not here: ``make bench`` drives
+``perfbench/`` and writes the speed ledger ``BENCH_speed.json``.
 """
 
 from repro.analysis.accuracy import (
+    LevelTotals,
     MasterAccuracy,
     Table1Result,
     WorkloadAccuracy,
     compare_models,
+    render_table1,
     run_table1,
 )
 from repro.analysis.experiments import (
@@ -20,19 +23,9 @@ from repro.analysis.experiments import (
     experiment_bank_interleaving,
     experiment_filters,
     experiment_qos,
-    experiment_speed,
-    experiment_table1,
     experiment_write_buffer,
+    paper_results,
 )
-from repro.analysis.speed import (
-    SpeedReport,
-    SpeedSample,
-    kernel_comparison,
-    measure_rtl,
-    measure_tlm,
-    speed_comparison,
-)
-from repro.analysis.tables import render_speed, render_table1
 from repro.analysis.trace_diff import (
     FUNCTIONAL_FIELDS,
     TraceDiffResult,
@@ -44,10 +37,9 @@ __all__ = [
     "FUNCTIONAL_FIELDS",
     "FilterPoint",
     "InterleavingPoint",
+    "LevelTotals",
     "MasterAccuracy",
     "QosPoint",
-    "SpeedReport",
-    "SpeedSample",
     "Table1Result",
     "TraceDiffResult",
     "TraceMismatch",
@@ -57,15 +49,9 @@ __all__ = [
     "experiment_bank_interleaving",
     "experiment_filters",
     "experiment_qos",
-    "experiment_speed",
-    "experiment_table1",
     "experiment_write_buffer",
-    "kernel_comparison",
-    "measure_rtl",
-    "measure_tlm",
-    "render_speed",
+    "paper_results",
     "render_table1",
     "run_table1",
-    "speed_comparison",
     "trace_diff",
 ]

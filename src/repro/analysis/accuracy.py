@@ -13,17 +13,18 @@ models are an *engine-axis sweep* of the same paper-topology spec, and
 a collector captures the functional evidence (memory image, read
 streams, per-master last bus activity) while each platform is alive —
 which is what lets the whole Table-1 regeneration shard over the
-process backend (``backend="process"``).
+process backend (``runner=SweepRunner(backend="process")``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import AhbPlusConfig
 from repro.errors import SimulationError
-from repro.exec import SweepRunner
+from repro.exec import RunRecord, SweepRunner
+from repro.profiling.report import format_table
 from repro.system.platform import platform_agents
 from repro.system.scenarios import paper_topology
 from repro.system.spec import SweepPoint, sweep
@@ -57,31 +58,39 @@ class MasterAccuracy:
         return 100.0 - self.error_pct
 
 
+@dataclass(frozen=True)
+class LevelTotals:
+    """One abstraction level's whole-run counts on a suite."""
+
+    cycles: int
+    transactions: int
+    absorbed_writes: int
+    drained_writes: int
+
+    @classmethod
+    def of(cls, record: RunRecord) -> "LevelTotals":
+        return cls(
+            cycles=record.cycles,
+            transactions=record.transactions,
+            absorbed_writes=record.absorbed_writes,
+            drained_writes=record.drained_writes,
+        )
+
+
 @dataclass
 class WorkloadAccuracy:
     """Accuracy of one traffic-pattern suite."""
 
     workload: str
     rows: List[MasterAccuracy]
-    rtl_total: int
-    tlm_total: int
-    #: Always true on a returned result: :func:`compare_models` raises
-    #: on a memory-image or read-data mismatch.
-    functional_match: bool
-    rtl_transactions: int = 0
-    tlm_transactions: int = 0
+    rtl: LevelTotals
+    tlm: LevelTotals
 
     @property
     def total_error_pct(self) -> float:
-        if self.rtl_total == 0:
+        if self.rtl.cycles == 0:
             return 0.0
-        return abs(self.tlm_total - self.rtl_total) / self.rtl_total * 100.0
-
-    @property
-    def average_row_error_pct(self) -> float:
-        if not self.rows:
-            return 0.0
-        return sum(row.error_pct for row in self.rows) / len(self.rows)
+        return abs(self.tlm.cycles - self.rtl.cycles) / self.rtl.cycles * 100.0
 
 
 @dataclass
@@ -118,9 +127,18 @@ class Table1Result:
         """The paper's headline '97 % of accuracy on average'."""
         return 100.0 - self.average_error_pct
 
-    @property
-    def all_functional(self) -> bool:
-        return all(suite.functional_match for suite in self.suites)
+    @classmethod
+    def from_json(cls, suites: Sequence[Dict[str, Any]]) -> "Table1Result":
+        """Rebuild a result from its suites' ``dataclasses.asdict`` form."""
+        return cls([
+            WorkloadAccuracy(
+                workload=suite["workload"],
+                rows=[MasterAccuracy(**row) for row in suite["rows"]],
+                rtl=LevelTotals(**suite["rtl"]),
+                tlm=LevelTotals(**suite["tlm"]),
+            )
+            for suite in suites
+        ])
 
 
 def _last_bus_activity(completed) -> int:
@@ -192,7 +210,6 @@ def compare_models(
     workload: Workload,
     config: Optional[AhbPlusConfig] = None,
     max_rtl_cycles: int = 5_000_000,
-    backend: str = "serial",
     runner: Optional[SweepRunner] = None,
 ) -> WorkloadAccuracy:
     """Run *workload* at both abstraction levels and compare.
@@ -204,11 +221,10 @@ def compare_models(
     """
     spec = paper_topology(workload=workload, config=config)
     grid = sweep(spec, axis="engine", values=("rtl", "tlm"))
-    active = runner if runner is not None else SweepRunner(backend=backend)
     # One grid, so the process backend runs both models concurrently;
     # the cycle ceiling bounds only the (slow, per-cycle) RTL point —
     # the TLM stays unbounded exactly as the pre-runner harness ran it.
-    rtl_rec, tlm_rec = active.run(
+    rtl_rec, tlm_rec = (runner or SweepRunner()).run(
         grid,
         collect=_collect_functional,
         max_cycles=lambda point: (
@@ -247,23 +263,54 @@ def compare_models(
     return WorkloadAccuracy(
         workload=workload.name,
         rows=rows,
-        rtl_total=rtl_rec.cycles,
-        tlm_total=tlm_rec.cycles,
-        functional_match=True,
-        rtl_transactions=rtl_rec.transactions,
-        tlm_transactions=tlm_rec.transactions,
+        rtl=LevelTotals.of(rtl_rec),
+        tlm=LevelTotals.of(tlm_rec),
     )
 
 
 def run_table1(
     workloads: Sequence[Workload],
     config: Optional[AhbPlusConfig] = None,
-    backend: str = "serial",
+    runner: Optional[SweepRunner] = None,
 ) -> Table1Result:
     """Regenerate Table 1 over the given traffic-pattern suites."""
-    result = Table1Result()
-    for workload in workloads:
-        result.suites.append(
-            compare_models(workload, config=config, backend=backend)
+    return Table1Result([
+        compare_models(workload, config=config, runner=runner)
+        for workload in workloads
+    ])
+
+
+def render_table1(result: Table1Result) -> str:
+    """Table 1: per-pattern, per-master cycle counts and accuracy."""
+    headers = ["pattern", "master", "RTL cycles", "TL cycles", "diff", "err %"]
+    rows: List[List[str]] = []
+    for suite in result.suites:
+        for row in suite.rows:
+            rows.append(
+                [
+                    suite.workload,
+                    row.name,
+                    str(row.rtl_cycles),
+                    str(row.tlm_cycles),
+                    f"{row.difference:+d}",
+                    f"{row.error_pct:.2f}",
+                ]
+            )
+        rows.append(
+            [
+                suite.workload,
+                "TOTAL",
+                str(suite.rtl.cycles),
+                str(suite.tlm.cycles),
+                f"{suite.tlm.cycles - suite.rtl.cycles:+d}",
+                f"{suite.total_error_pct:.2f}",
+            ]
         )
-    return result
+    body = format_table(headers, rows)
+    footer = (
+        f"\naverage error (suite totals) : {result.average_error_pct:.2f} %"
+        f"\naverage accuracy             : {result.average_accuracy_pct:.2f} % "
+        f"(paper: 97 % / avg diff < 3 %)"
+        f"\nper-master row error (mean)  : {result.row_average_error_pct:.2f} %"
+    )
+    return body + footer

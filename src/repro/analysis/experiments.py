@@ -1,9 +1,10 @@
-"""Shared experiment drivers.
+"""The paper's experiment drivers and its committed figures.
 
-Each function regenerates one row of the README experiment index.
-Benchmarks call these under ``pytest-benchmark``; the examples and
-EXPERIMENTS.md generation call them directly.  Everything is
-deterministic given the workload seeds.
+Each driver regenerates one paper figure; :func:`paper_results` runs
+them all at fixed scales, and ``python -m repro.analysis`` (``make
+paper``) writes that to ``paper_results.json``, which a tier-1 test
+compares exactly.  Everything is deterministic given the workload
+seeds.
 
 Every ablation follows one shape: describe the system once as a
 :class:`~repro.system.SystemSpec` (via the scenario registry), expand
@@ -11,19 +12,19 @@ it along exactly one axis with :func:`repro.system.sweep`, and hand the
 grid to a :class:`~repro.exec.SweepRunner` — no per-experiment run
 loops.  Extra per-point measurements (write latencies, bank counters,
 deadline stats) come from module-level *collectors*, which keeps every
-ablation shardable over the process backend (``backend="process"``)
-with records guaranteed identical to a serial run.  The QoS comparison
-sweeps the *engine* axis (plain AHB vs AHB+ on the same spec), which is
-the paper's portability claim as an experiment.
+ablation shardable over the process backend
+(``runner=SweepRunner(backend="process")``) with records guaranteed
+identical to a serial run.  The QoS comparison sweeps the *engine*
+axis (plain AHB vs AHB+ on the same spec), which is the paper's
+portability claim as an experiment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.accuracy import Table1Result, run_table1
-from repro.analysis.speed import SpeedReport, speed_comparison
+from repro.analysis.accuracy import run_table1
 from repro.core.config import SWITCHABLE_FILTERS
 from repro.exec import SweepRunner
 from repro.system.platform import platform_agents
@@ -32,31 +33,9 @@ from repro.system.spec import SweepPoint, sweep
 from repro.traffic.workloads import (
     bank_striped_workload,
     saturating_workload,
-    single_master_workload,
     table1_workloads,
     write_heavy_workload,
 )
-
-
-def _runner(backend: str, runner: Optional[SweepRunner]) -> SweepRunner:
-    """The runner an experiment uses (explicit runner wins)."""
-    return runner if runner is not None else SweepRunner(backend=backend)
-
-
-def experiment_table1(transactions: int = 150) -> Table1Result:
-    """Table 1: TLM accuracy vs RTL over the three traffic suites."""
-    return run_table1(table1_workloads(transactions))
-
-
-def experiment_speed(
-    transactions: int = 150, include_thread: bool = True
-) -> SpeedReport:
-    """§4 speed: RTL vs TLM Kcycles/s, plus the single-master case."""
-    return speed_comparison(
-        multi_master=table1_workloads(transactions)[0],
-        single_master=single_master_workload(transactions * 2),
-        include_thread=include_thread,
-    )
 
 
 # -- ablation A2: write buffer --------------------------------------------------
@@ -91,10 +70,12 @@ def _collect_write_latency(
     return {"mean_write_latency": mean}
 
 
+#: The A2 sweep: the buffer off, then each of these depths.
+WRITE_BUFFER_DEPTHS = (1, 2, 4, 8)
+
+
 def experiment_write_buffer(
     transactions: int = 200,
-    depths: Tuple[int, ...] = (1, 2, 4, 8),
-    backend: str = "serial",
     runner: Optional[SweepRunner] = None,
 ) -> List[WriteBufferPoint]:
     """Write-buffer off + depth sweep on a write-heavy workload."""
@@ -105,10 +86,10 @@ def experiment_write_buffer(
     grid += sweep(
         spec,
         axis="write_buffer_depth",
-        values=depths,
-        labels=tuple(f"depth{d}" for d in depths),
+        values=WRITE_BUFFER_DEPTHS,
+        labels=tuple(f"depth{d}" for d in WRITE_BUFFER_DEPTHS),
     )
-    records = _runner(backend, runner).run(grid, collect=_collect_write_latency)
+    records = (runner or SweepRunner()).run(grid, collect=_collect_write_latency)
     return [
         WriteBufferPoint(
             label=record.label,
@@ -151,7 +132,6 @@ def _collect_bank_stats(
 
 def experiment_bank_interleaving(
     transactions: int = 200,
-    backend: str = "serial",
     runner: Optional[SweepRunner] = None,
 ) -> List[InterleavingPoint]:
     """BI on vs off: throughput and DDR utilization on striped traffic."""
@@ -162,7 +142,7 @@ def experiment_bank_interleaving(
         values=(True, False),
         labels=("bi-on", "bi-off"),
     )
-    records = _runner(backend, runner).run(grid, collect=_collect_bank_stats)
+    records = (runner or SweepRunner()).run(grid, collect=_collect_bank_stats)
     return [
         InterleavingPoint(
             label=record.label,
@@ -218,7 +198,6 @@ def _collect_deadline_stats(
 
 def experiment_qos(
     transactions: int = 150,
-    backend: str = "serial",
     runner: Optional[SweepRunner] = None,
 ) -> List[QosPoint]:
     """Paper motivation: AMBA2.0 cannot guarantee QoS; AHB+ can.
@@ -232,7 +211,7 @@ def experiment_qos(
         values=("plain", "tlm"),
         labels=("plain-ahb", "ahb+"),
     )
-    records = _runner(backend, runner).run(grid, collect=_collect_deadline_stats)
+    records = (runner or SweepRunner()).run(grid, collect=_collect_deadline_stats)
     return [
         QosPoint(
             label=record.label,
@@ -261,8 +240,8 @@ class FilterPoint:
 def filter_ablation_grid(transactions: int = 120) -> List[SweepPoint]:
     """The A5 grid: each switchable filter disabled in turn.
 
-    Shared with the benchmark layer, which wall-clocks this exact grid
-    serial vs process for the BENCH sweep entry.
+    perfbench's ``tlm-sweep`` times this exact grid as its second
+    operation (``op2``), and its record digests pin the grid's records.
     """
     spec = paper_topology(workload=saturating_workload(transactions // 2))
     cases: List[Tuple[str, Tuple[str, ...]]] = [("none", ())]
@@ -280,7 +259,6 @@ def filter_ablation_grid(transactions: int = 120) -> List[SweepPoint]:
 
 def experiment_filters(
     transactions: int = 120,
-    backend: str = "serial",
     runner: Optional[SweepRunner] = None,
 ) -> List[FilterPoint]:
     """Disable each switchable filter in turn under RT saturation.
@@ -289,7 +267,7 @@ def experiment_filters(
     DMA movers) is where arbitration decisions matter: disabling the
     urgency or real-time filters costs stream deadlines.
     """
-    records = _runner(backend, runner).run(filter_ablation_grid(transactions))
+    records = (runner or SweepRunner()).run(filter_ablation_grid(transactions))
     return [
         FilterPoint(
             disabled=record.label,
@@ -299,3 +277,29 @@ def experiment_filters(
         )
         for record in records
     ]
+
+
+# -- the committed paper figures ------------------------------------------------------
+
+
+def _figure(driver: Callable[[int], Sequence[Any]], transactions: int) -> Dict[str, object]:
+    return {
+        "transactions": transactions,
+        "points": [asdict(point) for point in driver(transactions)],
+    }
+
+
+def paper_results() -> Dict[str, object]:
+    """Every cycle-deterministic paper figure, as one JSON-able dict.
+
+    Table 1 runs at the paper's 250 transactions per master; the
+    ablations run at the scales that keep the whole set near two
+    seconds.  ``make paper`` writes this to ``paper_results.json``.
+    """
+    return {
+        "table1": _figure(lambda n: run_table1(table1_workloads(n)).suites, 250),
+        "qos": _figure(experiment_qos, 50),
+        "bank_interleaving": _figure(experiment_bank_interleaving, 100),
+        "write_buffer": _figure(experiment_write_buffer, 100),
+        "filters": _figure(experiment_filters, 50),
+    }

@@ -74,10 +74,16 @@ class TestGate:
         assert failed == {"w"}
 
 
-def _summary(correct=True, scale=1.0):
+def _summary(correct=True, scale=1.0, spread=0.04):
     """A ``--repeat`` perfbench summary with every end-to-end metric."""
     metrics = {
-        name: {"median": 10.0 * scale, "q1": 9.0 * scale, "q3": 11.0 * scale, "spread": 0.2, "unit": m["unit"]}
+        name: {
+            "median": 10.0 * scale,
+            "q1": (10.0 - 5.0 * spread) * scale,
+            "q3": (10.0 + 5.0 * spread) * scale,
+            "spread": spread,
+            "unit": m["unit"],
+        }
         for name, m in METRICS.items()
     }
     return {"workload": "w", "runs": BASELINE_REPEAT, "correct": correct, "metrics": metrics}
@@ -133,7 +139,7 @@ class TestWriteBaseline:
         assert list(current["workloads"]) == workloads
         for recorded in current["workloads"].values():
             assert recorded == {
-                name: {"median": 10.0, "q1": 9.0, "q3": 11.0, "unit": m["unit"]} for name, m in METRICS.items()
+                name: {"median": 10.0, "q1": 9.8, "q3": 10.2, "unit": m["unit"]} for name, m in METRICS.items()
             }
 
     def test_outgoing_current_block_moves_to_history(self, fake_perfbench):
@@ -156,6 +162,17 @@ class TestWriteBaseline:
         assert driver.write_baseline(BENCH) == 1
         assert driver.LEDGER.read_text() == "previous ledger\n"
         assert "rtl-accuracy: a run was INCORRECT" in capsys.readouterr().err
+
+    def test_a_spread_past_its_bound_leaves_the_ledger_untouched(self, fake_perfbench, capsys):
+        """A noisy recording would widen every later gate; refuse it."""
+        driver.LEDGER.write_text("previous ledger\n")
+        rss_bound = METRICS["peak_rss_mb"]["bound"]
+        fake_perfbench.reply = lambda workload, args: _summary(
+            spread=rss_bound * 1.5 if workload == "serve-closed-loop" else 0.04
+        )
+        assert driver.write_baseline(BENCH) == 1
+        assert driver.LEDGER.read_text() == "previous ledger\n"
+        assert "serve-closed-loop: peak_rss_mb spread 15.0% exceeds its bound 10%" in capsys.readouterr().err
 
 
 class TestMain:
@@ -209,3 +226,8 @@ class TestCommittedLedger:
             for name, stats in recorded.items():
                 assert stats["unit"] == METRICS[name]["unit"]
                 assert 0 < stats["q1"] <= stats["median"] <= stats["q3"]
+
+    def test_spreads_are_within_every_bound(self):
+        for recorded in LEDGER["current"]["workloads"].values():
+            for name, stats in recorded.items():
+                assert (stats["q3"] - stats["q1"]) / stats["median"] <= METRICS[name]["bound"]

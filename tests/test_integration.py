@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.analysis import run_table1
 from repro.system import PlatformBuilder, paper_topology
 from repro.traffic import (
     saturating_workload,
@@ -18,14 +17,6 @@ def _platform(workload, level="tlm", config=None, **options):
 
 
 class TestPaperClaims:
-    def test_table1_average_accuracy(self):
-        """Average TLM cycle error across the suites stays paper-grade."""
-        result = run_table1(table1_workloads(60))
-        assert result.all_functional
-        assert result.average_error_pct <= 8.0  # paper: < 3 % at full scale
-        # At least one suite should be nearly exact.
-        assert min(s.total_error_pct for s in result.suites) < 1.0
-
     def test_qos_guarantee_is_the_ahbplus_difference(self):
         """Plain AHB starves the low-priority RT stream; AHB+ does not."""
         workload = saturating_workload(30)
