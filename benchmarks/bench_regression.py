@@ -90,7 +90,7 @@ def write_baseline(bench: dict) -> int:
         recorded = {}
         for metric in bench["end_to_end"]:
             stats = summary["metrics"][metric["name"]]
-            spread = (stats["q3"] - stats["q1"]) / stats["median"]
+            spread = stats["spread"]
             if spread > metric["bound"]:
                 print(f"{spec['name']}: {metric['name']} spread {spread:.1%} exceeds its bound "
                       f"{metric['bound']:.0%}; ledger not written", file=sys.stderr)

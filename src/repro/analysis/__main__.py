@@ -1,15 +1,18 @@
 """Regenerate the paper's figures: ``python -m repro.analysis``.
 
-Writes :func:`~repro.analysis.experiments.paper_results` to
-``paper_results.json`` in the current directory (``make paper`` runs it
-at the repository root, where the committed copy lives) with sorted
-keys, and prints Table 1 and the ablation rows.  Takes no options: the
-scales are part of the committed figures.
+Overwrites the committed ``paper_results.json`` in the current
+directory with :func:`~repro.analysis.experiments.paper_results`
+(sorted keys) and prints Table 1 and the ablation rows.  Run it from
+the repository root (``make paper`` does); anywhere else, where no
+``paper_results.json`` exists, it refuses and writes nothing, so a
+re-record never lands beside the file the tier-1 gate reads.  Takes no
+options: the scales are part of the committed figures.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 from repro.analysis.accuracy import Table1Result, render_table1
@@ -24,6 +27,13 @@ def _cell(value: object) -> str:
 
 
 def main() -> int:
+    if not RESULTS.is_file():
+        print(
+            f"no {RESULTS} in {Path.cwd()}; run from the repository root "
+            "(make paper)",
+            file=sys.stderr,
+        )
+        return 1
     results = paper_results()
     RESULTS.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
     table1 = results["table1"]

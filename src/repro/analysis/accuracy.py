@@ -12,8 +12,8 @@ Execution rides the :class:`~repro.exec.SweepRunner` layer: the two
 models are an *engine-axis sweep* of the same paper-topology spec, and
 a collector captures the functional evidence (memory image, read
 streams, per-master last bus activity) while each platform is alive —
-which is what lets the whole Table-1 regeneration shard over the
-process backend (``runner=SweepRunner(backend="process")``).
+which is what lets one comparison shard over the process backend
+(``compare_models(workload, runner=SweepRunner(backend="process"))``).
 """
 
 from __future__ import annotations
@@ -271,12 +271,10 @@ def compare_models(
 def run_table1(
     workloads: Sequence[Workload],
     config: Optional[AhbPlusConfig] = None,
-    runner: Optional[SweepRunner] = None,
 ) -> Table1Result:
     """Regenerate Table 1 over the given traffic-pattern suites."""
     return Table1Result([
-        compare_models(workload, config=config, runner=runner)
-        for workload in workloads
+        compare_models(workload, config=config) for workload in workloads
     ])
 
 

@@ -12,8 +12,7 @@ it along exactly one axis with :func:`repro.system.sweep`, and hand the
 grid to a :class:`~repro.exec.SweepRunner` — no per-experiment run
 loops.  Extra per-point measurements (write latencies, bank counters,
 deadline stats) come from module-level *collectors*, which keeps every
-ablation shardable over the process backend
-(``runner=SweepRunner(backend="process")``) with records guaranteed
+grid shardable over the process backend with records guaranteed
 identical to a serial run.  The QoS comparison sweeps the *engine*
 axis (plain AHB vs AHB+ on the same spec), which is the paper's
 portability claim as an experiment.
@@ -22,7 +21,7 @@ portability claim as an experiment.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.analysis.accuracy import run_table1
 from repro.core.config import SWITCHABLE_FILTERS
@@ -74,10 +73,7 @@ def _collect_write_latency(
 WRITE_BUFFER_DEPTHS = (1, 2, 4, 8)
 
 
-def experiment_write_buffer(
-    transactions: int = 200,
-    runner: Optional[SweepRunner] = None,
-) -> List[WriteBufferPoint]:
+def experiment_write_buffer(transactions: int) -> List[WriteBufferPoint]:
     """Write-buffer off + depth sweep on a write-heavy workload."""
     spec = paper_topology(workload=write_heavy_workload(transactions))
     grid = sweep(
@@ -89,7 +85,7 @@ def experiment_write_buffer(
         values=WRITE_BUFFER_DEPTHS,
         labels=tuple(f"depth{d}" for d in WRITE_BUFFER_DEPTHS),
     )
-    records = (runner or SweepRunner()).run(grid, collect=_collect_write_latency)
+    records = SweepRunner().run(grid, collect=_collect_write_latency)
     return [
         WriteBufferPoint(
             label=record.label,
@@ -130,10 +126,7 @@ def _collect_bank_stats(
     }
 
 
-def experiment_bank_interleaving(
-    transactions: int = 200,
-    runner: Optional[SweepRunner] = None,
-) -> List[InterleavingPoint]:
+def experiment_bank_interleaving(transactions: int) -> List[InterleavingPoint]:
     """BI on vs off: throughput and DDR utilization on striped traffic."""
     spec = paper_topology(workload=bank_striped_workload(transactions))
     grid = sweep(
@@ -142,7 +135,7 @@ def experiment_bank_interleaving(
         values=(True, False),
         labels=("bi-on", "bi-off"),
     )
-    records = (runner or SweepRunner()).run(grid, collect=_collect_bank_stats)
+    records = SweepRunner().run(grid, collect=_collect_bank_stats)
     return [
         InterleavingPoint(
             label=record.label,
@@ -196,10 +189,7 @@ def _collect_deadline_stats(
     }
 
 
-def experiment_qos(
-    transactions: int = 150,
-    runner: Optional[SweepRunner] = None,
-) -> List[QosPoint]:
+def experiment_qos(transactions: int) -> List[QosPoint]:
     """Paper motivation: AMBA2.0 cannot guarantee QoS; AHB+ can.
 
     One spec, two engines — the sweep axis is the abstraction itself.
@@ -211,7 +201,7 @@ def experiment_qos(
         values=("plain", "tlm"),
         labels=("plain-ahb", "ahb+"),
     )
-    records = (runner or SweepRunner()).run(grid, collect=_collect_deadline_stats)
+    records = SweepRunner().run(grid, collect=_collect_deadline_stats)
     return [
         QosPoint(
             label=record.label,
@@ -257,17 +247,14 @@ def filter_ablation_grid(transactions: int = 120) -> List[SweepPoint]:
     )
 
 
-def experiment_filters(
-    transactions: int = 120,
-    runner: Optional[SweepRunner] = None,
-) -> List[FilterPoint]:
+def experiment_filters(transactions: int) -> List[FilterPoint]:
     """Disable each switchable filter in turn under RT saturation.
 
     The saturating workload (RT stream at lowest priority, three greedy
     DMA movers) is where arbitration decisions matter: disabling the
     urgency or real-time filters costs stream deadlines.
     """
-    records = (runner or SweepRunner()).run(filter_ablation_grid(transactions))
+    records = SweepRunner().run(filter_ablation_grid(transactions))
     return [
         FilterPoint(
             disabled=record.label,

@@ -33,6 +33,15 @@ def test_regenerated_figures_equal_the_committed_file():
     assert json.loads(json.dumps(paper_results())) == COMMITTED
 
 
+def test_make_paper_writes_nothing_outside_the_repository_root(tmp_path, monkeypatch, capsys):
+    from repro.analysis.__main__ import main
+
+    monkeypatch.chdir(tmp_path)
+    assert main() == 1
+    assert list(tmp_path.iterdir()) == []
+    assert "run from the repository root" in capsys.readouterr().err
+
+
 class TestTable1:
     """Paper Table 1: TLM cycle counts within a few % of RTL."""
 
