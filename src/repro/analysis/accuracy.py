@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.config import AhbPlusConfig
 from repro.errors import SimulationError
 from repro.exec import RunRecord, SweepRunner
 from repro.profiling.report import format_table
@@ -29,6 +28,10 @@ from repro.system.platform import platform_agents
 from repro.system.scenarios import paper_topology
 from repro.system.spec import SweepPoint, sweep
 from repro.traffic.workloads import Workload
+
+#: Cycle ceiling on the RTL point of a comparison: a model that stops
+#: draining fails with a SimulationError instead of running forever.
+MAX_RTL_CYCLES = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -207,10 +210,7 @@ def _first_read_difference(
 
 
 def compare_models(
-    workload: Workload,
-    config: Optional[AhbPlusConfig] = None,
-    max_rtl_cycles: int = 5_000_000,
-    runner: Optional[SweepRunner] = None,
+    workload: Workload, runner: Optional[SweepRunner] = None
 ) -> WorkloadAccuracy:
     """Run *workload* at both abstraction levels and compare.
 
@@ -219,7 +219,7 @@ def compare_models(
     because timing accuracy numbers are meaningless if the models
     compute different results.
     """
-    spec = paper_topology(workload=workload, config=config)
+    spec = paper_topology(workload=workload)
     grid = sweep(spec, axis="engine", values=("rtl", "tlm"))
     # One grid, so the process backend runs both models concurrently;
     # the cycle ceiling bounds only the (slow, per-cycle) RTL point —
@@ -228,7 +228,7 @@ def compare_models(
         grid,
         collect=_collect_functional,
         max_cycles=lambda point: (
-            max_rtl_cycles if point.engine == "rtl" else None
+            MAX_RTL_CYCLES if point.engine == "rtl" else None
         ),
     )
 
@@ -268,14 +268,9 @@ def compare_models(
     )
 
 
-def run_table1(
-    workloads: Sequence[Workload],
-    config: Optional[AhbPlusConfig] = None,
-) -> Table1Result:
+def run_table1(workloads: Sequence[Workload]) -> Table1Result:
     """Regenerate Table 1 over the given traffic-pattern suites."""
-    return Table1Result([
-        compare_models(workload, config=config) for workload in workloads
-    ])
+    return Table1Result([compare_models(workload) for workload in workloads])
 
 
 def render_table1(result: Table1Result) -> str:

@@ -15,7 +15,7 @@ finish-cycle skew separately as an observation, not a failure.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields as dataclass_fields
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.errors import TrafficError
 from repro.traffic.trace import TraceRecord, group_by_master

@@ -16,7 +16,7 @@ protocol — mistakes:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.ahb.burst import transaction_addresses
 from repro.ahb.transaction import Transaction

@@ -13,7 +13,7 @@ Two deployment styles:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.ahb.burst import crosses_kb_boundary
 from repro.ahb.transaction import Transaction

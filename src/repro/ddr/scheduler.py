@@ -15,8 +15,8 @@ while the current burst streams data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.ddr.bank import BankFsm, BankState
 from repro.ddr.commands import BankAddress, DdrCommand

@@ -14,7 +14,7 @@ transaction instead of O(cycles).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.ddr.commands import BankAddress

@@ -29,7 +29,6 @@ from repro.exec.runner import (
     OnStart,
     SweepRunner,
     default_workers,
-    run_grid,
 )
 
 __all__ = [
@@ -42,5 +41,4 @@ __all__ = [
     "SweepRunner",
     "default_workers",
     "point_key",
-    "run_grid",
 ]

@@ -6,8 +6,8 @@ experiment: it takes the :class:`~repro.system.spec.SweepPoint` grid a
 :class:`RunRecord` per point, **ordered as the grid**, regardless of
 backend:
 
-* ``serial`` — run in-process, point by point (also the timing-faithful
-  backend: wall clocks see no pool overhead);
+* ``serial`` — run in-process, point by point (wall clocks see no pool
+  overhead);
 * ``process`` — shard the grid over a ``multiprocessing`` pool.  Specs
   are plain picklable data (PR 2), so a worker rebuilds the platform
   from the point alone; each point's traffic regenerates in-worker from
@@ -20,9 +20,8 @@ backend:
 be a *module-level* callable — it is pickled by reference — with the
 signature ``collect(point, platform, result) -> Dict[str, object]``.
 
-``repeats`` gives best-of-N wall timing with the exact methodology of
-the speed harness: every repeat rebuilds the platform untimed and times
-only ``run()``; counters are checked identical across repeats.
+A record's wall clock times only ``run()``; the platform build before it
+is untimed.
 """
 
 from __future__ import annotations
@@ -72,13 +71,12 @@ class _PointJob:
 
     point: SweepPoint
     collect: Optional[Collector]
-    repeats: int
     max_cycles: Optional[int]
     on_error: str = "raise"
 
 
 def _execute(job: _PointJob) -> RunRecord:
-    """Run one point (best-of-``repeats``) and build its record.
+    """Run one point and build its record.
 
     Module-level so the process backend can ship it by reference.
     Under ``on_error="record"`` any exception the point raises —
@@ -100,29 +98,14 @@ def _execute(job: _PointJob) -> RunRecord:
 
 
 def _execute_point(job: _PointJob) -> RunRecord:
-    best_wall: Optional[float] = None
-    record: Optional[RunRecord] = None
-    for _ in range(max(job.repeats, 1)):
-        platform = job.point.build()  # untimed, like the speed harness
-        start = time.perf_counter()
-        result = platform.run(max_cycles=job.max_cycles)
-        wall = time.perf_counter() - start
-        metrics = (
-            job.collect(job.point, platform, result) if job.collect else None
-        )
-        fresh = RunRecord.from_run(
-            job.point, result, wall_seconds=wall, metrics=metrics
-        )
-        if record is not None and fresh != record:
-            raise SimulationError(
-                f"non-deterministic run: point {job.point.label!r} produced "
-                f"different counters on repeat"
-            )
-        if best_wall is None or wall < best_wall:
-            best_wall = wall
-            record = fresh
-    assert record is not None
-    return record
+    platform = job.point.build()  # untimed
+    start = time.perf_counter()
+    result = platform.run(max_cycles=job.max_cycles)
+    wall = time.perf_counter() - start
+    metrics = job.collect(job.point, platform, result) if job.collect else None
+    return RunRecord.from_run(
+        job.point, result, wall_seconds=wall, metrics=metrics
+    )
 
 
 class SweepRunner:
@@ -133,7 +116,6 @@ class SweepRunner:
         backend: str = "serial",
         workers: Optional[int] = None,
         chunksize: Optional[int] = None,
-        repeats: int = 1,
         on_error: str = "raise",
         timeout: Optional[float] = None,
     ) -> None:
@@ -157,8 +139,6 @@ class SweepRunner:
             raise ConfigError(f"workers must be positive, got {workers}")
         if chunksize is not None and chunksize < 1:
             raise ConfigError(f"chunksize must be positive, got {chunksize}")
-        if repeats < 1:
-            raise ConfigError(f"repeats must be positive, got {repeats}")
         if on_error not in ON_ERROR:
             raise ConfigError(
                 f"unknown on_error policy {on_error!r}; choose from {ON_ERROR}"
@@ -173,7 +153,6 @@ class SweepRunner:
         self.backend = backend
         self.workers = workers
         self.chunksize = chunksize
-        self.repeats = repeats
         self.on_error = on_error
         self.timeout = timeout
 
@@ -235,7 +214,6 @@ class SweepRunner:
             _PointJob(
                 point=point,
                 collect=collect,
-                repeats=self.repeats,
                 max_cycles=(
                     max_cycles(point) if callable(max_cycles) else max_cycles  # type: ignore[arg-type]
                 ),
@@ -326,14 +304,3 @@ class SweepRunner:
             pool.terminate()
             pool.join()
 
-
-def run_grid(
-    grid: Iterable[SweepPoint],
-    backend: str = "serial",
-    collect: Optional[Collector] = None,
-    **runner_kwargs: object,
-) -> List[RunRecord]:
-    """One-call sweep execution: ``run_grid(sweep(...), "process")``."""
-    return SweepRunner(backend=backend, **runner_kwargs).run(  # type: ignore[arg-type]
-        grid, collect=collect
-    )

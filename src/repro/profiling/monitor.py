@@ -12,7 +12,7 @@ bytes, wait cycles, deadline performance).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.ahb.transaction import WRITE_BUFFER_MASTER, Transaction
 from repro.profiling.stats import Histogram, RunningStats, ThroughputWindow

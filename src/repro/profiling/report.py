@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.ahb.transaction import WRITE_BUFFER_MASTER
-from repro.profiling.monitor import BusMonitor, PortProfile
+from repro.profiling.monitor import BusMonitor
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:

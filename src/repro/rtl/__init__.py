@@ -1,7 +1,8 @@
 """Pin-accurate RTL reference model of the AHB+ bus architecture.
 
-Signal-level masters, arbiter, mux, write-buffer drain engine, Bus
-Interface and DDR controller FSMs running on the 2-step cycle engine.
+Signal-level masters, arbiter, mux, Bus Interface and DDR controller
+FSMs running on the 2-step cycle engine.  The write-buffer drain engine
+is the master FSM fed by the buffer instead of a traffic agent.
 This is the reference the transaction-level model is validated against
 for accuracy and measured against for speed.
 """
@@ -19,7 +20,7 @@ from repro.rtl.signals import (
     SlaveResponseSignals,
     all_signals,
 )
-from repro.rtl.write_buffer import BufferMasterRtl, DrainState
+from repro.rtl.write_buffer import BufferMasterRtl
 
 __all__ = [
     "ArbiterRtl",
@@ -28,7 +29,6 @@ __all__ = [
     "BusMux",
     "ResponseMux",
     "DdrcRtl",
-    "DrainState",
     "MasterRtl",
     "MasterSignals",
     "MasterState",

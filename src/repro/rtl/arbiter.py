@@ -32,8 +32,8 @@ from repro.core.filters import Candidate
 from repro.core.qos import QosRegisterFile
 from repro.core.write_buffer import WriteBuffer
 from repro.kernel.cycle import CycleEngine, NULL_SEQ_HANDLE
-from repro.rtl.master import MasterRtl, MasterState
-from repro.rtl.signals import BiSignals, MasterSignals, SharedBusSignals
+from repro.rtl.master import MasterRtl
+from repro.rtl.signals import BiSignals, SharedBusSignals
 from repro.rtl.write_buffer import BufferMasterRtl
 
 

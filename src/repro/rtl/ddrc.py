@@ -35,7 +35,7 @@ from repro.ahb.types import HBurst, HTrans
 from repro.ddr.bank import BankFsm, BankState
 from repro.ddr.commands import BankAddress, DdrCommand, decode_address
 from repro.ddr.memory import MemoryModel
-from repro.ddr.scheduler import CommandScheduler, PendingAccess, ScheduledCommand
+from repro.ddr.scheduler import CommandScheduler, PendingAccess
 from repro.ddr.timing import DdrTiming
 from repro.errors import SimulationError
 from repro.kernel.cycle import CycleEngine, NULL_SEQ_HANDLE

@@ -10,7 +10,9 @@ Drives the per-master signal bundle through the classic AHB master FSM:
 The master consumes the *same* :class:`~repro.ahb.master.TlmMaster`
 traffic agent as the transaction-level engines, so one workload seed
 produces the identical transaction stream at both abstraction levels —
-the precondition of the paper's accuracy comparison.
+the precondition of the paper's accuracy comparison.  The write
+buffer's drain engine runs this same FSM, fed by the buffer instead
+(:mod:`repro.rtl.write_buffer`).
 
 Cycle conventions (shared by every RTL component):
 
@@ -41,12 +43,14 @@ class MasterState(enum.Enum):
 
 
 class MasterRtl:
-    """One AHB+ master at signal level."""
+    """One AHB+ master at signal level.
 
-    #: State aliases for wake-filter predicates (shared shape with the
-    #: buffer drain engine, so the platform builder wires both the same).
-    REQUEST_STATE = MasterState.REQUEST
-    DATA_STATE = MasterState.DATA
+    Four points say where transfers come from and go to:
+    :meth:`_next_transfer`, :meth:`_accepted`, :meth:`_finished` and
+    :meth:`_idle_sleep`.  Here they talk to the traffic agent; the write
+    buffer's drain engine (:class:`~repro.rtl.write_buffer.BufferMasterRtl`)
+    overrides them to talk to the buffer and shares everything else.
+    """
 
     def __init__(
         self,
@@ -56,7 +60,7 @@ class MasterRtl:
         engine: CycleEngine,
     ) -> None:
         self.agent = agent
-        self.index = agent.index
+        self.index = signals.index  # owner index on the shared bus
         self.sig = signals
         self.bus = bus
         self.engine = engine
@@ -159,11 +163,16 @@ class MasterRtl:
                 assert txn is not None
                 txn.granted_at = now
                 txn.started_at = now
+                self._accepted(txn)
                 self.state = MasterState.DATA
                 self._beat = 0
                 self._captured = []
         if self.state is MasterState.IDLE:
-            self._fetch(now)
+            # Arm the next request so HBUSREQ is visible next cycle.
+            txn = self._next_transfer(now)
+            if txn is not None:
+                self._txn = txn
+                self.state = MasterState.REQUEST
         if (
             self.state is not state0
             or self._txn is not txn0
@@ -182,26 +191,17 @@ class MasterRtl:
     def _assess_quiescence(self, now: int) -> None:
         """Sleep whenever this cycle's inputs make update() a no-op.
 
-        IDLE with nothing to fetch sleeps until the next item's issue
-        cycle (or forever once drained); REQUEST sleeps until the
-        grant+bus pair arrives; DATA sleeps through the CAS latency and
-        other owners' beats.  The non-timed cases re-arm through the
-        builder's wake-on list (hgrant/bus_available/hready/
+        IDLE with nothing to fetch follows :meth:`_idle_sleep`; REQUEST
+        sleeps until the grant+bus pair arrives; DATA sleeps through the
+        CAS latency and other owners' beats.  The non-timed cases re-arm
+        through the builder's wake-on list (hgrant/bus_available/hready/
         stream_owner edges) or an explicit wake (write-buffer
         absorption), always in the cycle the reference FSM would first
         act again.
         """
         state = self.state
         if state is MasterState.IDLE:
-            # Nothing fetched: drained for good, or thinking — the next
-            # item issues at `nxt`, so update() stays a no-op until the
-            # cycle whose fetch probes pending(nxt).
-            if self.agent.done:
-                self.seq.idle()
-            else:
-                nxt = self.agent.earliest_request()
-                if nxt is not None and nxt - 1 > now:
-                    self.seq.idle(until=nxt - 1)
+            self._idle_sleep(now)
         elif state is MasterState.REQUEST:
             if not (self._hgrant.value and self._bus_available.value):
                 self.seq.idle()
@@ -244,16 +244,34 @@ class MasterRtl:
             if self._beat >= txn.beats:
                 if not txn.is_write:
                     txn.data = list(self._captured)
-                self.agent.complete(txn, now)
+                self._finished(txn, now)
                 self._txn = None
                 self.state = MasterState.IDLE
 
-    def _fetch(self, now: int) -> None:
-        """Arm the next request so HBUSREQ is visible next cycle."""
-        txn = self.agent.pending(now + 1)
-        if txn is not None:
-            self._txn = txn
-            self.state = MasterState.REQUEST
+    # -- transfer source and sink ------------------------------------------------------------
+
+    def _next_transfer(self, now: int) -> Optional[Transaction]:
+        """The transfer to request next cycle, if one is due."""
+        return self.agent.pending(now + 1)
+
+    def _accepted(self, txn: Transaction) -> None:
+        """The address phase of *txn* was accepted this cycle."""
+
+    def _finished(self, txn: Transaction, now: int) -> None:
+        """The last data beat of *txn* completed this cycle."""
+        self.agent.complete(txn, now)
+
+    def _idle_sleep(self, now: int) -> None:
+        """Sleep an IDLE FSM that found nothing to fetch."""
+        # Drained for good, or thinking — the next item issues at `nxt`,
+        # so update() stays a no-op until the cycle whose fetch probes
+        # pending(nxt).
+        if self.agent.done:
+            self.seq.idle()
+        else:
+            nxt = self.agent.earliest_request()
+            if nxt is not None and nxt - 1 > now:
+                self.seq.idle(until=nxt - 1)
 
     # -- write-buffer interaction ------------------------------------------------------------
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.ahb.types import HBurst, HTrans
+from repro.ahb.types import HTrans
 from repro.kernel.signal import Signal, SignalBundle
 
 #: Value of owner registers when nobody owns the bus.

@@ -282,7 +282,7 @@ class _Handler(socketserver.StreamRequestHandler):
 class SweepServer:
     """A supervised, persistent simulation service over one result store.
 
-    *backend*/*workers*/*timeout*/*repeats* configure the underlying
+    *backend*/*workers*/*timeout* configure the underlying
     :class:`SweepRunner` (``on_error`` is always ``"record"`` — a bad
     point must produce a failure row, not kill the daemon).  The default
     ``backend="auto"`` resolves to ``process`` when a process-pool
@@ -322,7 +322,6 @@ class SweepServer:
         backend: str = "auto",
         workers: Optional[int] = None,
         timeout: Optional[float] = None,
-        repeats: int = 1,
         host: str = "127.0.0.1",
         port: int = 0,
         max_queue_depth: int = DEFAULT_MAX_QUEUE_DEPTH,
@@ -353,7 +352,6 @@ class SweepServer:
             backend=backend,
             workers=workers,
             timeout=timeout,
-            repeats=repeats,
             on_error="record",
         )
         self.max_queue_depth = max_queue_depth

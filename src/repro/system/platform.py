@@ -46,7 +46,7 @@ from repro.kernel.cycle import CycleEngine
 from repro.kernel.tracing import VcdTracer
 from repro.rtl.arbiter import ArbiterRtl
 from repro.rtl.ddrc import DdrcRtl
-from repro.rtl.master import MasterRtl
+from repro.rtl.master import MasterRtl, MasterState
 from repro.rtl.mux import BusMux, ResponseMux
 from repro.rtl.signals import (
     BiSignals,
@@ -420,9 +420,7 @@ class PlatformBuilder:
             MasterRtl(agent, master_sigs[agent.index], bus, engine)
             for agent in agents
         ]
-        buffer_master = BufferMasterRtl(
-            write_buffer, cfg.num_masters, buffer_sig, bus, engine
-        )
+        buffer_master = BufferMasterRtl(write_buffer, buffer_sig, bus, engine)
         arbiter = ArbiterRtl(
             masters=masters,
             buffer_master=buffer_master,
@@ -481,25 +479,16 @@ class PlatformBuilder:
             )
 
         def requesting(m) -> Callable[[], bool]:
-            return lambda: m.state is m.REQUEST_STATE
+            return lambda: m.state is MasterState.REQUEST
 
         def streaming_beats(m) -> Callable[[], bool]:
-            return lambda: m.state is m.DATA_STATE
+            return lambda: m.state is MasterState.DATA
 
-        buffer_master.seq = engine.add_sequential(
-            buffer_master.update,
-            wake_on=(
-                (buffer_sig.hgrant, requesting(buffer_master)),
-                (bus.bus_available, requesting(buffer_master)),
-                (bus.hready, streaming_beats(buffer_master)),
-                (bus.stream_owner, streaming_beats(buffer_master)),
-            ),
-        )
-        for master in masters:
+        for master in (buffer_master, *masters):
             master.seq = engine.add_sequential(
                 master.update,
                 wake_on=(
-                    (master_sigs[master.index].hgrant, requesting(master)),
+                    (master.sig.hgrant, requesting(master)),
                     (bus.bus_available, requesting(master)),
                     (bus.hready, streaming_beats(master)),
                     (bus.stream_owner, streaming_beats(master)),

@@ -14,7 +14,7 @@ A :class:`TrafficPattern` is pure description — generation happens in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Tuple
 
 from repro.errors import TrafficError

@@ -20,7 +20,7 @@ from repro.analysis.experiments import (
     filter_ablation_grid,
 )
 from repro.errors import ConfigError
-from repro.exec import BACKENDS, RunRecord, SweepRunner, default_workers, run_grid
+from repro.exec import BACKENDS, RunRecord, SweepRunner, default_workers
 from repro.system import paper_topology, sweep
 from repro.traffic import saturating_workload, write_heavy_workload
 
@@ -158,18 +158,6 @@ class TestRunnerKnobs:
             SweepRunner(workers=0)
         with pytest.raises(ConfigError):
             SweepRunner(chunksize=0)
-        with pytest.raises(ConfigError):
-            SweepRunner(repeats=0)
-
-    def test_repeats_keep_counters_identical(self):
-        grid = _qos_grid(10)
-        once = SweepRunner(repeats=1).run(grid)
-        thrice = SweepRunner(repeats=3).run(grid)
-        assert once == thrice
-
-    def test_run_grid_helper(self):
-        grid = _qos_grid(10)
-        assert run_grid(grid) == run_grid(grid, backend="process")
 
     def test_default_workers_caps(self):
         assert default_workers(1) == 1

@@ -1,6 +1,6 @@
 """repro.lint: rule fixtures, the clean-run gate, and hook hygiene.
 
-Three layers of coverage:
+Four layers of coverage:
 
 * every rule is demonstrated by a seeded fixture under
   ``tests/data/lint/`` firing with the exact rule ID and location —
@@ -8,13 +8,15 @@ Three layers of coverage:
   ``sensitive_to`` entry deleted, caught **purely statically** (zero
   cycles, no workload);
 * the shipped tree is lint-clean (``make lint`` exit-0 guarantee), with
-  only the documented waivers present; and
+  only the documented waivers present;
+* ``src/`` imports nothing it does not use (an ``ast`` walk); and
 * the instrumentation hooks are invisible outside a lint elaboration
   (plain :class:`Signal` construction, no observer) — the structural
   half of the zero-hot-path-cost claim; ``make bench`` gates the timing
   half through the perfbench workloads.
 """
 
+import ast
 import importlib.util
 import json
 from pathlib import Path
@@ -34,6 +36,7 @@ from repro.lint import (
 from repro.lint.trace import TracedSignal
 
 FIXTURES = Path(__file__).parent / "data" / "lint"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _load_fixture(name):
@@ -195,6 +198,57 @@ def test_list_rules(capsys):
     out = capsys.readouterr().out
     for rule in RULES:
         assert rule in out
+
+
+def _annotation_names(node):
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            # A string annotation ("Optional[Foo]") uses the names in it.
+            yield from _annotation_names(ast.parse(sub.value, mode="eval"))
+
+
+def _unused_imports(path):
+    source = path.read_text()
+    lines = source.splitlines()
+    imported, used = {}, set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            # __future__ flags and side-effect imports marked noqa bind
+            # nothing the module is meant to read.
+            if getattr(node, "module", None) == "__future__":
+                continue
+            if "noqa" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
+            used.update(_annotation_names(node.annotation))
+        elif isinstance(node, ast.FunctionDef) and node.returns:
+            used.update(_annotation_names(node.returns))
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            used.update(element.value for element in node.value.elts)
+    return [
+        f"{path.relative_to(SRC)}:{line}: {name}"
+        for name, line in sorted(imported.items())
+        if name not in used
+    ]
+
+
+def test_src_has_no_unused_imports():
+    unused = [
+        finding
+        for path in sorted(SRC.rglob("*.py"))
+        for finding in _unused_imports(path)
+    ]
+    assert unused == []
 
 
 # -- hook hygiene ------------------------------------------------------------
