@@ -4,9 +4,10 @@ Slaves in the TLM world expose :meth:`TlmSlave.serve`: given a
 transaction whose address phase starts at a cycle, they perform the data
 movement and return the cycle of the final data beat.  The DDR
 controller model (:mod:`repro.ddr.controller`) implements the same
-interface plus the AHB+ Bus Interface hooks (next-transaction
-notification, idle-bank map, access permission), which the plain SRAM
-slave stubs out as "always permitted / no banks".
+interface plus the AHB+ Bus Interface hooks the bus calls directly
+(next-transaction notification, access permission, and the bank score
+the arbiter's bank filter reads), which the plain SRAM slave stubs out
+as "ignored / always permitted / no banks".
 """
 
 from __future__ import annotations
@@ -44,14 +45,6 @@ class TlmSlave(abc.ABC):
         bank state ignore it.
         """
         return False
-
-    def idle_banks(self, cycle: int) -> int:
-        """Bitmap of banks able to accept a new row activation now.
-
-        Slaves without banks report "all idle" (all bits set) so
-        bank-aware arbitration filters become no-ops.
-        """
-        return ~0
 
     def access_permitted_at(self, txn: Transaction, cycle: int) -> int:
         """Earliest cycle the slave can accept *txn*'s address phase.

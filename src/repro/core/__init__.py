@@ -13,7 +13,6 @@ Public surface:
 * :class:`AhbPlusArbiter` + the seven arbitration filters.
 * :class:`QosRegisterFile` — the AHB+ QoS registers.
 * :class:`WriteBuffer` — posted-write buffer (an extra bus master).
-* :class:`BusInterface` — the arbiter↔DDRC side channel (BI).
 * :class:`TransactionPort` / :class:`InteractiveAhbPlus` — the paper's
   CheckGrant()/Read()/Write() port API, on the method bus driven by
   calls.
@@ -28,7 +27,6 @@ from repro.ahb.transaction import WRITE_BUFFER_MASTER, Transaction
 from repro.ahb.types import AccessKind
 from repro.core.arbiter import AhbPlusArbiter
 from repro.core.bus import AhbPlusBusTlm, AhbPlusRunResult
-from repro.core.bus_interface import BusInterface
 from repro.core.config import SWITCHABLE_FILTERS, AhbPlusConfig, config_for_workload
 from repro.core.filters import (
     ArbitrationContext,
@@ -58,7 +56,6 @@ __all__ = [
     "ArbitrationContext",
     "ArbitrationFilter",
     "BankFilter",
-    "BusInterface",
     "Candidate",
     "FILTER_NAMES",
     "HazardFilter",

@@ -13,12 +13,22 @@ Per arbitration round the engine:
    compete, and the buffer absorbs the *losing* writes ("stores the
    information of write transactions when a master cannot get a bus
    grant at the right time", §3.3), freeing those masters immediately;
-4. serves the winner through the Bus Interface (refresh permission,
-   then the DDRC's analytic bank timing); and
+4. serves the winner on its routed slave: the slave's access
+   permission (the DDRC's refresh window), then its data timing (the
+   DDRC's analytic bank timing); and
 5. while the transfer drains, makes the *pipelined* decision for the
-   next winner and forwards it over the BI so the DDRC can open the
-   next bank early (request pipelining + bank interleaving, §2) — the
-   next address phase then overlaps the current last data beat.
+   next winner and, with the Bus Interface (BI) on, sends it to the
+   slave's ``notify_next`` so the DDRC can open the next bank early
+   (request pipelining + bank interleaving, §2) — the next address
+   phase then overlaps the current last data beat.
+
+The BI (paper §2, §3.4: next transaction information, idle bank,
+access permission) is no separate layer here: it is the routed slave's
+hooks, which the bus calls directly, and the bank filter reads the
+slave's per-address ``access_score`` in place of an idle-bank map.
+Switching the BI off drops the next-transaction hints and the bank
+filter's oracle; access permission keeps the refresh windows correct
+and stays on.
 
 Everything observable (grants, per-filter narrowing, BI messages,
 buffer occupancy, QoS misses) is counted, feeding the profiling layer.
@@ -27,7 +37,6 @@ buffer occupancy, QoS misses) is counted, feeding the profiling layer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.ahb.decoder import AddressMap, single_slave_map
@@ -36,9 +45,8 @@ from repro.ahb.slave import TlmSlave
 from repro.ahb.transaction import Transaction
 from repro.ahb.types import HResp
 from repro.core.arbiter import ArbitrationRound
-from repro.core.bus_interface import BusInterface, bank_oracle
 from repro.core.config import AhbPlusConfig
-from repro.core.filters import Candidate
+from repro.core.filters import ArbitrationContext, Candidate
 from repro.core.qos import QosRegisterFile
 from repro.core.write_buffer import WriteBuffer
 from repro.errors import ConfigError, SimulationError
@@ -128,10 +136,6 @@ class AhbPlusBusTlm(ArbitrationRound):
         self.address_map = (
             address_map if address_map is not None else single_slave_map()
         )
-        self.bus_interfaces = [
-            BusInterface(slave, enabled=self.config.bus_interface_enabled)
-            for slave in self.slaves
-        ]
         super().__init__(
             self.config,
             WriteBuffer(
@@ -139,7 +143,7 @@ class AhbPlusBusTlm(ArbitrationRound):
                 enabled=self.config.write_buffer_enabled,
             ),
             qos if qos is not None else self.config.build_qos(),
-            partial(bank_oracle, self.bus_interfaces, self.address_map),
+            self.bank_oracle,
         )
         self._observers: List[TransactionObserver] = []
         self._now = 0
@@ -149,6 +153,7 @@ class AhbPlusBusTlm(ArbitrationRound):
         self._bytes = 0
         self._pipelined: Optional[Tuple[Candidate, int]] = None
         self._pipelined_grants = 0
+        self._bi_next_info = 0
         # Where the round reads each master's bus request: the traffic
         # agents themselves.  The thread-based engine and the port API
         # substitute RequestLines that their threads or calls raise.
@@ -186,18 +191,47 @@ class AhbPlusBusTlm(ArbitrationRound):
         self.masters[txn.master].absorb(txn, now)
         self._released(txn)
 
-    def _route(self, txn: Transaction) -> Tuple[TlmSlave, BusInterface]:
-        index = self.address_map.slave_for(txn.addr)
-        return self.slaves[index], self.bus_interfaces[index]
+    def _route(self, txn: Transaction) -> TlmSlave:
+        return self.slaves[self.address_map.slave_for(txn.addr)]
+
+    def bank_oracle(
+        self, ctx: ArbitrationContext
+    ) -> Optional[Callable[[int], int]]:
+        """The bank filter's oracle, built once per bus; scores at ``ctx.now``.
+
+        With the BI off there is no oracle and the bank filter abstains,
+        as in the RTL arbiter.  One slave scores every candidate (the
+        paper topology), and a slave without ``access_score`` gives no
+        oracle.  On a multi-slave map one round's candidates may target
+        different slaves, so each address is scored by *its* region's
+        slave, and a bank-less slave (SRAM, APB bridge) scores 0 — the
+        best — so the bank filter only differentiates DDR candidates.
+        """
+        if not self.config.bus_interface_enabled:
+            return None
+        scores = [getattr(slave, "access_score", None) for slave in self.slaves]
+        if len(scores) == 1:
+            score = scores[0]
+            if score is None:
+                return None
+            return lambda addr: score(addr, ctx.now)
+        slave_for = self.address_map.slave_for
+
+        def routed(addr: int) -> int:
+            score = scores[slave_for(addr)]
+            return 0 if score is None else score(addr, ctx.now)
+
+        return routed
 
     def _lock_next(
         self, sample: int, exclude: Optional[Transaction]
     ) -> Optional[Candidate]:
-        """One pipelined sampling point: arbitrate and tell the BI."""
+        """One pipelined sampling point: arbitrate and send it over the BI."""
         winner = self.arbitrate(sample, exclude)
         if winner is not None:
-            _slave, bi = self._route(winner.txn)
-            bi.send_next_info(winner.txn, sample)
+            if self.config.bus_interface_enabled:
+                self._route(winner.txn).notify_next(winner.txn, sample)
+                self._bi_next_info += 1
             self._pipelined_grants += 1
         return winner
 
@@ -219,9 +253,9 @@ class AhbPlusBusTlm(ArbitrationRound):
             self.write_buffer.pop_head(txn)
         if txn.fault_step < len(txn.fault_plan):
             return None
-        slave, bi = self._route(txn)
+        slave = self._route(txn)
         slave.idle_until(grant_cycle)
-        start = bi.access_permitted_at(txn, grant_cycle)
+        start = slave.access_permitted_at(txn, grant_cycle)
         finish = slave.serve(txn, start)
         if finish < start:
             raise SimulationError(
@@ -378,6 +412,6 @@ class AhbPlusBusTlm(ArbitrationRound):
             rt_deadline_hits=self.qos.deadline_hits,
             rt_deadline_misses=self.qos.deadline_misses,
             pipelined_grants=self._pipelined_grants,
-            bi_next_info=sum(bi.next_info_sent for bi in self.bus_interfaces),
+            bi_next_info=self._bi_next_info,
             filter_stats=self.arbiter.filter_stats(),
         )

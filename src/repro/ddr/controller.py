@@ -93,9 +93,6 @@ class DdrControllerTlm(TlmSlave):
             return True
         return False
 
-    def idle_banks(self, cycle: int) -> int:
-        return self.timeline.idle_banks(cycle)
-
     def access_score(self, addr: int, cycle: int) -> int:
         """0 = row hit, 1 = bank idle, 2 = row conflict (for the bank filter)."""
         baddr = decode_address(addr, self.timing, self.bus_bytes)

@@ -160,15 +160,7 @@ class BankTimeline:
             lane.wr_recover_at = 0
         return ready
 
-    # -- introspection (feeds the BI and the bank arbitration filter) -------------
-
-    def idle_banks(self, cycle: int) -> int:
-        """Bitmap of banks with no open row and no transition in flight."""
-        bitmap = 0
-        for i, lane in enumerate(self.banks):
-            if lane.open_row is None and lane.idle_at <= cycle:
-                bitmap |= 1 << i
-        return bitmap
+    # -- introspection (the bank score the arbiter's bank filter reads) ----------
 
     def access_score(self, baddr: BankAddress, cycle: int) -> int:
         """Cost class of an access: 0 row hit, 1 bank idle, 2 row conflict."""

@@ -19,7 +19,6 @@ from repro.errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (spec → exec)
     from repro.system.spec import SystemSpec
-    from repro.traffic.workloads import Workload
 
 #: Extra per-point metrics: sorted ``(name, value)`` pairs so the record
 #: stays hashable and order-independent.
@@ -71,8 +70,6 @@ RECORD_KEY_SCHEMA = register_content_schema(
 
 def point_key(
     spec: "SystemSpec",
-    workload: Optional["Workload"] = None,
-    seed: Optional[int] = None,
     engine: str = "tlm",
     max_cycles: Optional[int] = None,
 ) -> str:
@@ -87,9 +84,6 @@ def point_key(
     a key hit in a result store is provably the same record a fresh
     run would produce.
 
-    *workload* and *seed* rebind the spec before hashing (the sweep
-    axes that replace the workload rather than the config), so callers
-    can key a variant without constructing the replacement spec first.
     Stability is pinned by tests: the same key falls out across dict
     key ordering, ``to_dict`` → JSON → ``from_dict`` round-trips and
     serial- vs process-backend execution.
@@ -100,10 +94,6 @@ def point_key(
         raise ConfigError(f"unknown engine {engine!r}; choose from {LEVELS}")
     if max_cycles is not None and int(max_cycles) <= 0:
         raise ConfigError(f"max_cycles must be positive, got {max_cycles}")
-    if workload is not None:
-        spec = spec.with_workload(workload)
-    if seed is not None:
-        spec = spec.with_seed(int(seed))
     payload = {
         "spec": spec.to_dict(),
         "engine": engine,

@@ -115,7 +115,6 @@ class SweepRunner:
         self,
         backend: str = "serial",
         workers: Optional[int] = None,
-        chunksize: Optional[int] = None,
         on_error: str = "raise",
         timeout: Optional[float] = None,
     ) -> None:
@@ -137,8 +136,6 @@ class SweepRunner:
             )
         if workers is not None and workers < 1:
             raise ConfigError(f"workers must be positive, got {workers}")
-        if chunksize is not None and chunksize < 1:
-            raise ConfigError(f"chunksize must be positive, got {chunksize}")
         if on_error not in ON_ERROR:
             raise ConfigError(
                 f"unknown on_error policy {on_error!r}; choose from {ON_ERROR}"
@@ -152,13 +149,10 @@ class SweepRunner:
             )
         self.backend = backend
         self.workers = workers
-        self.chunksize = chunksize
         self.on_error = on_error
         self.timeout = timeout
 
     def _chunksize(self, jobs: int, workers: int) -> int:
-        if self.chunksize is not None:
-            return self.chunksize
         if workers == 1:
             # One worker gains nothing from small tasks — ship the whole
             # grid in a single dispatch and pay IPC once.

@@ -58,20 +58,12 @@ class BusMonitor:
     """Observer accumulating bus-level and per-port metrics.
 
     Attach with ``bus.add_observer(monitor)``; every served transaction
-    flows through :meth:`__call__`.
-
-    Profiling is gated by :attr:`enabled`: a disabled monitor's observer
-    hook returns immediately without touching a single counter, so a
-    monitor can stay permanently wired into a platform at effectively
-    zero cost and be switched on only for profiled runs (paper §3.7
-    lists profiling among the switchable model parameters).
+    flows through :meth:`__call__`.  Profiling is off by not attaching
+    a monitor: an unobserved bus pays nothing for it.
     """
 
-    def __init__(
-        self, name: str = "bus", window_cycles: int = 1024, enabled: bool = True
-    ) -> None:
+    def __init__(self, name: str = "bus", window_cycles: int = 1024) -> None:
         self.name = name
-        self.enabled = enabled
         self.transactions = 0
         self.bytes_moved = 0
         self.busy_cycles = 0
@@ -82,19 +74,9 @@ class BusMonitor:
         self.throughput = ThroughputWindow(window_cycles)
         self.burst_beats = RunningStats()
 
-    def enable(self) -> None:
-        """Start accumulating (counters keep their current values)."""
-        self.enabled = True
-
-    def disable(self) -> None:
-        """Stop accumulating; the observer hook becomes a no-op."""
-        self.enabled = False
-
     def __call__(
         self, txn: Transaction, grant: int, start: int, finish: int
     ) -> None:
-        if not self.enabled:
-            return
         self.transactions += 1
         self.bytes_moved += txn.total_bytes
         covered_from = max(start, self._busy_through + 1)

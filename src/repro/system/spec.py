@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.ahb.decoder import AddressMap
-from repro.canonical import register_content_schema
 from repro.core.config import AhbPlusConfig, config_for_workload
 from repro.errors import ConfigError
 from repro.traffic.faults import FaultSpec
@@ -146,13 +145,6 @@ class BusSpec:
         )
 
 
-#: Schema tag of :meth:`SystemSpec.content_key` payloads; bump on
-#: incompatible ``to_dict`` change to invalidate every cached key.
-SYSTEM_KEY_SCHEMA = register_content_schema(
-    "ahbplus-system-v1", "repro.system.spec.SystemSpec"
-)
-
-
 @dataclass(frozen=True)
 class SystemSpec:
     """A complete platform description.
@@ -246,19 +238,6 @@ class SystemSpec:
     def scaled(self, factor: float) -> "SystemSpec":
         """A copy with the workload's transaction counts scaled."""
         return replace(self, workload=self.workload.scaled(factor))
-
-    def content_key(self) -> str:
-        """Canonical content address of this system description.
-
-        Hashed over the sorted-key JSON form, so the key survives dict
-        reordering, ``to_dict`` → JSON → ``from_dict`` round-trips and
-        process boundaries — the property the serving layer's result
-        cache builds on (see :func:`repro.exec.records.point_key`,
-        which combines this description with engine and cycle ceiling).
-        """
-        from repro.canonical import stable_hash
-
-        return stable_hash(self.to_dict(), SYSTEM_KEY_SCHEMA)
 
     # -- serialisation --------------------------------------------------------
 

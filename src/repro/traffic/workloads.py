@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.ahb.master import TlmMaster
-from repro.canonical import register_content_schema
 from repro.ahb.transaction import WRITE_BUFFER_MASTER
 from repro.core.qos import QosSetting
 from repro.errors import TrafficError
@@ -83,13 +82,6 @@ class MasterSpec:
             transactions=int(data["transactions"]),
             qos=QosSetting.from_dict(data.get("qos", {})),
         )
-
-
-#: Schema tag of :meth:`Workload.content_key` payloads; bump on
-#: incompatible ``to_dict`` change to invalidate every cached key.
-WORKLOAD_KEY_SCHEMA = register_content_schema(
-    "ahbplus-workload-v1", "repro.traffic.workloads.Workload"
-)
 
 
 @dataclass(frozen=True)
@@ -232,19 +224,6 @@ class Workload:
     def with_seed(self, seed: int) -> "Workload":
         """Same mix under a different seed."""
         return replace(self, seed=seed)
-
-    def content_key(self) -> str:
-        """Canonical content address of this scenario description.
-
-        Stable across dict ordering, JSON round-trips and processes
-        (sorted-key canonical JSON, not ``hash()``); two workloads with
-        equal descriptions — including the seed — share a key.  The
-        serving layer folds this into its simulation-request keys via
-        :func:`repro.exec.records.point_key`.
-        """
-        from repro.canonical import stable_hash
-
-        return stable_hash(self.to_dict(), WORKLOAD_KEY_SCHEMA)
 
     def to_dict(self) -> dict:
         """JSON-ready mapping of the full scenario description."""

@@ -111,6 +111,5 @@ class TestSramSlave:
 
     def test_default_bi_hooks(self):
         slave = SramSlave()
-        assert slave.idle_banks(0) == ~0
         txn = read()
         assert slave.access_permitted_at(txn, 5) == 5

@@ -17,7 +17,7 @@ from repro.canonical import canonical_json, stable_hash
 from repro.errors import ConfigError
 from repro.exec import RunRecord, SweepRunner, point_key
 from repro.system import SystemSpec, paper_topology, sweep
-from repro.traffic import Workload, single_master_workload, table1_pattern_b
+from repro.traffic import single_master_workload, table1_pattern_b
 
 
 def _scrambled(value):
@@ -60,15 +60,6 @@ class TestPointKeyStability:
         wire = json.loads(json.dumps(spec.to_dict()))
         assert point_key(spec) == point_key(SystemSpec.from_dict(wire))
 
-    def test_workload_and_seed_overrides(self):
-        spec = paper_topology(30)
-        other = single_master_workload(30)
-        assert point_key(spec, workload=other) == point_key(
-            spec.with_workload(other)
-        )
-        assert point_key(spec, seed=99) == point_key(spec.with_seed(99))
-        assert point_key(spec, seed=99) != point_key(spec)
-
     def test_engine_and_ceiling_participate(self):
         spec = paper_topology(30)
         base = point_key(spec)
@@ -84,17 +75,6 @@ class TestPointKeyStability:
             point_key(spec, engine="warp")
         with pytest.raises(ConfigError):
             point_key(spec, max_cycles=0)
-
-    def test_spec_and_workload_content_keys(self):
-        spec = paper_topology(30)
-        reordered = SystemSpec.from_dict(_scrambled(spec.to_dict()))
-        assert spec.content_key() == reordered.content_key()
-        workload = spec.workload
-        rebuilt = Workload.from_dict(
-            json.loads(json.dumps(_scrambled(workload.to_dict())))
-        )
-        assert workload.content_key() == rebuilt.content_key()
-        assert workload.content_key() != workload.with_seed(2).content_key()
 
 
 class TestRecordContentKey:

@@ -98,6 +98,13 @@ class TestMethodEngine:
         assert result.rt_deadline_misses == 0
         assert result.rt_deadline_hits > 0
 
+    def test_bi_sends_every_pipelined_winner(self):
+        workload = bank_striped_workload(60)
+        platform = _platform(workload)
+        result = platform.run()
+        assert result.bi_next_info == result.pipelined_grants > 0
+        assert platform.ddrc.prepared_banks > 0
+
     def test_bi_disabled_means_no_preparation(self):
         workload = bank_striped_workload(60)
         cfg = replace(config_for_workload(workload), bus_interface_enabled=False)

@@ -106,12 +106,11 @@ class TestDdrControllerTlm:
         permitted = ctrl.access_permitted_at(txn, T.t_refi + 1)
         assert permitted > T.t_refi + 1
 
-    def test_idle_banks_and_scores(self):
+    def test_access_scores(self):
         ctrl = ddrc(refresh_enabled=False)
-        assert ctrl.idle_banks(0) == (1 << T.num_banks) - 1
+        assert ctrl.access_score(0x0, 0) == 1  # bank idle
         ctrl.serve(read(0x0), 0)
         assert ctrl.access_score(0x0, 100) == 0  # row open
-        assert ctrl.idle_banks(100) != (1 << T.num_banks) - 1
 
     def test_row_hit_rate(self):
         ctrl = ddrc(refresh_enabled=False)

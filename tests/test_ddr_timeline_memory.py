@@ -79,12 +79,6 @@ class TestBankTimeline:
         assert ready >= 100 + T.t_rp + T.t_rfc
         assert all(lane.open_row is None for lane in timeline.banks)
 
-    def test_idle_banks_bitmap(self):
-        timeline = BankTimeline(T)
-        assert timeline.idle_banks(0) == 0b1111
-        timeline.schedule_access(BankAddress(2, 1, 0), False, 1, 0)
-        assert timeline.idle_banks(50) == 0b1011
-
     def test_access_score(self):
         timeline = BankTimeline(T)
         timeline.schedule_access(BankAddress(0, 1, 0), False, 1, 0)

@@ -103,11 +103,9 @@ class TestBackendEquivalence:
         assert serial == process
         assert [r.label for r in process] == [p.label for p in grid]
 
-    def test_chunked_pool_preserves_grid_order(self):
+    def test_two_worker_pool_preserves_grid_order(self):
         grid = filter_ablation_grid(30)
-        records = SweepRunner(
-            backend="process", workers=2, chunksize=3
-        ).run(grid)
+        records = SweepRunner(backend="process", workers=2).run(grid)
         assert [r.label for r in records] == [p.label for p in grid]
 
 
@@ -128,9 +126,9 @@ class TestOnResultStreaming:
     def test_process_backend_streams_in_grid_order(self):
         grid = filter_ablation_grid(30)
         seen = []
-        records = SweepRunner(
-            backend="process", workers=2, chunksize=3
-        ).run(grid, on_result=lambda i, r: seen.append((i, r)))
+        records = SweepRunner(backend="process", workers=2).run(
+            grid, on_result=lambda i, r: seen.append((i, r))
+        )
         assert [i for i, _ in seen] == list(range(len(grid)))
         assert [r for _, r in seen] == records
 
@@ -156,8 +154,6 @@ class TestRunnerKnobs:
             SweepRunner(backend="gpu")
         with pytest.raises(ConfigError):
             SweepRunner(workers=0)
-        with pytest.raises(ConfigError):
-            SweepRunner(chunksize=0)
 
     def test_default_workers_caps(self):
         assert default_workers(1) == 1

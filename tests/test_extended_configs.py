@@ -97,7 +97,7 @@ class TestWideBus:
 
 
 class TestMultiSlaveAhbPlus:
-    def _dual_slave_bus(self):
+    def _dual_slave_bus(self, **config):
         """AHB+ bus with the DDRC at 0 and an SRAM at 16 MiB."""
         amap = AddressMap()
         amap.add("ddr", 0x0000_0000, 1 << 24, slave_index=0)
@@ -143,7 +143,7 @@ class TestMultiSlaveAhbPlus:
         bus = AhbPlusBusTlm(
             [master],
             [ddrc, sram],
-            config=AhbPlusConfig(num_masters=1),
+            config=AhbPlusConfig(num_masters=1, **config),
             address_map=amap,
         )
         return bus, master, ddrc, sram
@@ -155,9 +155,16 @@ class TestMultiSlaveAhbPlus:
         assert master.completed[3].data == [9, 8]  # from the SRAM
         assert ddrc.reads == 1 and sram.reads == 1
 
-    def test_per_slave_bus_interfaces(self):
-        bus, _, _, _ = self._dual_slave_bus()
-        assert len(bus.bus_interfaces) == 2
+    def test_bank_oracle_scores_each_address_on_its_slave(self):
+        bus, _, ddrc, _ = self._dual_slave_bus()
+        oracle = bus.ctx.access_score
+        # Every DDR bank is idle before the run: the DDRC scores 1.
+        assert oracle(0x0) == ddrc.access_score(0x0, 0) == 1
+        assert oracle(0x0100_0000) == 0  # the SRAM has no banks
         bus.run()
-        # Only the DDRC-backed BI can report bank structure.
-        assert bus.bus_interfaces[1].slave.idle_banks(0) == ~0
+        # The run left row 0 open: now a row hit.
+        assert oracle(0x0) == ddrc.access_score(0x0, bus.ctx.now) == 0
+        # With the BI off there is no oracle and no next-info.
+        off, _, _, _ = self._dual_slave_bus(bus_interface_enabled=False)
+        assert off.ctx.access_score is None
+        assert off.run().bi_next_info == 0

@@ -2,8 +2,8 @@
 
 Covers the bucketed event queue's FIFO guarantees, the allocation-free
 ``Event.notify`` snapshot semantics, the cycle engine's sensitivity
-skipping and touch discipline, the arbiter's single-candidate fast path
-(statistics- and rotation-preserving) and the profiling gate.
+skipping and touch discipline, and the arbiter's single-candidate fast
+path (statistics- and rotation-preserving).
 """
 
 import pytest
@@ -16,7 +16,6 @@ from repro.errors import ConfigError
 from repro.kernel.cycle import CycleEngine
 from repro.kernel.events import Event, EventQueue
 from repro.kernel.signal import Signal
-from repro.profiling import BusMonitor
 
 
 def _txn(master=0, addr=0, kind=AccessKind.READ, issued=0):
@@ -187,29 +186,6 @@ class TestSingleCandidateFastPath:
         winner = arbiter.choose(pair, self._ctx())
         assert winner.master == 1  # fixed priority: lowest index
         assert arbiter.filter_stats()["request"]["applied"] == 1
-
-
-class TestProfilingGate:
-    def test_disabled_monitor_is_a_noop(self):
-        monitor = BusMonitor(enabled=False)
-        txn = _txn(kind=AccessKind.WRITE)
-        txn.finished_at = 10
-        monitor(txn, 2, 3, 10)
-        assert monitor.transactions == 0
-        assert monitor.bytes_moved == 0
-        assert monitor.ports == {}
-
-    def test_enable_resumes_accumulation(self):
-        monitor = BusMonitor(enabled=False)
-        txn = _txn(kind=AccessKind.WRITE)
-        txn.finished_at = 10
-        monitor(txn, 2, 3, 10)
-        monitor.enable()
-        monitor(txn, 2, 3, 10)
-        assert monitor.transactions == 1
-        monitor.disable()
-        monitor(txn, 2, 3, 10)
-        assert monitor.transactions == 1
 
 
 class TestQosFastLookup:

@@ -9,7 +9,8 @@ Four layers of coverage:
   cycles, no workload);
 * the shipped tree is lint-clean (``make lint`` exit-0 guarantee), with
   only the documented waivers present;
-* ``src/`` imports nothing it does not use (an ``ast`` walk); and
+* ``src/`` imports nothing it does not use, and every module in it is
+  imported from somewhere in it (``ast`` walks); and
 * the instrumentation hooks are invisible outside a lint elaboration
   (plain :class:`Signal` construction, no observer) — the structural
   half of the zero-hot-path-cost claim; ``make bench`` gates the timing
@@ -249,6 +250,33 @@ def test_src_has_no_unused_imports():
         for finding in _unused_imports(path)
     ]
     assert unused == []
+
+
+def _module_name(path):
+    parts = path.relative_to(SRC).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def test_src_has_no_orphan_modules():
+    """Each module but a package's ``__init__`` and a ``__main__`` entry
+    point is imported from somewhere in ``src/``, so deleting its last
+    user cannot strand the file."""
+    imported = set()
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                # ``from package import module`` imports a module too.
+                imported.add(node.module)
+                imported.update(f"{node.module}.{a.name}" for a in node.names)
+    orphans = [
+        name
+        for path in sorted(SRC.rglob("*.py"))
+        if path.stem not in ("__init__", "__main__")
+        and (name := _module_name(path)) not in imported
+    ]
+    assert orphans == []
 
 
 # -- hook hygiene ------------------------------------------------------------
