@@ -69,6 +69,13 @@ class TestPointKeyStability:
             spec, max_cycles=501
         )
 
+    def test_workload_and_seed_participate(self):
+        spec = paper_topology(30)
+        base = point_key(spec)
+        assert point_key(spec.with_seed(99)) != base
+        assert point_key(spec.with_seed(99)) == point_key(spec.with_seed(99))
+        assert point_key(spec.with_workload(single_master_workload(30))) != base
+
     def test_invalid_arguments(self):
         spec = paper_topology(30)
         with pytest.raises(ConfigError):

@@ -97,13 +97,13 @@ class TestWideBus:
 
 
 class TestMultiSlaveAhbPlus:
-    def _dual_slave_bus(self, **config):
+    def _dual_slave_bus(self, sram_class=SramSlave, **config):
         """AHB+ bus with the DDRC at 0 and an SRAM at 16 MiB."""
         amap = AddressMap()
         amap.add("ddr", 0x0000_0000, 1 << 24, slave_index=0)
         amap.add("sram", 0x0100_0000, 1 << 20, slave_index=1)
         ddrc = DdrControllerTlm(timing=DDR_TEST, refresh_enabled=False)
-        sram = SramSlave(base_addr=0x0100_0000, size=1 << 20, wait_states=0)
+        sram = sram_class(base_addr=0x0100_0000, size=1 << 20, wait_states=0)
         from repro.ahb.master import TrafficItem
         from repro.ahb.transaction import Transaction
         from repro.ahb.types import AccessKind
@@ -168,3 +168,30 @@ class TestMultiSlaveAhbPlus:
         off, _, _, _ = self._dual_slave_bus(bus_interface_enabled=False)
         assert off.ctx.access_score is None
         assert off.run().bi_next_info == 0
+
+    def test_bankless_single_slave_gives_no_oracle(self):
+        master = TlmMaster(0, "cpu", generate_items(CPU, 0, 8, seed=1))
+        bus = AhbPlusBusTlm(
+            [master], [SramSlave()], config=AhbPlusConfig(num_masters=1)
+        )
+        assert bus.config.bus_interface_enabled
+        # One SRAM has no banks to score: the bank filter abstains.
+        assert bus.ctx.access_score is None
+        assert bus.run().per_master_transactions == [8]
+
+    def test_transfer_waits_for_access_permission(self):
+        class GatedSram(SramSlave):
+            """Refuses every address phase before cycle 40."""
+
+            def access_permitted_at(self, txn, cycle):
+                return max(cycle, 40)
+
+        bus, master, _, _ = self._dual_slave_bus(sram_class=GatedSram)
+        seen = []
+        bus.add_observer(lambda txn, g, s, f: seen.append((txn.addr, g, s)))
+        bus.run()
+        sram_starts = [s for addr, _, s in seen if addr == 0x0100_0000]
+        assert len(sram_starts) == 2 and min(sram_starts) >= 40
+        # The DDR write ahead of them is not held back by the SRAM's gate.
+        assert min(s for addr, _, s in seen if addr == 0x0) < 40
+        assert master.completed[3].data == [9, 8]

@@ -85,6 +85,13 @@ class TestAttach:
         assert monitor.transactions == result.transactions
         assert monitor.bytes_moved == result.bytes_transferred
 
+    def test_observer_leaves_the_run_unchanged(self):
+        spec = paper_topology(workload=table1_pattern_a(25))
+        bare = PlatformBuilder(spec).build("tlm").run()
+        watched = PlatformBuilder(spec).build("tlm")
+        watched.attach(BusMonitor())
+        assert watched.run() == bare
+
     def test_rtl_attach_replays_bus_transfers(self):
         platform = PlatformBuilder(
             paper_topology(workload=table1_pattern_a(25))
