@@ -54,14 +54,12 @@ class TrafficItem:
 class TlmMaster:
     """Traffic agent for one bus master.
 
-    The bus engine drives the agent through three calls:
-
-    * :meth:`pending` — the transaction wanting the bus at ``now`` (or
-      ``None``),
-    * :meth:`earliest_request` — the next cycle at which the agent will
-      want the bus (lets the TLM skip idle time), and
-    * :meth:`complete` — called when the bus finished serving the
-      transaction.
+    A bus engine reads the agent's request through :meth:`pending` — the
+    transaction wanting the bus at ``now`` (or ``None``) — or through
+    :attr:`upcoming` and :meth:`earliest_request`, the next transaction
+    and its issue cycle (which let the TLM skip idle time).  It answers
+    the request with :meth:`complete`, :meth:`absorb`, :meth:`fail` or
+    :meth:`retry`; each but a granted retry fetches the next item.
     """
 
     def __init__(self, index: int, name: str, items: Iterable[TrafficItem]) -> None:
@@ -120,6 +118,11 @@ class TlmMaster:
         if self._pending is not None and self._pending_issue <= now:
             return self._pending
         return None
+
+    @property
+    def upcoming(self) -> Optional[Transaction]:
+        """The fetched transaction awaiting its answer, issued or not yet."""
+        return self._pending
 
     def earliest_request(self) -> Optional[int]:
         """Cycle of the next request, or ``None`` when the agent is done."""

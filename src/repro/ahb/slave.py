@@ -36,15 +36,13 @@ class TlmSlave(abc.ABC):
 
     # -- AHB+ Bus Interface hooks (optional; see paper sections 2 and 3.4) ---
 
-    def notify_next(self, txn: Transaction, cycle: int) -> bool:
+    def notify_next(self, txn: Transaction, cycle: int) -> None:
         """Receive next-transaction information ahead of the transfer.
 
         The AHB+ arbiter forwards the upcoming transaction over the BI so
-        a DDR controller can pre-charge/activate the target bank early.
-        Returns ``True`` when the hint prepared a bank; slaves without
-        bank state ignore it.
+        a DDR controller can pre-charge/activate the target bank early;
+        slaves without bank state ignore it.
         """
-        return False
 
     def access_permitted_at(self, txn: Transaction, cycle: int) -> int:
         """Earliest cycle the slave can accept *txn*'s address phase.

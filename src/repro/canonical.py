@@ -119,8 +119,3 @@ def register_content_schema(tag: str, owner: str) -> str:
         )
     _SCHEMA_REGISTRY[tag] = owner
     return tag
-
-
-def content_schemas() -> Dict[str, str]:
-    """A copy of the tag -> owner registry (for reports and lint)."""
-    return dict(_SCHEMA_REGISTRY)

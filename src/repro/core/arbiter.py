@@ -90,13 +90,21 @@ class AhbPlusArbiter:
 
         Narrowing stops once one candidate is left: a filter skips a
         singleton set without counting an application, so the skipped
-        tail would change nothing.  The mandatory tie-break always runs;
-        it keeps the counters and the round-robin rotation.
+        tail would change nothing.  The mandatory tie-break always runs
+        (:meth:`pick`).
         """
         if not candidates:
             raise SimulationError("arbitration invoked with no candidates")
+        return self.pick(narrow(self._narrowing, candidates, ctx), ctx)
+
+    def pick(self, survivors: Sequence[Candidate], ctx: ArbitrationContext) -> Candidate:
+        """Count the round and let the tie-break reduce *survivors* to one.
+
+        The tie-break keeps its counters and the round-robin rotation.
+        An uncontended round comes here directly: with one candidate
+        :meth:`choose` would skip every narrowing filter anyway.
+        """
         self.rounds += 1
-        survivors = narrow(self._narrowing, candidates, ctx)
         winners = self._tie_break.apply(survivors, ctx)
         if len(winners) != 1:
             raise SimulationError(
@@ -124,17 +132,20 @@ class ArbitrationRound:
 
     The TLM bus and the RTL arbiter derive from it and differ only in
     *when* a round runs and *how* its grant is driven.  A level supplies
-    two hooks: where requests are read (:meth:`_requests`) and how the
-    master of a write the buffer absorbed is answered (:meth:`_free`).
+    two hooks: where requests are read (:meth:`_requests`; the TLM bus
+    instead overrides :meth:`collect` to read the candidates its masters
+    post) and how the master of a write the buffer absorbed is answered
+    (:meth:`_free`).
     They are methods rather than callbacks held by a separate object,
     so a level is not in a reference cycle with its round and a finished
     TLM bus is freed without waiting for the cyclic garbage collector.
     The round keeps one :class:`~repro.core.filters.Candidate` per
-    master and one for the drain head, each rebuilt only when its
-    transaction changes, and one
+    master and one for the drain head, each built by :meth:`_candidate`
+    only when its transaction changes, and one
     :class:`~repro.core.filters.ArbitrationContext`: its buffer depth
     and bank oracle (``bank_oracle(ctx)``, which may score against
-    ``ctx.now``) are fixed here, the rest is refreshed per round.
+    ``ctx.now``) are fixed here, the rest is refreshed per contended
+    round.
     """
 
     def __init__(
@@ -166,34 +177,45 @@ class ArbitrationRound:
         """The write buffer absorbed *txn*: answer its master."""
         raise NotImplementedError
 
+    def _candidate(self, txn: Transaction) -> Candidate:
+        """*txn*'s candidate: its deadline, RT class and footprint, built
+        once per transaction."""
+        master = txn.master
+        cand = self._cands[master]
+        if cand is None or cand.txn is not txn:
+            if master == WRITE_BUFFER_MASTER:
+                cand = Candidate(txn=txn, from_write_buffer=True)
+            else:
+                cand = Candidate(
+                    txn=txn,
+                    real_time=self.qos.is_real_time(master),
+                    deadline=self.qos.deadline_for(txn),
+                )
+            self._cands[master] = cand
+        return cand
+
     def collect(
         self, now: int, exclude: Optional[Transaction] = None
     ) -> List[Candidate]:
         """Live candidates at *now*, except the transfer *exclude*."""
-        candidates: List[Candidate] = []
-        cached = self._cands
-        for txn in self._requests(now):
-            if txn is exclude:
-                continue
-            master = txn.master
-            cand = cached[master]
-            if cand is None or cand.txn is not txn:
-                if master == WRITE_BUFFER_MASTER:
-                    cand = Candidate(txn=txn, from_write_buffer=True)
-                else:
-                    cand = Candidate(
-                        txn=txn,
-                        real_time=self.qos.is_real_time(master),
-                        deadline=self.qos.deadline_for(txn),
-                    )
-                cached[master] = cand
-            candidates.append(cand)
-        return candidates
+        return [
+            self._candidate(txn) for txn in self._requests(now) if txn is not exclude
+        ]
 
     def decide(self, now: int, candidates: List[Candidate]) -> Candidate:
-        """Refresh the context for *now* and pick the winner."""
+        """Refresh the context for *now* and pick the winner.
+
+        An uncontended round (one candidate that no buffered write can
+        hazard) skips the refresh and the hazard scan: no filter reads
+        the context for a single candidate, and the scan would count
+        nothing.
+        """
         buffer = self.write_buffer
         ctx = self.ctx
+        if len(candidates) == 1 and (
+            candidates[0].footprint is None or buffer.is_empty
+        ):
+            return self.arbiter.pick(candidates, ctx)
         ctx.now = now
         ctx.write_buffer_occupancy = buffer.occupancy
         ctx.read_hazard = buffer.read_hazard(candidates)
@@ -214,11 +236,11 @@ class ArbitrationRound:
         winner = self.decide(now, candidates)
         buffer = self.write_buffer
         for cand in candidates:
-            if cand is winner or cand.from_write_buffer:
-                continue
             txn = cand.txn
+            if cand is winner or cand.from_write_buffer or not txn.is_write:
+                continue
             if buffer.can_absorb(txn):
                 buffer.absorb(txn, now)
                 self._free(txn, now)
-                self.qos.record_completion(txn)
+                self.qos.record_completion(txn, cand.deadline)
         return winner

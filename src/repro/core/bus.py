@@ -37,7 +37,7 @@ buffer occupancy, QoS misses) is counted, feeding the profiling layer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.ahb.decoder import AddressMap, single_slave_map
 from repro.ahb.master import TlmMaster
@@ -93,27 +93,19 @@ class AhbPlusRunResult:
         return self.rt_deadline_misses / total
 
 
-class RequestLine:
-    """One master's HBUSREQ register: the transaction it holds raised."""
-
-    __slots__ = ("txn",)
-
-    def __init__(self) -> None:
-        self.txn: Optional[Transaction] = None
-
-    def pending(self, now: int) -> Optional[Transaction]:
-        return self.txn
-
-
 class AhbPlusBusTlm(ArbitrationRound):
     """The AHB+ main bus, memory controller attached over the BI.
 
     This class is the one definition of AHB+ transaction-level
-    semantics, built on the shared :class:`ArbitrationRound`.  The
-    thread-based engine subclasses it and replaces only where requests
-    are read (``_request_lines``), what answering a master does
-    (:meth:`_released`) and the run loop.  The port API subclasses it to
-    drive the same round and transfer from calls.
+    semantics, built on the shared :class:`ArbitrationRound`.  A
+    master's bus request is *posted* (:meth:`post`): its candidate is
+    built once, when the master fetches the transaction, and the round
+    reads the posted candidates instead of polling the masters.  The
+    thread-based engine subclasses it and replaces only who posts (each
+    master's thread, when it raises its request), what answering a
+    master does (:meth:`_released`) and the run loop.  The port API
+    subclasses it to post each call's transaction and drive the same
+    round and transfer from calls.
     """
 
     def __init__(
@@ -151,13 +143,12 @@ class AhbPlusBusTlm(ArbitrationRound):
         self._busy_through = -1
         self._transactions = 0
         self._bytes = 0
-        self._pipelined: Optional[Tuple[Candidate, int]] = None
+        #: The next winner, its routed slave and the cycle it may start.
+        self._pipelined: Optional[Tuple[Candidate, TlmSlave, int]] = None
         self._pipelined_grants = 0
         self._bi_next_info = 0
-        # Where the round reads each master's bus request: the traffic
-        # agents themselves.  The thread-based engine and the port API
-        # substitute RequestLines that their threads or calls raise.
-        self._request_lines: Sequence[Union[TlmMaster, RequestLine]] = self.masters
+        #: Each master's posted request, indexed by master.
+        self._posted: List[Optional[Candidate]] = [None] * len(self.masters)
 
     # -- instrumentation ---------------------------------------------------------
 
@@ -172,20 +163,33 @@ class AhbPlusBusTlm(ArbitrationRound):
     # -- engine hooks -----------------------------------------------------------------
 
     def _released(self, txn: Transaction) -> None:
-        """*txn*'s master was answered (completed, absorbed, failed or retried)."""
+        """*txn*'s master was answered (completed, absorbed, failed or
+        retried) and has fetched its next request: post it."""
+        self.post(txn.master, self.masters[txn.master].upcoming)
 
     # -- what the round reads and frees ---------------------------------------------
 
-    def _requests(self, now: int) -> List[Transaction]:
-        held: List[Transaction] = []
-        for line in self._request_lines:
-            txn = line.pending(now)
-            if txn is not None:
-                held.append(txn)
+    def post(self, master: int, txn: Optional[Transaction]) -> None:
+        """Raise *master*'s bus request for *txn*, or drop it (``None``).
+
+        The request competes in every round from ``txn.issued_at`` on.
+        """
+        self._posted[master] = None if txn is None else self._candidate(txn)
+
+    def collect(
+        self, now: int, exclude: Optional[Transaction] = None
+    ) -> List[Candidate]:
+        """Posted requests issued by *now* in master order, then the
+        write buffer's drain head; never the transfer *exclude*."""
+        candidates = [
+            cand
+            for cand in self._posted
+            if cand is not None and cand.txn.issued_at <= now and cand.txn is not exclude
+        ]
         head = self.write_buffer.head()
-        if head is not None:
-            held.append(head)
-        return held
+        if head is not None and head is not exclude:
+            candidates.append(self._candidate(head))
+        return candidates
 
     def _free(self, txn: Transaction, now: int) -> None:
         self.masters[txn.master].absorb(txn, now)
@@ -225,23 +229,30 @@ class AhbPlusBusTlm(ArbitrationRound):
 
     def _lock_next(
         self, sample: int, exclude: Optional[Transaction]
-    ) -> Optional[Candidate]:
-        """One pipelined sampling point: arbitrate and send it over the BI."""
+    ) -> Optional[Tuple[Candidate, TlmSlave]]:
+        """One pipelined sampling point: arbitrate and send it over the BI.
+
+        Returns the winner with its routed slave, which its transfer
+        reuses.
+        """
         winner = self.arbitrate(sample, exclude)
-        if winner is not None:
-            if self.config.bus_interface_enabled:
-                self._route(winner.txn).notify_next(winner.txn, sample)
-                self._bi_next_info += 1
-            self._pipelined_grants += 1
-        return winner
+        if winner is None:
+            return None
+        slave = self._route(winner.txn)
+        if self.config.bus_interface_enabled:
+            slave.notify_next(winner.txn, sample)
+            self._bi_next_info += 1
+        self._pipelined_grants += 1
+        return winner, slave
 
     # -- serving ----------------------------------------------------------------------
 
     def _transfer(
-        self, cand: Candidate, grant_cycle: int
+        self, cand: Candidate, grant_cycle: int, slave: Optional[TlmSlave] = None
     ) -> Optional[Tuple[int, int]]:
         """Grant *cand* and move its data; returns ``(start, finish)``.
 
+        *slave* is *cand*'s route when a pipelined lock already made it.
         Returns ``None``, with no data moved, when the slave owes this
         presentation a fault response (see :meth:`_serve_fault`).
         """
@@ -253,7 +264,8 @@ class AhbPlusBusTlm(ArbitrationRound):
             self.write_buffer.pop_head(txn)
         if txn.fault_step < len(txn.fault_plan):
             return None
-        slave = self._route(txn)
+        if slave is None:
+            slave = self._route(txn)
         slave.idle_until(grant_cycle)
         start = slave.access_permitted_at(txn, grant_cycle)
         finish = slave.serve(txn, start)
@@ -274,7 +286,7 @@ class AhbPlusBusTlm(ArbitrationRound):
                 txn.origin.drained_at = finish
         else:
             self.masters[txn.master].complete(txn, finish)
-            self.qos.record_completion(txn)
+            self.qos.record_completion(txn, cand.deadline)
             self._released(txn)
         self._transactions += 1
         self._bytes += txn.total_bytes
@@ -287,7 +299,7 @@ class AhbPlusBusTlm(ArbitrationRound):
         for observer in self._observers:
             observer(txn, grant_cycle, start, finish)
 
-    def _serve_fault(self, txn: Transaction, grant_cycle: int) -> int:
+    def _serve_fault(self, cand: Candidate, grant_cycle: int) -> int:
         """One faulted presentation: ERROR/RETRY instead of data beats.
 
         The response occupies the bus for one cycle; no data moves, so
@@ -296,6 +308,7 @@ class AhbPlusBusTlm(ArbitrationRound):
         phase carries no data beats to overlap with).  Returns the
         response's cycle.
         """
+        txn = cand.txn
         code = txn.fault_plan[txn.fault_step]
         txn.fault_step += 1
         start = grant_cycle
@@ -310,66 +323,48 @@ class AhbPlusBusTlm(ArbitrationRound):
         else:
             txn.resp = code
             owner.fail(txn, finish)
-        self.qos.record_completion(txn)
+        self.qos.record_completion(txn, cand.deadline)
         self._released(txn)
         for observer in self._observers:
             observer(txn, grant_cycle, start, finish)
         return finish
 
-    def _serve(self, cand: Candidate, grant_cycle: int) -> None:
-        span = self._transfer(cand, grant_cycle)
+    def _serve(
+        self, cand: Candidate, grant_cycle: int, slave: Optional[TlmSlave] = None
+    ) -> None:
+        span = self._transfer(cand, grant_cycle, slave)
         if span is None:
-            self._now = self._serve_fault(cand.txn, grant_cycle) + 1
+            self._now = self._serve_fault(cand, grant_cycle) + 1
             return
         start, finish = span
-        # The pipelined decision samples requests that existed *before*
-        # this transfer's completion side effects, as the RTL arbiter
-        # does — so it runs before the winner's agent is advanced.
-        self._decide_pipelined(start, finish, exclude=cand.txn)
+        # Lock in the next winner before this transfer ends.  The
+        # decision samples requests that existed *before* this
+        # transfer's completion side effects, as the RTL arbiter does —
+        # so it runs before the winner's agent is advanced.  Two
+        # sampling points model the RTL arbiter's per-cycle lock window:
+        # the early point at ``finish - pipeline_lead`` and, if it found
+        # nobody, a late point at ``finish`` itself.
+        self._now = finish + 1
+        if self.config.request_pipelining:
+            early = max(start, finish - self.config.pipeline_lead)
+            lock = self._lock_next(early, cand.txn) or self._lock_next(finish, cand.txn)
+            if lock is not None:
+                # The pipelined address phase overlaps the final data
+                # beat, so the next transfer may begin at `finish` with
+                # no dead cycle.
+                self._pipelined = (*lock, finish)
+                self._now = finish
         self._retire(cand, grant_cycle, start, finish)
 
-    def _decide_pipelined(
-        self, start: int, finish: int, exclude: Optional[Transaction]
-    ) -> None:
-        """Lock in the next winner before the current transfer ends.
-
-        Two sampling points model the RTL arbiter's per-cycle lock
-        window: the early point at ``finish - pipeline_lead`` and, if it
-        found nobody, a late point at ``finish`` itself.
-        """
-        self._pipelined = None
-        if not self.config.request_pipelining:
-            self._now = finish + 1
-            return
-        for sample in (max(start, finish - self.config.pipeline_lead), finish):
-            winner = self._lock_next(sample, exclude)
-            if winner is None:
-                continue
-            # The pipelined address phase overlaps the final data beat,
-            # so the next transfer may begin at `finish` with no dead cycle.
-            self._pipelined = (winner, finish)
-            self._now = finish
-            return
-        self._now = finish + 1
-
     # -- run loop ------------------------------------------------------------------------
-
-    def _advance_to_next_request(self) -> bool:
-        upcoming = [
-            cycle
-            for master in self.masters
-            if (cycle := master.earliest_request()) is not None
-        ]
-        if not upcoming:
-            return False
-        self._now = max(self._now, min(upcoming))
-        return True
 
     def run(self, max_cycles: Optional[int] = None) -> AhbPlusRunResult:
         """Run to completion of all traffic (or *max_cycles*).
 
-        The loop ends when a round finds nobody requesting and no master
-        has a request ahead: all traffic is done.  *max_cycles* is
+        With no transfer locked and the write buffer empty, the clock
+        jumps to the earliest posted request, so no round runs empty; the
+        loop ends when nothing is posted and nothing is buffered: all
+        traffic is done.  *max_cycles* is
         checked only before each grant.  A transfer granted before the
         cap runs to its last beat, so the reported cycles may pass the
         cap; a grant due at or after it is not served.  The thread-based
@@ -378,19 +373,24 @@ class AhbPlusBusTlm(ArbitrationRound):
         transfer at cycle 47 and reports 58 cycles and 4 transactions;
         the thread-based one reports 50 cycles and 3.
         """
-        while True:
-            if max_cycles is not None and self._now >= max_cycles:
-                break
+        # Each master's first request is posted as the run starts, so
+        # the QoS registers may be programmed until then.
+        for master in self.masters:
+            self.post(master.index, master.upcoming)
+        while max_cycles is None or self._now < max_cycles:
             if self._pipelined is not None:
-                winner, grant_at = self._pipelined
+                winner, slave, grant_at = self._pipelined
                 self._pipelined = None
-                self._serve(winner, max(self._now, grant_at))
+                self._serve(winner, max(self._now, grant_at), slave)
                 continue
-            winner = self.arbitrate(self._now)
-            if winner is None:
-                if not self._advance_to_next_request():
+            if self.write_buffer.is_empty:
+                issues = [cand.txn.issued_at for cand in self._posted if cand is not None]
+                if not issues:
                     break
-                continue
+                if min(issues) > self._now:
+                    self._now = min(issues)
+                    continue  # the cap is checked at the new cycle
+            winner = self.arbitrate(self._now)
             grant = self._now + self.config.arbitration_cycles
             self._serve(winner, grant)
         return self._result(self._now)

@@ -118,6 +118,8 @@ class ArbitrationFilter(abc.ABC):
         self, candidates: List[Candidate], ctx: ArbitrationContext
     ) -> List[Candidate]:
         """Run the filter; guaranteed to return a non-empty subset."""
+        if not self.enabled:
+            return candidates
         return narrow((self,), candidates, ctx)
 
     @abc.abstractmethod
@@ -132,26 +134,27 @@ def narrow(
     candidates: List[Candidate],
     ctx: ArbitrationContext,
 ) -> List[Candidate]:
-    """Run *filters* in order over a non-empty candidate set.
+    """Run the enabled *filters* in order over a non-empty candidate set.
 
-    A disabled filter is skipped, and once one candidate is left the
-    rest are too, without counting an application.  A filter that would
-    empty the set abstains rather than starve the bus.  The arbiter runs
-    its whole chain in this one call instead of one call per filter.
+    Once one candidate is left the remaining filters are skipped,
+    without counting an application.  A filter that would empty the set
+    abstains rather than starve the bus, and one that returns its input
+    list dropped nothing.  The arbiter runs its whole chain in this one
+    call instead of one call per filter.
     """
     survivors = candidates
     count = len(survivors)
+    if count <= 1:
+        return survivors
     for filt in filters:
-        if count <= 1:
-            break
-        if not filt.enabled:
-            continue
         filt.rounds_applied += 1
         narrowed = filt._narrow(survivors, ctx)
-        if narrowed:
+        if narrowed is not survivors and narrowed:
             left = len(narrowed)
             if left < count:
                 filt.rounds_narrowed += 1
+                if left == 1:
+                    return narrowed
                 count = left
             survivors = narrowed
     return survivors
@@ -170,7 +173,11 @@ class RequestFilter(ArbitrationFilter):
     def _narrow(
         self, candidates: List[Candidate], ctx: ArbitrationContext
     ) -> List[Candidate]:
-        return [c for c in candidates if c.txn.issued_at <= ctx.now]
+        now = ctx.now
+        for cand in candidates:
+            if cand.txn.issued_at > now:
+                return [c for c in candidates if c.txn.issued_at <= now]
+        return candidates
 
 
 class HazardFilter(ArbitrationFilter):

@@ -31,7 +31,7 @@ from repro.ahb.master import TlmMaster
 from repro.ahb.slave import TlmSlave
 from repro.ahb.transaction import Transaction
 from repro.ahb.types import AccessKind
-from repro.core.bus import AhbPlusBusTlm, RequestLine
+from repro.core.bus import AhbPlusBusTlm
 from repro.core.config import AhbPlusConfig
 from repro.core.filters import Candidate
 from repro.errors import ConfigError
@@ -66,8 +66,6 @@ class InteractiveAhbPlus(AhbPlusBusTlm):
             for index in range(config.num_masters)
         ]
         super().__init__(idle, [slave], config)
-        # A port raises its master's line while its call arbitrates.
-        self._request_lines = [RequestLine() for _ in idle]
         self._ports: List[TransactionPort] = []
 
     def port(self, master_index: int) -> "TransactionPort":
@@ -84,11 +82,13 @@ class InteractiveAhbPlus(AhbPlusBusTlm):
     # -- engine ---------------------------------------------------------------
 
     def _winner(self, txn: Transaction) -> Candidate:
-        """Arbitrate *txn* against the write buffer's next drain now."""
-        line = self._request_lines[txn.master]
-        line.txn = txn
+        """Arbitrate *txn* against the write buffer's next drain now.
+
+        The port posts its master's request for this one round.
+        """
+        self.post(txn.master, txn)
         candidates = self.collect(self._now)
-        line.txn = None
+        self.post(txn.master, None)
         return self.decide(self._now, candidates)
 
     def _ride(self, cand: Candidate) -> None:
@@ -122,7 +122,7 @@ class InteractiveAhbPlus(AhbPlusBusTlm):
             winner = self._winner(txn)
             self._ride(winner)
             if winner.txn is txn:
-                self.qos.record_completion(txn)
+                self.qos.record_completion(txn, winner.deadline)
                 return PortStatus.OK
 
     def post_write(self, txn: Transaction) -> Optional[PortStatus]:

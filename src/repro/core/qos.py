@@ -159,9 +159,12 @@ class QosRegisterFile:
             return None
         return txn.issued_at + setting.objective_cycles
 
-    def record_completion(self, txn: Transaction) -> None:
-        """Track deadline satisfaction for completed RT transactions."""
-        deadline = self.deadline_for(txn)
+    def record_completion(self, txn: Transaction, deadline: Optional[int]) -> None:
+        """Track deadline satisfaction for a completed transaction.
+
+        *deadline* is :meth:`deadline_for` of *txn*, which the arbiter
+        computed once when the transaction became a candidate.
+        """
         if deadline is None:
             return
         if txn.finished_at <= deadline:

@@ -9,13 +9,14 @@ the bus itself is one more thread.
 
 What this engine adds on top of :class:`~repro.core.bus.AhbPlusBusTlm`
 is only the thread machinery: the master and bus thread bodies, the
-request board the masters post to (arbitration reads its candidates
-from there), and the waits that advance the bus thread through each
-transfer.  Arbitration, absorption, the slave transfer, completion,
-accounting, fault responses and BI next-info are the method bus's own
-code, so any speed difference between the two engines is pure engine
-overhead: generator frame switches, event subscription and scheduler
-traffic.  The equivalence tests assert the two produce the same results.
+event a master thread fires when it posts its request to the bus (the
+round reads the posted requests, as in the method engine), and the
+waits that advance the bus thread through each transfer.  Arbitration,
+absorption, the slave transfer, completion, accounting, fault
+responses and BI next-info are the method bus's own code, so any speed
+difference between the two engines is pure engine overhead: generator
+frame switches, event subscription and scheduler traffic.  The
+equivalence tests assert the two produce the same results.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from repro.ahb.decoder import AddressMap
 from repro.ahb.master import TlmMaster
 from repro.ahb.slave import TlmSlave
 from repro.ahb.transaction import Transaction
-from repro.core.bus import AhbPlusBusTlm, AhbPlusRunResult, RequestLine
+from repro.core.bus import AhbPlusBusTlm, AhbPlusRunResult
 from repro.core.config import AhbPlusConfig
 from repro.core.filters import Candidate
 from repro.core.qos import QosRegisterFile
@@ -34,21 +35,6 @@ from repro.errors import ConfigError, SimulationError
 from repro.kernel.events import Event
 from repro.kernel.process import ThreadProcess, WaitCycles, WaitEvent
 from repro.kernel.simulator import Simulator
-
-
-class _RequestBoard:
-    """The HBUSREQ register bank: posted requests awaiting an answer."""
-
-    def __init__(self, num_masters: int) -> None:
-        self.lines = [RequestLine() for _ in range(num_masters)]
-        self.posted = Event("board.posted")
-
-    def post(self, master: int, txn: Transaction) -> None:
-        line = self.lines[master]
-        if line.txn is not None:
-            raise SimulationError(f"master {master} double-posted a request")
-        line.txn = txn
-        self.posted.notify()
 
 
 class ThreadedAhbPlusBus(AhbPlusBusTlm):
@@ -69,8 +55,7 @@ class ThreadedAhbPlusBus(AhbPlusBusTlm):
                 "(a zero-lead decision races master completion)"
             )
         self.sim = Simulator()
-        self.board = _RequestBoard(len(self.masters))
-        self._request_lines = self.board.lines
+        self.request_posted = Event("bus.request_posted")
         self.done_events = [
             Event(f"master{m.index}.done") for m in self.masters
         ]
@@ -78,8 +63,8 @@ class ThreadedAhbPlusBus(AhbPlusBusTlm):
     # -- engine hook ------------------------------------------------------------
 
     def _released(self, txn: Transaction) -> None:
-        """Clear the master's request and wake its thread."""
-        self.board.lines[txn.master].txn = None
+        """Drop the master's request and wake its thread."""
+        self.post(txn.master, None)
         self.done_events[txn.master].notify()
 
     def _all_done(self) -> bool:
@@ -104,25 +89,28 @@ class ThreadedAhbPlusBus(AhbPlusBusTlm):
             yield from self._wait_until(issue)
             txn = agent.pending(self.sim.now)
             assert txn is not None
-            self.board.post(agent.index, txn)
+            if self._posted[agent.index] is not None:
+                raise SimulationError(f"master {agent.index} double-posted a request")
+            self.post(agent.index, txn)
+            self.request_posted.notify()
             yield WaitEvent(self.done_events[agent.index])
 
     # -- bus thread -----------------------------------------------------------------------
 
     def _bus_body(self) -> Iterator:
-        pipelined: Optional[Tuple[Candidate, int]] = None
+        pipelined: Optional[Tuple[Candidate, TlmSlave, int]] = None
         while True:
             if pipelined is not None:
-                cand, grant_at = pipelined
+                cand, slave, grant_at = pipelined
                 yield from self._wait_until(grant_at)
-                pipelined = yield from self._serve_gen(cand)
+                pipelined = yield from self._serve_gen(cand, slave)
                 continue
             winner = self.arbitrate(self.sim.now)
             if winner is None:
                 if self._all_done():
                     self._now = self.sim.now
                     return
-                yield WaitEvent(self.board.posted)
+                yield WaitEvent(self.request_posted)
                 # Re-queue after same-cycle posters so the round sees
                 # every request of this cycle, as the method engine does.
                 yield WaitCycles(0)
@@ -131,33 +119,33 @@ class ThreadedAhbPlusBus(AhbPlusBusTlm):
                 yield WaitCycles(self.config.arbitration_cycles)
             pipelined = yield from self._serve_gen(winner)
 
-    def _serve_gen(self, cand: Candidate) -> Iterator:
+    def _serve_gen(self, cand: Candidate, slave: Optional[TlmSlave] = None) -> Iterator:
         """Serve one transfer; returns the pipelined next decision."""
         grant_cycle = self.sim.now
-        span = self._transfer(cand, grant_cycle)
+        span = self._transfer(cand, grant_cycle, slave)
         if span is None:
             # The fault response is published once its cycle has passed.
             yield WaitCycles(1)
-            self._serve_fault(cand.txn, grant_cycle)
+            self._serve_fault(cand, grant_cycle)
             yield WaitCycles(1)
             return None
         start, finish = span
         pipelining = self.config.request_pipelining
-        winner: Optional[Candidate] = None
+        lock: Optional[Tuple[Candidate, TlmSlave]] = None
         if pipelining:
             decide = max(start, finish - self.config.pipeline_lead)
             yield from self._wait_until(decide)
-            winner = self._lock_next(decide, cand.txn)
+            lock = self._lock_next(decide, cand.txn)
         yield from self._wait_until(finish)
-        if winner is None and pipelining:
+        if lock is None and pipelining:
             # Late sampling point at `finish`, before the winner's
             # completion is published — as in the method engine.
-            winner = self._lock_next(finish, cand.txn)
+            lock = self._lock_next(finish, cand.txn)
         self._retire(cand, grant_cycle, start, finish)
-        if winner is None:
+        if lock is None:
             yield WaitCycles(1)
             return None
-        return (winner, finish)
+        return (*lock, finish)
 
     # -- run ---------------------------------------------------------------------------------
 

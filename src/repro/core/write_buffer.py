@@ -78,8 +78,12 @@ class WriteBuffer:
         return True
 
     def absorb(self, txn: Transaction, cycle: int) -> Transaction:
-        """Post *txn*; returns the drain copy that will replay on the bus."""
-        if not self.can_absorb(txn):
+        """Post *txn*; returns the drain copy that will replay on the bus.
+
+        The caller has checked :meth:`can_absorb`; only a read, a
+        disabled or a full buffer is caught here again.
+        """
+        if not (self.enabled and txn.is_write) or len(self._drains) >= self.depth:
             raise SimulationError("absorb() called for an unbufferable write")
         drain = Transaction(
             master=WRITE_BUFFER_MASTER,

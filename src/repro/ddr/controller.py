@@ -80,7 +80,7 @@ class DdrControllerTlm(TlmSlave):
 
     # -- Bus Interface hooks (paper sections 2 / 3.4) ---------------------------
 
-    def notify_next(self, txn: Transaction, cycle: int) -> bool:
+    def notify_next(self, txn: Transaction, cycle: int) -> None:
         """Receive next-transaction info; open its first row early.
 
         The decoded first beat is kept with *txn*, so serving that same
@@ -90,8 +90,6 @@ class DdrControllerTlm(TlmSlave):
         self._hint = (txn, baddr)
         if self.timeline.prepare(baddr, cycle):
             self.prepared_banks += 1
-            return True
-        return False
 
     def access_score(self, addr: int, cycle: int) -> int:
         """0 = row hit, 1 = bank idle, 2 = row conflict (for the bank filter)."""
@@ -158,23 +156,34 @@ class DdrControllerTlm(TlmSlave):
         memory = self.memory
         schedule_access = self.timeline.schedule_access
         write_data = (txn.data or [0] * txn.beats) if is_write else None
-        read_data: List[int] = []
-        done = 0
-        for baddr, addresses in self._segments(txn):
-            beats = len(addresses)
-            plan = schedule_access(baddr, is_write, beats, command_from)
+        segments = self._segments(txn)
+        if len(segments) == 1:  # nearly every burst: no slicing, no joining
+            baddr, addresses = segments[0]
+            finish = schedule_access(baddr, is_write, txn.beats, command_from).finish
             if is_write:
-                memory.write_beats(addresses, size, write_data[done : done + beats])
+                memory.write_beats(addresses, size, write_data)
             else:
-                read_data += memory.read_beats(addresses, size)
-            done += beats
-            finish = plan.finish
-            command_from = plan.cas_at + 1
-            self.data_beats += beats
+                txn.data = memory.read_beats(addresses, size)
+            self.data_beats += txn.beats
+        else:
+            read_data: List[int] = []
+            done = 0
+            for baddr, addresses in segments:
+                beats = len(addresses)
+                plan = schedule_access(baddr, is_write, beats, command_from)
+                if is_write:
+                    memory.write_beats(addresses, size, write_data[done : done + beats])
+                else:
+                    read_data += memory.read_beats(addresses, size)
+                done += beats
+                finish = plan.finish
+                command_from = plan.cas_at + 1
+                self.data_beats += beats
+            if not is_write:
+                txn.data = read_data
         if is_write:
             self.writes += 1
         else:
-            txn.data = read_data
             self.reads += 1
         return finish
 

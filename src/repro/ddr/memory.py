@@ -1,43 +1,82 @@
 """Backing store shared by every memory model.
 
-A sparse store: only written locations consume memory, so gigabyte
-address spaces cost nothing until touched.  Both the RTL and TLM DDR
+A sparse store: only touched 1 KB pages consume memory, so gigabyte
+address spaces cost nothing until written.  Both the RTL and TLM DDR
 controllers write through to a :class:`MemoryModel`, and the accuracy
 harness compares final images with :meth:`equal_contents` to prove
 functional equivalence of the two abstraction levels.
 
-The hot path is word-granular: a 32-bit bus moves aligned 4-byte beats,
-so those hit a word-keyed dict (one dict operation per beat instead of
-four).  Unaligned, sub-word and wide accesses fall back to a
-byte-granular dict; the two stores never overlap — a byte write spills
-any covering word into bytes first, a word write evicts any covered
-bytes — so reads merge them without ambiguity and observable semantics
-(little-endian values, zero-for-unwritten, touched-byte accounting)
-match the original byte-only store exactly.
+Each page, keyed by ``addr >> 10``, is a ``bytearray(1024)`` of
+little-endian data (zero where unwritten) and an integer bit mask of
+the bytes ever written, which :meth:`touched_bytes` and :meth:`items`
+count so a written zero stays distinct from an unwritten byte.  Every
+access is one slice of a page (:meth:`_get`/:meth:`_put`), split in
+two only where an unaligned access crosses a page.  An AHB burst never
+crosses a 1 KB boundary, so a contiguous burst segment of 1/2/4/8-byte
+beats is one slice and one ``Struct`` pack or unpack; any other
+segment goes beat by beat.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+from functools import lru_cache
+from struct import Struct
+from struct import error as StructError
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import MemoryError_
 
-#: Fast-path access width in bytes (one 32-bit bus beat).
-_WORD = 4
+_PAGE_BITS = 10
+_PAGE = 1 << _PAGE_BITS
+_OFFSET = _PAGE - 1
+#: ``struct`` codes of the beat sizes a block segment packs.
+_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+@lru_cache(maxsize=None)
+def _block(size_bytes: int, beats: int) -> Struct:
+    """Layout of *beats* adjacent little-endian beats of *size_bytes*."""
+    return Struct(f"<{beats}{_CODES[size_bytes]}")
 
 
 class MemoryModel:
-    """Sparse little-endian store with a word-granular fast path."""
+    """Sparse little-endian store of 1 KB pages."""
 
     def __init__(self, name: str = "mem") -> None:
         self.name = name
-        #: Aligned 4-byte values keyed by ``addr // 4``.
-        self._words: Dict[int, int] = {}
-        #: Byte fallback for unaligned/sub-word/wide residue.
-        self._bytes: Dict[int, int] = {}
+        #: ``addr >> 10`` -> ``[data, written]``: the page's kilobyte
+        #: and the bit mask of its bytes ever written.
+        self._pages: Dict[int, list] = {}
         self.read_ops = 0
         self.write_ops = 0
+
+    # -- page slices ----------------------------------------------------------------
+
+    def _get(self, addr: int, count: int) -> bytes:
+        """The *count* data bytes from *addr*; unwritten bytes are zero."""
+        off = addr & _OFFSET
+        end = off + count
+        if end > _PAGE:
+            split = _PAGE - off
+            return self._get(addr, split) + self._get(addr + split, count - split)
+        page = self._pages.get(addr >> _PAGE_BITS)
+        return bytes(count) if page is None else page[0][off:end]
+
+    def _put(self, addr: int, raw: bytes) -> None:
+        """Store *raw* from *addr* and flag its bytes written."""
+        off = addr & _OFFSET
+        end = off + len(raw)
+        if end > _PAGE:
+            split = _PAGE - off
+            self._put(addr + split, raw[split:])
+            raw, end = raw[:split], _PAGE
+        page = self._pages.get(addr >> _PAGE_BITS)
+        if page is None:
+            page = self._pages[addr >> _PAGE_BITS] = [bytearray(_PAGE), 0]
+        page[0][off:end] = raw
+        page[1] |= ((1 << (end - off)) - 1) << off
+
+    # -- single accesses ------------------------------------------------------------
 
     def write(self, addr: int, size_bytes: int, value: int) -> None:
         """Store *value* (little-endian) at *addr*."""
@@ -49,17 +88,7 @@ class MemoryModel:
             raise MemoryError_(
                 f"{self.name}: value {value:#x} wider than {size_bytes} bytes"
             )
-        if size_bytes == _WORD and addr & 3 == 0:
-            self._words[addr >> 2] = value
-            if self._bytes:  # evict any byte residue this word covers
-                pop = self._bytes.pop
-                for i in range(_WORD):
-                    pop(addr + i, None)
-        else:
-            self._spill_words(addr, size_bytes)
-            store = self._bytes
-            for i in range(size_bytes):
-                store[addr + i] = (value >> (8 * i)) & 0xFF
+        self._put(addr, value.to_bytes(size_bytes, "little"))
         self.write_ops += 1
 
     def read(self, addr: int, size_bytes: int) -> int:
@@ -67,144 +96,113 @@ class MemoryModel:
         if addr < 0:
             raise MemoryError_(f"{self.name}: negative address {addr:#x}")
         self.read_ops += 1
-        words = self._words
-        store = self._bytes
-        if (addr + size_bytes - 1) >> 2 == addr >> 2:
-            # Access contained in one word: the spill/evict discipline
-            # keeps the stores disjoint per word, so exactly one of the
-            # two holds this range — one word probe, byte fallback.
-            word = words.get(addr >> 2)
-            if word is not None:
-                return (word >> (8 * (addr & 3))) & ((1 << (8 * size_bytes)) - 1)
-            if not store:
-                return 0
-            value = 0
-            for i in range(size_bytes):
-                value |= store.get(addr + i, 0) << (8 * i)
-            return value
-        # Unaligned or wide access spanning words: merge both stores.
-        value = 0
-        for i in range(size_bytes):
-            byte_addr = addr + i
-            word = words.get(byte_addr >> 2)
-            if word is not None:
-                value |= ((word >> (8 * (byte_addr & 3))) & 0xFF) << (8 * i)
-            else:
-                value |= store.get(byte_addr, 0) << (8 * i)
-        return value
+        return int.from_bytes(self._get(addr, size_bytes), "little")
 
-    def _spill_words(self, addr: int, size_bytes: int) -> None:
-        """Explode words overlapping ``[addr, addr+size)`` into bytes."""
-        words = self._words
-        if not words:
-            return
-        store = self._bytes
-        for word_index in range(addr >> 2, ((addr + size_bytes - 1) >> 2) + 1):
-            word = words.pop(word_index, None)
-            if word is not None:
-                base = word_index << 2
-                for i in range(_WORD):
-                    store[base + i] = (word >> (8 * i)) & 0xFF
+    # -- burst segments -------------------------------------------------------------
 
-    # -- burst-segment fast paths ----------------------------------------------
+    @staticmethod
+    def _layout(addrs: Sequence[int], size_bytes: int) -> Optional[Struct]:
+        """The packing of *addrs* when they are one block, else ``None``.
 
-    def _word_keys(
-        self, addrs: Sequence[int], size_bytes: int
-    ) -> Optional[Sequence[int]]:
-        """Word indices of *addrs* when the burst can bypass per-beat calls.
-
-        That is an aligned-word burst (every address non-negative and
-        4-byte aligned) over a clean byte store; ``None`` sends the
-        caller down the per-beat path.  A ``range`` burst is checked from
-        its start and step alone and maps to a ``range`` of indices.
+        A block is adjacent beats of 1, 2, 4 or 8 bytes from a
+        non-negative start: a ``range`` or list equal to ``range(start,
+        ..., size_bytes)`` (a wrapping list is not).
         """
-        if size_bytes != _WORD or self._bytes:
-            return None
         if type(addrs) is range:
-            start, step = addrs.start, addrs.step
-            if start < 0 or step <= 0 or (start | step) & 3:
+            if addrs.step != size_bytes or not addrs or addrs.start < 0:
                 return None
-            return range(start >> 2, (addrs.stop + 3) >> 2, step >> 2)
-        for addr in addrs:
-            if addr < 0 or addr & 3:
-                return None
-        return [addr >> 2 for addr in addrs]
+        elif not addrs or addrs[0] < 0 or list(addrs) != list(
+            range(addrs[0], addrs[0] + len(addrs) * size_bytes, size_bytes)
+        ):
+            return None
+        return _block(size_bytes, len(addrs)) if size_bytes in _CODES else None
 
     def read_beats(self, addrs: Sequence[int], size_bytes: int) -> List[int]:
         """Load one value per beat address — a burst segment in one call.
 
         Semantics (values, zero-for-unwritten, ``read_ops`` accounting)
-        are identical to calling :meth:`read` per beat; an aligned-word
-        burst over a clean byte store is one ``map`` over the word dict,
-        which is how both DDR controllers move a read segment.
+        are identical to calling :meth:`read` per beat; a block segment
+        is one ``unpack`` of one page slice.
         """
-        keys = self._word_keys(addrs, size_bytes)
-        if keys is None:
+        layout = self._layout(addrs, size_bytes)
+        if layout is None:
             return [self.read(addr, size_bytes) for addr in addrs]
-        values = list(map(self._words.get, keys, repeat(0)))
-        self.read_ops += len(values)
-        return values
+        self.read_ops += len(addrs)
+        start = addrs[0]
+        off = start & _OFFSET
+        if off + layout.size > _PAGE:
+            return list(layout.unpack(self._get(start, layout.size)))
+        page = self._pages.get(start >> _PAGE_BITS)
+        if page is None:
+            return [0] * len(addrs)
+        return list(layout.unpack_from(page[0], off))
 
     def write_beats(
         self, addrs: Sequence[int], size_bytes: int, values: Sequence[int]
     ) -> None:
         """Store one value per beat address — a burst segment in one call.
 
-        Mirrors per-beat :meth:`write` exactly (validation, byte-residue
-        eviction, ``write_ops``); an aligned-word burst of in-range
-        values over a clean byte store is one ``dict.update``.  Any
-        other burst goes beat by beat, so a bad value raises after the
-        same written prefix.  *values* must hold one value per address.
+        Mirrors per-beat :meth:`write` exactly (validation, written
+        bytes, ``write_ops``); a block segment of in-range values is one
+        ``pack`` into one page slice.  Any other segment goes beat by
+        beat, so a bad value raises after the same written prefix.
+        *values* must hold one value per address.
         """
-        if len(values) != len(addrs):
+        beats = len(addrs)
+        if len(values) != beats:
             raise MemoryError_(
-                f"{self.name}: {len(values)} values for {len(addrs)} beat addresses"
+                f"{self.name}: {len(values)} values for {beats} beat addresses"
             )
-        keys = self._word_keys(addrs, size_bytes)
-        if keys is not None and (
-            not values or (min(values) >= 0 and not max(values) >> 32)
-        ):
-            self._words.update(zip(keys, values))
-            self.write_ops += len(values)
-            return
+        layout = self._layout(addrs, size_bytes)
+        if layout is not None:
+            try:
+                raw = layout.pack(*values)
+            except StructError:  # a bad value: the per-beat path names it
+                pass
+            else:
+                self._put(addrs[0], raw)
+                self.write_ops += beats
+                return
         for addr, value in zip(addrs, values):
             self.write(addr, size_bytes, value)
 
-    # -- whole-image views ------------------------------------------------------
-
-    def _byte_image(self) -> Dict[int, int]:
-        """Every stored byte as one flat ``{addr: byte}`` mapping."""
-        image = dict(self._bytes)
-        for word_index, word in self._words.items():
-            base = word_index << 2
-            for i in range(_WORD):
-                image[base + i] = (word >> (8 * i)) & 0xFF
-        return image
+    # -- whole-image views ----------------------------------------------------------
 
     def touched_bytes(self) -> int:
         """Number of distinct bytes ever written."""
-        return len(self._bytes) + _WORD * len(self._words)
+        return sum(written.bit_count() for _data, written in self._pages.values())
 
     def items(self) -> Iterator[Tuple[int, int]]:
-        """Iterate ``(address, byte)`` pairs in address order."""
-        return iter(sorted(self._byte_image().items()))
+        """Iterate written ``(address, byte)`` pairs in address order."""
+        for index in sorted(self._pages):
+            data, written = self._pages[index]
+            base = index << _PAGE_BITS
+            flags = f"{written:b}"[::-1]  # flags[i] is byte i's bit
+            off = flags.find("1")
+            while off >= 0:
+                yield base + off, data[off]
+                off = flags.find("1", off + 1)
+
+    def _data_pages(self, other: "MemoryModel") -> Iterator[Tuple[int, bytes, bytes]]:
+        """``(index, mine, theirs)`` data for every page either store holds.
+
+        A page one store lacks reads as zeros, so zero equals unwritten.
+        """
+        for index in sorted(self._pages.keys() | other._pages.keys()):
+            base = index << _PAGE_BITS
+            yield index, self._get(base, _PAGE), other._get(base, _PAGE)
 
     def equal_contents(self, other: "MemoryModel") -> bool:
-        """True when both stores hold identical non-zero images.
+        """True when both stores hold identical images.
 
-        Zero bytes equal unwritten bytes, matching read semantics — and
-        making the comparison independent of how each store shards its
-        content between words and bytes.
+        Zero bytes equal unwritten bytes, matching read semantics.
         """
-        mine, theirs = self._byte_image(), other._byte_image()
-        keys = set(mine) | set(theirs)
-        return all(mine.get(k, 0) == theirs.get(k, 0) for k in keys)
+        return all(a == b for _index, a, b in self._data_pages(other))
 
     def first_difference(self, other: "MemoryModel") -> Tuple[int, int, int]:
         """First (addr, mine, theirs) mismatch; raises if images match."""
-        mine, theirs = self._byte_image(), other._byte_image()
-        for k in sorted(set(mine) | set(theirs)):
-            a, b = mine.get(k, 0), theirs.get(k, 0)
+        for index, a, b in self._data_pages(other):
             if a != b:
-                return k, a, b
+                off = next(i for i in range(_PAGE) if a[i] != b[i])
+                return (index << _PAGE_BITS) + off, a[off], b[off]
         raise MemoryError_("memory images are identical")

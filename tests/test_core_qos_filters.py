@@ -94,10 +94,10 @@ class TestQosRegisterFile:
         regs.configure(0, QosSetting(True, 10))
         ok = txn(issued=0)
         ok.finished_at = 5
-        regs.record_completion(ok)
+        regs.record_completion(ok, regs.deadline_for(ok))
         late = txn(issued=0)
         late.finished_at = 50
-        regs.record_completion(late)
+        regs.record_completion(late, regs.deadline_for(late))
         assert regs.deadline_hits == 1 and regs.deadline_misses == 1
         assert regs.miss_rate() == 0.5
 
