@@ -32,13 +32,31 @@ from repro.errors import ConfigError
 KEY_HEX_CHARS = 32
 
 
+#: Exact scalar types that pass through :func:`canonical_value` as-is.
+_PLAIN_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
 def canonical_value(value: object) -> object:
     """*value* reduced to plain JSON types with deterministic ordering.
 
     Mappings become dicts sorted by key (keys must be strings — JSON
     would silently coerce anything else and ``sort_keys`` would compare
     mixed types), sequences become lists, and scalars pass through.
+
+    Plain ``dict``/``list``/``tuple`` values and exact scalar types —
+    what ``to_dict()`` payloads are made of — take exact-type checks
+    first; everything else (mapping proxies, enums, custom containers,
+    a plain dict with a non-string key) goes through the ABC checks.
+    Both paths give the same result and raise the same errors.
     """
+    kind = type(value)
+    if kind in _PLAIN_SCALARS:
+        return value
+    if kind is dict:
+        if all(type(key) is str for key in value):
+            return {key: canonical_value(value[key]) for key in sorted(value)}
+    elif kind is list or kind is tuple:
+        return [canonical_value(item) for item in value]
     if isinstance(value, Mapping):
         for key in value:
             if not isinstance(key, str):

@@ -243,13 +243,15 @@ class ServeClient:
     ) -> SubmitResult:
         """Submit *grid*; block until every point's record streamed back.
 
-        Results arrive (and *on_event* fires) per point, in grid order,
-        as the server completes them — cache hits immediately, cold
-        points as the shared sweep finishes each one.  Transient
-        failures (connection loss, a server that died mid-stream,
-        ``overloaded``/``draining`` responses) retry the whole
-        submission with backoff — idempotence makes the re-submission
-        free for every point that already completed.
+        Results arrive (and *on_event* fires) per point, in grid order.
+        The server sends every record it already has in one batch: a
+        fully cached submission arrives whole, and a cold one brings
+        its known records before the server waits for the shared sweep
+        to finish the next point.  Transient failures (connection loss,
+        a server that died mid-stream, ``overloaded``/``draining``
+        responses) retry the whole submission with backoff —
+        idempotence makes the re-submission free for every point that
+        already completed.
         """
         points = list(grid)
         if not points:

@@ -147,10 +147,18 @@ def grid_to_wire(grid: Iterable[SweepPoint]) -> List[Dict[str, object]]:
 # -- line framing ---------------------------------------------------------------
 
 
-def write_message(stream: IO[str], message: Dict[str, object]) -> None:
-    """Send one protocol object (a single line; flushed immediately)."""
+def write_message(
+    stream: IO[str], message: Dict[str, object], flush: bool = True
+) -> None:
+    """Send one protocol object as a single line.
+
+    With ``flush=False`` the line stays in *stream*'s buffer and leaves
+    with the next flush, so a sender can coalesce several events into
+    one send (the server does so for a submission's replies).
+    """
     stream.write(json.dumps(message) + "\n")
-    stream.flush()
+    if flush:
+        stream.flush()
 
 
 def read_message(stream: IO[str]) -> Optional[Dict[str, object]]:

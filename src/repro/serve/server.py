@@ -218,6 +218,8 @@ class _Handler(socketserver.StreamRequestHandler):
         points = [point_from_wire(entry) for entry in raw_points]
         outcomes = owner.route(points, max_cycles)
         job = owner._next_job()
+        # Events are flushed only before the handler blocks and with
+        # ``done``, so a fully cached submission leaves in one send.
         write_message(
             writer,
             {
@@ -226,10 +228,14 @@ class _Handler(socketserver.StreamRequestHandler):
                 "points": len(points),
                 "protocol": PROTOCOL,
             },
+            flush=False,
         )
         hits = misses = quarantined = 0
         for index, (point, key, source, slot) in enumerate(outcomes):
             if isinstance(slot, _Pending):
+                if not slot.event.is_set():
+                    # About to block: send what is already known first.
+                    writer.flush()
                 record = slot.wait()
             else:
                 record = slot
@@ -258,6 +264,7 @@ class _Handler(socketserver.StreamRequestHandler):
                     "source": source,
                     "record": record.to_dict(),
                 },
+                flush=False,
             )
         write_message(
             writer,
@@ -570,16 +577,21 @@ class SweepServer:
                 "server is draining; journaled work resumes on the next "
                 "start — retry there"
             )
+        # Key every point once, off the lock: hashing is the costly part
+        # of a warm submission, and the executor's _finish needs the lock.
+        # A point that cannot be keyed raises here, before anything is
+        # journaled or counted.
+        keys = [
+            point_key(point.spec, engine=point.engine, max_cycles=max_cycles)
+            for point in points
+        ]
         outcomes: List[_Outcome] = []
         to_run: List[Tuple[str, _Pending]] = []
         with self._lock:
             # Admission first, without side effects: how many genuinely
             # cold points would this submission add?
             cold_keys = set()
-            for point in points:
-                key = point_key(
-                    point.spec, engine=point.engine, max_cycles=max_cycles
-                )
+            for key in keys:
                 if (
                     self.store.get(key) is None
                     and key not in self._inflight
@@ -598,10 +610,7 @@ class SweepServer:
                 )
             self._stats["submissions"] += 1
             self._stats["points"] += len(points)
-            for point in points:
-                key = point_key(
-                    point.spec, engine=point.engine, max_cycles=max_cycles
-                )
+            for point, key in zip(points, keys):
                 cached = self.store.get(key)
                 if cached is not None:
                     self._stats["hits_store"] += 1

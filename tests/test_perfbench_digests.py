@@ -6,8 +6,10 @@ each of the first ``PINNED_ROUNDS`` rounds of every workload at
 failed operation.  This test runs those rounds of the two sweep
 workloads through ``perfbench/workloads.py`` itself (imported, never
 modified), so a change that moves a bench record fails here too, not
-only under ``make bench``.  The serve workload's digests need a
-running server and are left to the benchmark.
+only under ``make bench``.  The serve workload runs its pinned rounds
+against an in-process server on a loopback socket, which also checks
+that every warm replay equals its cold records and that each point is
+classified ``run`` cold and ``store`` warm.
 """
 
 import os
@@ -31,6 +33,21 @@ def test_pinned_rounds_match_the_committed_digests(name, tmp_path):
     try:
         for index in range(workloads.PINNED_ROUNDS):
             workload.run_round(out, index, None)
+    finally:
+        workload.close()
+    produced = workloads.check_digests(name, seed, out, pinned)
+    assert out.failed == 0, out.problems
+    assert produced == pinned[name]
+
+
+def test_serve_pinned_rounds_match_the_committed_digests(tmp_path):
+    name = "serve-closed-loop"
+    pinned = workloads.load_pinned()
+    seed = workloads.DEFAULT_SEED
+    workload = workloads.make_workload(name, seed, workloads.SIZES[name], str(tmp_path / "serve"))
+    workload.start_server()
+    try:
+        out = workload.measure(0.0, workloads.PINNED_ROUNDS)
     finally:
         workload.close()
     produced = workloads.check_digests(name, seed, out, pinned)
