@@ -51,31 +51,32 @@ def main() -> None:
 
         with SweepServer(store=ResultStore(store_path)) as server:
             host, port = server.address
-            client = ServeClient(host, port)
-            print(f"daemon listening on {host}:{port} "
-                  f"(protocol {client.ping()})\n")
+            # One client keeps one connection for all of its requests.
+            with ServeClient(host, port) as client:
+                print(f"daemon listening on {host}:{port} "
+                      f"(protocol {client.ping()})\n")
 
-            cold = submit_and_report(client, grid, "cold pass")
-            warm = submit_and_report(client, grid, "warm pass")
-            if warm.hit_rate != 1.0:  # must survive python -O
-                raise SimulationError("warm pass was not 100% cache hits")
-            if warm.records != cold.records:
-                raise SimulationError("cache replay diverged from cold run")
-            print("warm records are bit-identical to the cold pass\n")
+                cold = submit_and_report(client, grid, "cold pass")
+                warm = submit_and_report(client, grid, "warm pass")
+                if warm.hit_rate != 1.0:  # must survive python -O
+                    raise SimulationError("warm pass was not 100% cache hits")
+                if warm.records != cold.records:
+                    raise SimulationError("cache replay diverged from cold run")
+                print("warm records are bit-identical to the cold pass\n")
 
-            submit_and_report(client, wider, "mixed pass (wider grid)")
-            stats = client.status()["stats"]
-            print(f"\nserver stats: {stats['points']} points in, "
-                  f"{stats['hits']} hits, {stats['misses']} misses, "
-                  f"max queue depth {stats['max_queue_depth']}")
-            client.shutdown()
+                submit_and_report(client, wider, "mixed pass (wider grid)")
+                stats = client.status()["stats"]
+                print(f"\nserver stats: {stats['points']} points in, "
+                      f"{stats['hits']} hits, {stats['misses']} misses, "
+                      f"max queue depth {stats['max_queue_depth']}")
+                client.shutdown()
             server.wait(timeout=10.0)
         print("daemon stopped cleanly")
 
         # A fresh server on the same store starts warm: the cache is
         # content-addressed state on disk, not process memory.
-        with SweepServer(store=ResultStore(store_path)) as server:
-            client = ServeClient(*server.address)
+        with SweepServer(store=ResultStore(store_path)) as server, \
+                ServeClient(*server.address) as client:
             revived = submit_and_report(
                 client, wider, "\nafter restart (same store)"
             )

@@ -119,11 +119,6 @@ class OrderingChecker(PropertyChecker):
                     txn_uid=txn.uid,
                 )
 
-    def observe_drain(self, txn: Transaction) -> None:
-        """Optional hook to track buffer drains under their true master."""
-        # Drains carry WRITE_BUFFER_MASTER; the absorbing master already
-        # recorded the data when the write was posted, so nothing to do.
-
 
 class BankFsmChecker(PropertyChecker):
     """Watches DDR bank FSMs for illegal transitions (RTL hook)."""

@@ -85,13 +85,6 @@ class AhbPlusRunResult:
             return 0.0
         return self.busy_cycles / self.cycles
 
-    @property
-    def rt_miss_rate(self) -> float:
-        total = self.rt_deadline_hits + self.rt_deadline_misses
-        if total == 0:
-            return 0.0
-        return self.rt_deadline_misses / total
-
 
 class AhbPlusBusTlm(ArbitrationRound):
     """The AHB+ main bus, memory controller attached over the BI.

@@ -92,10 +92,6 @@ class AhbPlusConfig:
                     f"QoS setting for out-of-range master {master}"
                 )
 
-    def qos_setting(self, master: int) -> QosSetting:
-        """Setting for *master*; defaults to NRT with no objective."""
-        return self.qos.get(master, QosSetting())
-
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready mapping of the full configuration.
 

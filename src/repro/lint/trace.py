@@ -127,10 +127,6 @@ class _Tracker:
 _ACTIVE: Optional[_Tracker] = None
 
 
-def active_tracker() -> Optional[_Tracker]:
-    return _ACTIVE
-
-
 #: Storage descriptor of the base class's ``value`` slot: the traced
 #: property shadows the name, so the slot is reached through the
 #: descriptor directly.

@@ -25,8 +25,9 @@ that exploits it:
   streams per-point results back in grid order via the runner's
   ``on_result`` hook.
 * :class:`ServeClient` — the Python API (``submit``/``status``/
-  ``ping``/``drain``/``shutdown``) with exponential-backoff retries
-  (safe: submissions are idempotent by content key);
+  ``ping``/``drain``/``shutdown``) over one kept connection, with
+  exponential-backoff retries (safe: submissions are idempotent by
+  content key);
   ``python -m repro.serve`` is the CLI over the same protocol.
 
 One host program, same workload, any backend — submit the grid and let
@@ -34,9 +35,9 @@ the service pick cached vs fresh execution::
 
     with SweepServer(store=ResultStore("results.jsonl"),
                      journal=Journal("journal.jsonl")) as server:
-        client = ServeClient(*server.address)
-        first = client.submit(grid)    # cold: simulated
-        second = client.submit(grid)   # warm: 100% cache hits
+        with ServeClient(*server.address) as client:
+            first = client.submit(grid)    # cold: simulated
+            second = client.submit(grid)   # warm: 100% cache hits
         assert second.records == first.records
 
 The guarantees (no accepted work lost across ``kill -9``, no point

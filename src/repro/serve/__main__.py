@@ -125,8 +125,8 @@ def cmd_submit(args: argparse.Namespace) -> int:
     spec = scenario(args.scenario, transactions=args.transactions)
     values = _parse_values(args.values)
     grid = sweep(spec, axis=args.axis, values=values, engine=args.engine)
-    client = ServeClient(args.host, args.port, retries=args.retries)
-    result = client.submit(grid, max_cycles=args.max_cycles)
+    with ServeClient(args.host, args.port, retries=args.retries) as client:
+        result = client.submit(grid, max_cycles=args.max_cycles)
     print(
         f"{'label':<24} {'source':<12} {'cycles':>8} {'txns':>6} {'util':>6}"
     )
@@ -150,8 +150,8 @@ def cmd_submit(args: argparse.Namespace) -> int:
 
 
 def cmd_status(args: argparse.Namespace) -> int:
-    client = ServeClient(args.host, args.port)
-    status = client.status()
+    with ServeClient(args.host, args.port) as client:
+        status = client.status()
     if args.json:
         # One machine-readable object on stdout, nothing else.
         print(json.dumps(status, sort_keys=True))
@@ -197,8 +197,9 @@ def cmd_status(args: argparse.Namespace) -> int:
 
 
 def cmd_drain(args: argparse.Namespace) -> int:
-    client = ServeClient(args.host, args.port)
-    if client.drain():
+    with ServeClient(args.host, args.port) as client:
+        drained = client.drain()
+    if drained:
         print("server acknowledged drain")
         return 0
     print("server already gone")
@@ -206,8 +207,9 @@ def cmd_drain(args: argparse.Namespace) -> int:
 
 
 def cmd_shutdown(args: argparse.Namespace) -> int:
-    client = ServeClient(args.host, args.port)
-    if client.shutdown():
+    with ServeClient(args.host, args.port) as client:
+        acknowledged = client.shutdown()
+    if acknowledged:
         print("server acknowledged shutdown")
     else:
         # Idempotent teardown: a dead server is a drained server.

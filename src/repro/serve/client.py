@@ -1,13 +1,18 @@
 """Python client for the sweep server: submit once, stream results back.
 
-:class:`ServeClient` speaks the :mod:`repro.serve.protocol` over a
-fresh TCP connection per operation (connections are cheap on localhost
-and stateless retries stay trivial).  :meth:`ServeClient.submit` is the
-drop-in serving analogue of :meth:`SweepRunner.run`: it takes the same
-``sweep()`` grid, returns records in grid order, and additionally
-reports which points replayed from the server's cache — submitting the
-same grid twice yields a second pass that is 100 % cache hits with
-records equal to the first pass.
+:class:`ServeClient` speaks the :mod:`repro.serve.protocol` over one
+TCP connection that it opens on first use and keeps for every later
+operation (the server already answers any number of requests per
+connection), so a warm submission costs one send and one receive on
+each side instead of a connect, an accept and a handler thread.
+:meth:`ServeClient.close` (or a ``with`` block) closes it; a client
+dropped without closing closes its socket when it is collected.
+:meth:`ServeClient.submit` is the drop-in serving analogue of
+:meth:`SweepRunner.run`: it takes the same ``sweep()`` grid, returns
+records in grid order, and additionally reports which points replayed
+from the server's cache — submitting the same grid twice yields a
+second pass that is 100 % cache hits with records equal to the first
+pass.
 
 Operations are **resilient by default**: submissions are idempotent by
 content key (the server dedupes against its store and in-flight work),
@@ -15,31 +20,56 @@ so the client retries transient failures — refused/dropped
 connections, a server that died mid-stream, structured ``overloaded``
 and ``draining`` backpressure events — with exponential backoff plus
 jitter, honouring the server's ``retry_after`` hint when one is given.
-Protocol violations and structured ``error`` events are *not* retried:
-a malformed request will not improve by repetition.
+Any failure drops the kept connection, so a retry starts on a fresh
+one.  A kept connection that fails before its reply starts (the server
+closed it while idle, or restarted) is replaced once for free, without
+spending a retry.  Protocol violations and structured ``error`` events
+are *not* retried: a malformed request will not improve by repetition.
 """
 
 from __future__ import annotations
 
 import random
 import socket
+import threading
 import time
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, TextIO, Tuple
+from typing import (
+    BinaryIO,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+)
 
 from repro.errors import ConfigError, SimulationError
 from repro.exec.records import RunRecord
 from repro.serve.protocol import (
     PROTOCOL,
+    READ_BUFFER,
+    encode_message,
     grid_to_wire,
     read_message,
-    write_message,
 )
 from repro.system.spec import SweepPoint
 
 #: Optional event observer: called with every raw protocol event.
 OnEvent = Callable[[Dict[str, object]], None]
+
+#: A kept connection: the socket and the buffered reader over it.
+_Connection = Tuple[socket.socket, BinaryIO]
+
+
+def _close_connection(sock: socket.socket, reader: BinaryIO) -> None:
+    # The reader holds a reference on the socket's descriptor, so it
+    # closes first; then ``sock.close()`` releases the descriptor.
+    reader.close()
+    sock.close()
 
 
 class _Retryable(Exception):
@@ -95,7 +125,21 @@ class ServeClient:
     *sleep* and *rng* are injectable for deterministic tests; every
     retry taken is appended to :attr:`retry_log` as ``(reason,
     delay)``.
+
+    The client keeps one connection for all its operations; threads
+    sharing a client take turns on it.  Close it with :meth:`close` or
+    use the client as a context manager::
+
+        with ServeClient(*server.address) as client:
+            result = client.submit(grid)
     """
+
+    #: The kept connection; a class default, so :meth:`close` works on
+    #: a client whose ``__init__`` raised.
+    _conn: Optional[_Connection] = None
+    #: Closes :attr:`_conn` once: on :meth:`close`, on a dropped
+    #: connection, or when the client is collected unclosed.
+    _closer: Optional[weakref.finalize] = None
 
     def __init__(
         self,
@@ -124,24 +168,78 @@ class ServeClient:
         self.jitter = jitter
         self._sleep = sleep
         self._rng = rng if rng is not None else random.Random()
+        self._lock = threading.Lock()
         #: Every retry taken, across calls: ``(reason, delay_seconds)``.
         self.retry_log: List[Tuple[str, float]] = []
 
+    def close(self) -> None:
+        """Close the kept connection; a later operation opens a new one."""
+        if self._closer is not None:
+            self._closer()
+        self._conn = self._closer = None
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
     # -- plumbing --------------------------------------------------------------
 
-    @contextmanager
-    def _connect(self) -> Iterator[Tuple[TextIO, TextIO]]:
-        """One connection as ``(reader, writer)``; closes all three.
-
-        ``socket.close()`` alone keeps the descriptor open while the
-        ``makefile`` objects still reference it.
-        """
+    def _open(self) -> _Connection:
         sock = socket.create_connection(
             (self.host, self.port), timeout=self.timeout
         )
-        with sock, sock.makefile("r", encoding="utf-8") as reader:
-            with sock.makefile("w", encoding="utf-8") as writer:
-                yield reader, writer
+        reader = sock.makefile("rb", buffering=READ_BUFFER)
+        self._conn = (sock, reader)
+        self._closer = weakref.finalize(self, _close_connection, sock, reader)
+        return self._conn
+
+    def _send(
+        self, data: bytes
+    ) -> Tuple[Optional[Dict[str, object]], BinaryIO]:
+        """Send one request line; return its first reply event and the
+        reader (the event is ``None`` when the server closed first).
+
+        A kept connection that fails before the reply starts — the
+        server closed it while idle, or restarted — is replaced once,
+        outside the retry budget: every op is idempotent by content
+        key, so sending it again is safe.  A timeout is not replaced:
+        that server is alive, only slow.
+        """
+        while True:
+            reused = self._conn is not None
+            sock, reader = self._conn if reused else self._open()
+            try:
+                sock.sendall(data)
+                event = read_message(reader)
+            except socket.timeout:
+                raise
+            except OSError:
+                if not reused:
+                    raise
+                event = None
+            if event is not None or not reused:
+                return event, reader
+            self.close()
+
+    @contextmanager
+    def _request(
+        self, message: Dict[str, object]
+    ) -> Iterator[Tuple[Optional[Dict[str, object]], BinaryIO]]:
+        """Send *message*; yield its first reply event and the reader.
+
+        Any error, here or in the caller's block, drops the connection:
+        its stream may have stopped mid-reply, so the next attempt
+        starts on a fresh one.
+        """
+        data = encode_message(message)
+        with self._lock:
+            try:
+                yield self._send(data)
+            except BaseException:
+                self.close()
+                raise
 
     def _backoff_delay(self, attempt: int, retry_after: float) -> float:
         """Exponential backoff with jitter, floored by the server hint."""
@@ -179,9 +277,7 @@ class ServeClient:
 
     def _request_one(self, op: str, expect: str) -> Dict[str, object]:
         """Send a single-shot op; return its one response event."""
-        with self._connect() as (reader, writer):
-            write_message(writer, {"op": op})
-            event = read_message(reader)
+        with self._request({"op": op}) as (event, _reader):
             if event is None:
                 raise _Retryable(f"server closed during {op!r}")
             if event.get("event") == "error":
@@ -215,11 +311,7 @@ class ServeClient:
     def drain(self) -> bool:
         """Ask the server to drain gracefully; ``False`` when it is
         already gone (like :meth:`shutdown`, safe to script blindly)."""
-        try:
-            event = self._request_one("drain", "draining")
-        except (_Retryable, ConnectionError, socket.timeout, OSError):
-            return False
-        return event.get("event") == "draining"
+        return self._request_last("drain", "draining")
 
     def shutdown(self) -> bool:
         """Ask the server to stop; ``True`` when it acknowledged.
@@ -229,11 +321,17 @@ class ServeClient:
         so scripted teardown is idempotent: calling ``shutdown()``
         twice is as safe as calling it once.
         """
+        return self._request_last("shutdown", "bye")
+
+    def _request_last(self, op: str, expect: str) -> bool:
+        """One attempt at an op after which the server hangs up."""
         try:
-            event = self._request_one("shutdown", "bye")
+            self._request_one(op, expect)
         except (_Retryable, ConnectionError, socket.timeout, OSError):
             return False
-        return event.get("event") == "bye"
+        finally:
+            self.close()
+        return True
 
     def submit(
         self,
@@ -266,22 +364,18 @@ class ServeClient:
         max_cycles: Optional[int],
         on_event: Optional[OnEvent],
     ) -> SubmitResult:
-        with self._connect() as (reader, writer):
-            write_message(
-                writer,
-                {
-                    "op": "submit",
-                    "points": grid_to_wire(points),
-                    "max_cycles": max_cycles,
-                },
-            )
+        request = {
+            "op": "submit",
+            "points": grid_to_wire(points),
+            "max_cycles": max_cycles,
+        }
+        with self._request(request) as (event, reader):
             job = 0
             records: List[RunRecord] = []
             sources: List[str] = []
             keys: List[str] = []
             hits = misses = quarantined = 0
             while True:
-                event = read_message(reader)
                 if event is None:
                     raise _Retryable(
                         "server closed mid-submission "
@@ -324,6 +418,7 @@ class ServeClient:
                     break
                 else:
                     raise SimulationError(f"unexpected event {kind!r}")
+                event = read_message(reader)
             if len(records) != len(points):
                 raise SimulationError(
                     f"submission returned {len(records)} records for "

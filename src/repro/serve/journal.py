@@ -188,10 +188,6 @@ class Journal:
         with self._lock:
             return self._crashes.get(key, 0)
 
-    def crash_counts(self) -> Dict[str, int]:
-        with self._lock:
-            return dict(self._crashes)
-
     def quarantined(self, threshold: int) -> List[str]:
         """Keys whose crash streak has reached *threshold*."""
         with self._lock:

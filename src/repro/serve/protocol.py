@@ -146,6 +146,16 @@ def grid_to_wire(grid: Iterable[SweepPoint]) -> List[Dict[str, object]]:
 
 # -- line framing ---------------------------------------------------------------
 
+#: Read buffer for both ends of a connection: one ``recv`` takes in a
+#: whole request or reply line (a 4-point submit is about 10 KB), where
+#: the 8 KB default needs two.
+READ_BUFFER = 1 << 16
+
+
+def encode_message(message: Dict[str, object]) -> bytes:
+    """One protocol object as the bytes of its line, ready for one send."""
+    return (json.dumps(message) + "\n").encode("utf-8")
+
 
 def write_message(
     stream: IO[str], message: Dict[str, object], flush: bool = True
@@ -161,12 +171,13 @@ def write_message(
         stream.flush()
 
 
-def read_message(stream: IO[str]) -> Optional[Dict[str, object]]:
-    """Read one protocol object; ``None`` on a closed stream.
+def read_message(stream: IO[bytes]) -> Optional[Dict[str, object]]:
+    """Read one protocol object from a binary stream; ``None`` on a
+    closed stream.
 
-    Malformed lines raise :class:`ConfigError` — both sides treat that
-    as a protocol violation (the server answers with an ``error`` event
-    and drops the connection).
+    Malformed lines, invalid UTF-8 included, raise :class:`ConfigError`
+    — both sides treat that as a protocol violation (the server answers
+    with an ``error`` event and drops the connection).
     """
     line = stream.readline()
     if not line:

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import io
 import queue
+import socket
 import socketserver
 import threading
 import time
@@ -58,6 +59,7 @@ from repro.serve.journal import Journal
 from repro.serve.protocol import (
     OPS,
     PROTOCOL,
+    READ_BUFFER,
     point_from_wire,
     point_to_wire,
     read_message,
@@ -115,12 +117,34 @@ class _ServeTCPServer(socketserver.ThreadingTCPServer):
     owner: "SweepServer"
 
 
+def _hang_up(conn: socket.socket) -> None:
+    """End both directions of *conn*: its reader sees EOF, its peer too.
+
+    The handler thread that owns *conn* still closes it.
+    """
+    try:
+        conn.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # already closed by its handler, or reset by the peer
+
+
 class _Handler(socketserver.StreamRequestHandler):
     """One client connection: a loop of requests, each answered in full."""
 
+    # One recv takes in a whole submit line; the default needs two.
+    rbufsize = READ_BUFFER
+
+    def setup(self) -> None:
+        super().setup()
+        self.server.owner._attach(self.connection)  # type: ignore[attr-defined]
+
+    def finish(self) -> None:
+        self.server.owner._detach(self.connection)  # type: ignore[attr-defined]
+        super().finish()
+
     def handle(self) -> None:  # pragma: no cover - exercised via sockets
         owner = self.server.owner  # type: ignore[attr-defined]
-        reader = io.TextIOWrapper(self.rfile, encoding="utf-8")
+        reader = self.rfile
         writer = io.TextIOWrapper(self.wfile, encoding="utf-8")
         while True:
             try:
@@ -132,32 +156,41 @@ class _Handler(socketserver.StreamRequestHandler):
                 return
             if not message:
                 continue
-            try:
-                if not self._dispatch(owner, message, writer):
-                    return
-            except (BrokenPipeError, ConnectionError):
+            # A stopped server answers no new request; one it is
+            # answering already completes first.
+            if not owner._begin(self.connection):
                 return
-            except ServerOverloaded as exc:
-                if not self._safe_emit(
-                    writer,
-                    {
-                        "event": "overloaded",
-                        "message": str(exc),
-                        "retry_after": exc.retry_after,
-                        "queue_depth": exc.queue_depth,
-                    },
-                ):
-                    return
-            except ServerDraining as exc:
-                if not self._safe_emit(
-                    writer, {"event": "draining", "message": str(exc)}
-                ):
-                    return
-            except ConfigError as exc:
-                if not self._safe_emit(
-                    writer, {"event": "error", "message": str(exc)}
-                ):
-                    return
+            keep = self._answer(owner, message, writer)
+            # A kept connection idles here until its next request; do not
+            # hold this one's parsed points meanwhile.
+            del message
+            if not owner._end(self.connection) or not keep:
+                return
+
+    def _answer(self, owner, message, writer) -> bool:
+        """Answer one request; ``False`` when the connection should end."""
+        try:
+            return self._dispatch(owner, message, writer)
+        except (BrokenPipeError, ConnectionError):
+            return False
+        except ServerOverloaded as exc:
+            return self._safe_emit(
+                writer,
+                {
+                    "event": "overloaded",
+                    "message": str(exc),
+                    "retry_after": exc.retry_after,
+                    "queue_depth": exc.queue_depth,
+                },
+            )
+        except ServerDraining as exc:
+            return self._safe_emit(
+                writer, {"event": "draining", "message": str(exc)}
+            )
+        except ConfigError as exc:
+            return self._safe_emit(
+                writer, {"event": "error", "message": str(exc)}
+            )
 
     def _dispatch(self, owner, message, writer) -> bool:
         op = message.get("op")
@@ -373,6 +406,10 @@ class SweepServer:
             queue.Queue()
         )
         self._tcp: Optional[_ServeTCPServer] = None
+        #: Open client connections -> whether a request on it is being
+        #: answered; stop() hangs up the idle ones at once, the busy ones
+        #: end after their reply.
+        self._connections: Dict[socket.socket, bool] = {}
         self._threads: List[threading.Thread] = []
         self._stopped = threading.Event()
         self._draining = threading.Event()
@@ -503,7 +540,8 @@ class SweepServer:
         self.stop()
 
     def stop(self) -> None:
-        """Stop accepting, drain the executor, fail leftover pendings.
+        """Stop accepting, hang up open connections, drain the executor,
+        fail leftover pendings.
 
         Abrupt but not lossy: leftover pendings are answered with error
         rows, yet their journal entries keep no terminal mark, so a
@@ -517,6 +555,12 @@ class SweepServer:
         if self._tcp is not None:
             self._tcp.shutdown()
             self._tcp.server_close()
+        # A stopped server answers no new request on an open connection
+        # either: an idle handler's read sees EOF and its thread ends.
+        with self._lock:
+            idle = [conn for conn, busy in self._connections.items() if not busy]
+        for conn in idle:
+            _hang_up(conn)
         self._work.put(None)
         for thread in self._threads:
             if thread is not threading.current_thread():
@@ -531,6 +575,36 @@ class SweepServer:
                 "is journaled and re-runs on the next start",
             )
             pending.event.set()
+
+    # Each connection check takes the lock and reads the stop flag, and
+    # stop() sets the flag before it walks the connections under the
+    # lock, so no connection misses both the walk and the flag.
+
+    def _attach(self, conn: socket.socket) -> None:
+        """Track a new, idle connection; hang it up if already stopped."""
+        with self._lock:
+            if not self._stopped.is_set():
+                self._connections[conn] = False
+                return
+        _hang_up(conn)
+
+    def _begin(self, conn: socket.socket) -> bool:
+        """Mark *conn* busy with a request; ``False`` once stopped."""
+        with self._lock:
+            if self._stopped.is_set():
+                return False
+            self._connections[conn] = True
+            return True
+
+    def _end(self, conn: socket.socket) -> bool:
+        """Mark *conn* idle again; ``False`` once stopped."""
+        with self._lock:
+            self._connections[conn] = False
+            return not self._stopped.is_set()
+
+    def _detach(self, conn: socket.socket) -> None:
+        with self._lock:
+            self._connections.pop(conn, None)
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Block until the server stops (a client sent ``shutdown``)."""

@@ -197,13 +197,6 @@ class SystemSpec:
         cfg = config if config is not None else self.config()
         return (SlaveSpec(name="ddr", kind="ddr", base=0, size=cfg.memory_size),)
 
-    def ddr_slave(self, config: Optional[AhbPlusConfig] = None) -> SlaveSpec:
-        """The (single) DDR slave of the system."""
-        for spec in self.resolved_slaves(config):
-            if spec.kind == "ddr":
-                return spec
-        raise ConfigError(f"system {self.name}: no DDR slave")  # unreachable
-
     def address_map(
         self, config: Optional[AhbPlusConfig] = None
     ) -> AddressMap:

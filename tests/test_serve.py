@@ -944,7 +944,13 @@ class TestClientResilience:
         assert len(client.retry_log) == 2
 
     def _canned_server(self, scripts):
-        """A fake daemon: per connection, read one line, play a script."""
+        """A fake daemon: per connection, play a script of events.
+
+        Before each reply it reads one request line; a reply runs up to
+        and including the first event that is not ``accepted`` or
+        ``result``, so one script can answer several requests sent on a
+        kept connection.
+        """
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.bind(("127.0.0.1", 0))
         listener.listen()
@@ -953,10 +959,15 @@ class TestClientResilience:
             for script in scripts:
                 conn, _addr = listener.accept()
                 with conn, conn.makefile("r", encoding="utf-8") as reader:
-                    reader.readline()
                     with conn.makefile("w", encoding="utf-8") as writer:
+                        streaming = False
                         for event in script:
+                            if not streaming:
+                                reader.readline()
                             writer.write(json.dumps(event) + "\n")
+                            streaming = event["event"] in ("accepted", "result")
+                            if not streaming:
+                                writer.flush()
             listener.close()
 
         thread = threading.Thread(target=serve, daemon=True)
@@ -1027,25 +1038,31 @@ class TestClientResilience:
         assert "draining" in client.retry_log[0][0]
 
     def test_connections_are_closed_on_success_and_retry(self):
-        """Reader, writer and socket close together: no fd outlives a call."""
+        """The ping and the submit share one kept connection; the retry
+        after ``draining`` opens a second, and no fd outlives the client."""
         [point] = _grid(values=(4,))
         port, thread = self._canned_server(
             [
-                [{"event": "pong", "protocol": PROTOCOL}],
-                [{"event": "draining", "message": "going down"}],
+                [
+                    {"event": "pong", "protocol": PROTOCOL},
+                    {"event": "draining", "message": "going down"},
+                ],
                 self._store_hit(),
             ]
-        )
-        client = ServeClient(
-            port=port, retries=1, backoff_base=0.001, sleep=lambda _d: None
         )
         gc.collect()  # earlier tests' garbage must not count here
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert client.ping() == PROTOCOL
-            assert client.submit([point]).hits == 1
+            with ServeClient(
+                port=port, retries=1, backoff_base=0.001, sleep=lambda _d: None
+            ) as client:
+                assert client.ping() == PROTOCOL
+                assert client.submit([point]).hits == 1
             thread.join(timeout=10)
             gc.collect()
+        assert not thread.is_alive()  # two connections served two scripts
+        [(reason, _delay)] = client.retry_log
+        assert "draining" in reason
         leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
         assert leaks == [], [str(w.message) for w in leaks]
 

@@ -1,4 +1,5 @@
-"""The serve request path: one key per point, off the lock; coalesced sends.
+"""The serve request path: one key per point, off the lock; coalesced
+sends; one kept connection per client.
 
 ``SweepServer.route`` keys each submitted point exactly once, before it
 takes the server lock that the executor's ``_finish`` also needs, and a
@@ -8,24 +9,35 @@ it flushes only before it blocks on a running point and with ``done``,
 so a fully cached submission leaves in one send while a cold one still
 gets every known event out before the handler waits.  The events
 themselves are the ones a client sees over a real socket.
+
+A client opens one connection and keeps it for every operation; it
+replaces a kept connection the server closed without spending a retry,
+closes it on ``close()``, on leaving a ``with`` block or when collected,
+and ``SweepServer.stop()`` hangs up every open connection.
 """
 
+import gc
 import json
+import socket
 import threading
+import time
+import warnings
 from dataclasses import replace
 
 import pytest
 
 import repro.core  # noqa: F401  (anchor package import order)
 import repro.serve.server as server_module
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.exec import point_key
 from repro.serve import (
+    PROTOCOL,
     ServeClient,
     ServerOverloaded,
     SweepServer,
     point_to_wire,
 )
+from repro.serve.protocol import encode_message, read_message
 from repro.serve.server import _Handler
 from repro.system import paper_topology, sweep
 from repro.traffic import single_master_workload
@@ -216,3 +228,126 @@ class TestReplyFraming:
             seen = []
             client.submit(grid, on_event=seen.append)
         assert _comparable(events, wall=False) == _comparable(seen, wall=False)
+
+
+def _listener_closed(server, timeout=10.0):
+    """Wait until *server*'s listening socket is closed (stop() done)."""
+    deadline = time.monotonic() + timeout
+    while server._tcp.socket.fileno() != -1:
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+class TestKeptConnection:
+    def test_many_operations_make_one_accepted_connection(self, monkeypatch):
+        accepts = []
+        accept = server_module._ServeTCPServer.get_request
+
+        def counting(tcp):
+            accepts.append(tcp.server_address)
+            return accept(tcp)
+
+        monkeypatch.setattr(
+            server_module._ServeTCPServer, "get_request", counting
+        )
+        grid = _grid(values=(1, 2))
+        with SweepServer() as server:
+            with ServeClient(*server.address) as client:
+                assert client.ping() == PROTOCOL
+                assert client.submit(grid).misses == len(grid)
+                assert client.submit(grid).hits == len(grid)
+                assert client.status()["stats"]["submissions"] == 2
+                assert client.ping() == PROTOCOL
+        assert len(accepts) == 1
+
+    def test_server_restarted_on_the_same_port_costs_no_retry(self):
+        grid = _grid(values=(1,))
+        with SweepServer() as first:
+            host, port = first.address
+            client = ServeClient(host, port, retries=0)
+            assert client.ping() == PROTOCOL
+        with SweepServer(host=host, port=port):
+            # The kept connection died with the first server; the client
+            # replaces it without a retry, which retries=0 would forbid.
+            assert client.ping() == PROTOCOL
+            assert client.submit(grid).misses == 1
+        assert client.retry_log == []
+        client.close()
+
+    def test_close_with_and_collection_leave_no_socket_open(self):
+        with SweepServer() as server:
+            gc.collect()  # earlier tests' garbage must not count here
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                closed = ServeClient(*server.address)
+                assert closed.ping() == PROTOCOL
+                closed.close()
+                closed.close()  # idempotent
+                assert closed.ping() == PROTOCOL  # reopens after close()
+                closed.close()
+                with ServeClient(*server.address) as scoped:
+                    assert scoped.ping() == PROTOCOL
+                ServeClient(*server.address).ping()  # never closed
+                del closed, scoped
+                gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert leaks == [], [str(w.message) for w in leaks]
+
+    def test_stop_hangs_up_open_connections(self):
+        server = SweepServer()
+        server.start()
+        try:
+            sock = socket.create_connection(server.address, timeout=10)
+            with sock, sock.makefile("rb") as reader:
+                sock.sendall(encode_message({"op": "ping"}))
+                assert read_message(reader)["event"] == "pong"
+                server.stop()
+                try:
+                    sock.sendall(encode_message({"op": "ping"}))
+                    line = reader.readline()
+                except ConnectionError:
+                    line = b""
+                assert line == b""  # EOF, not a pong
+        finally:
+            server.stop()
+
+    def test_stop_lets_a_reply_in_progress_finish(self, monkeypatch):
+        server = SweepServer()
+        monkeypatch.setattr(server, "_run_batch", lambda batch: None)
+        server.start()  # the executor takes batches but never runs them
+        submit = {
+            "op": "submit",
+            "points": [point_to_wire(point) for point in _grid(values=(1,))],
+        }
+        try:
+            sock = socket.create_connection(server.address, timeout=10)
+            with sock, sock.makefile("rb") as reader:
+                sock.sendall(encode_message(submit))
+                # Flushed before the handler blocks on the unrun point.
+                assert read_message(reader)["event"] == "accepted"
+                server.stop()
+                result, done = read_message(reader), read_message(reader)
+                assert "server stopped" in result["record"]["error"]
+                assert done["event"] == "done"
+                assert reader.readline() == b""  # then the hang-up
+        finally:
+            server.stop()
+
+    def test_stopped_server_fails_a_kept_client(self):
+        with SweepServer() as server:
+            client = ServeClient(*server.address, retries=0)
+            assert client.ping() == PROTOCOL
+        with pytest.raises(SimulationError, match="ping failed after 1"):
+            client.ping()
+        client.close()
+
+    @pytest.mark.parametrize("op", ["shutdown", "drain"])
+    def test_last_op_on_a_kept_connection_is_true_then_false(self, op):
+        with SweepServer() as server:
+            client = ServeClient(*server.address, retries=0)
+            assert client.ping() == PROTOCOL  # the connection is kept now
+            assert getattr(client, op)() is True
+            assert _listener_closed(server)
+            assert getattr(client, op)() is False
