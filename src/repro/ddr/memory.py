@@ -14,7 +14,9 @@ access is one slice of a page (:meth:`_get`/:meth:`_put`), split in
 two only where an unaligned access crosses a page.  An AHB burst never
 crosses a 1 KB boundary, so a contiguous burst segment of 1/2/4/8-byte
 beats is one slice and one ``Struct`` pack or unpack; any other
-segment goes beat by beat.
+segment goes beat by beat.  A single 1/2/4/8-byte :meth:`read` or
+:meth:`write` inside one page (a written page, for a write) is one
+``Struct`` unpack or pack straight on the page.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ _PAGE = 1 << _PAGE_BITS
 _OFFSET = _PAGE - 1
 #: ``struct`` codes of the beat sizes a block segment packs.
 _CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+#: One little-endian value of each of those sizes.
+_SCALARS = {size: Struct(f"<{code}") for size, code in _CODES.items()}
 
 
 @lru_cache(maxsize=None)
@@ -88,15 +92,29 @@ class MemoryModel:
             raise MemoryError_(
                 f"{self.name}: value {value:#x} wider than {size_bytes} bytes"
             )
-        self._put(addr, value.to_bytes(size_bytes, "little"))
         self.write_ops += 1
+        off = addr & _OFFSET
+        page = self._pages.get(addr >> _PAGE_BITS)
+        layout = _SCALARS.get(size_bytes)
+        if page is None or layout is None or off + size_bytes > _PAGE:
+            self._put(addr, value.to_bytes(size_bytes, "little"))
+            return
+        # A 1/2/4/8-byte value inside a page already held: one pack.
+        layout.pack_into(page[0], off, value)
+        page[1] |= ((1 << size_bytes) - 1) << off
 
     def read(self, addr: int, size_bytes: int) -> int:
         """Load a little-endian value; unwritten bytes read as zero."""
         if addr < 0:
             raise MemoryError_(f"{self.name}: negative address {addr:#x}")
         self.read_ops += 1
-        return int.from_bytes(self._get(addr, size_bytes), "little")
+        off = addr & _OFFSET
+        layout = _SCALARS.get(size_bytes)
+        if layout is None or off + size_bytes > _PAGE:
+            return int.from_bytes(self._get(addr, size_bytes), "little")
+        # A 1/2/4/8-byte value inside one page: one unpack, or zero.
+        page = self._pages.get(addr >> _PAGE_BITS)
+        return 0 if page is None else layout.unpack_from(page[0], off)[0]
 
     # -- burst segments -------------------------------------------------------------
 

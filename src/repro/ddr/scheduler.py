@@ -80,10 +80,6 @@ class CommandScheduler:
             raise SimulationError("retire from an empty controller queue")
         return self.queue.pop(0)
 
-    @property
-    def depth(self) -> int:
-        return len(self.queue)
-
     def quiescent(self) -> bool:
         """:meth:`tick` is a guaranteed no-op (no timer anywhere runs).
 

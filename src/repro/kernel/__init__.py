@@ -23,12 +23,7 @@ from repro.kernel.cycle import (
 )
 from repro.kernel.events import Event, EventQueue
 from repro.kernel.process import ThreadProcess, WaitCycles, WaitEvent
-from repro.kernel.signal import (
-    Signal,
-    SignalBundle,
-    bytes_to_vector,
-    vector_to_bytes,
-)
+from repro.kernel.signal import Signal, SignalBundle
 from repro.kernel.simulator import Simulator
 from repro.kernel.tracing import VcdTracer
 
@@ -47,6 +42,4 @@ __all__ = [
     "VcdTracer",
     "WaitCycles",
     "WaitEvent",
-    "bytes_to_vector",
-    "vector_to_bytes",
 ]

@@ -197,8 +197,7 @@ class SignalBundle:
     """A named group of signals, handy for ports of RTL components.
 
     Subclasses (or callers) add :class:`Signal` attributes; the bundle
-    provides iteration and bulk reset so platforms can wire and reset
-    whole interfaces at once.
+    iterates them so platforms can wire whole interfaces at once.
     """
 
     def __init__(self, prefix: str) -> None:
@@ -215,28 +214,3 @@ class SignalBundle:
         sig = make_signal(f"{self.prefix}.{name}", width=width, reset=reset)
         setattr(self, name, sig)
         return sig
-
-    def reset_all(self, value: int = 0) -> None:
-        """Combinationally drive every signal in the bundle to *value*."""
-        for sig in self.signals():
-            sig.drive(value)
-
-
-def settle(signals: Iterable[Signal]) -> bool:
-    """Clear the changed flags of *signals*, reporting whether any were set."""
-    any_changed = False
-    for sig in signals:
-        if sig.consume_changed():
-            any_changed = True
-    return any_changed
-
-
-def vector_to_bytes(value: int, width_bits: int) -> bytes:
-    """Render an integer bus value as little-endian bytes of the bus width."""
-    nbytes = (width_bits + 7) // 8
-    return value.to_bytes(nbytes, "little")
-
-
-def bytes_to_vector(data: bytes) -> int:
-    """Inverse of :func:`vector_to_bytes`."""
-    return int.from_bytes(data, "little")

@@ -15,7 +15,9 @@
 * **dedupes** every submitted point against the content-addressed
   store (a completed identical run replays from disk) *and* against
   in-flight work (a point some other client is already running is
-  joined, not re-run);
+  joined, not re-run); a re-sent point whose record is stored is
+  recognised by a digest of its wire form, without decoding or
+  hashing its spec again;
 * **sheds load** instead of queueing unboundedly: a submission that
   would push the queue past ``max_queue_depth`` is refused whole with
   a structured ``overloaded`` event carrying a ``retry_after`` hint
@@ -60,9 +62,12 @@ from repro.serve.protocol import (
     OPS,
     PROTOCOL,
     READ_BUFFER,
+    WireIdentity,
     point_from_wire,
     point_to_wire,
     read_message,
+    wire_digest,
+    wire_identity,
     write_message,
 )
 from repro.serve.store import ResultStore
@@ -105,10 +110,14 @@ class _Pending:
         return self.record
 
 
+#: A submitted point as :meth:`SweepServer.route` takes it: decoded, or
+#: only its identity when its record is known to be stored.
+_Routed = Union[SweepPoint, WireIdentity]
+
 #: One submission point's routing decision: the point, its content key,
 #: where the record comes from (``"store"``/``"inflight"``/``"run"``/
 #: ``"quarantined"``), and the ready record or pending slot.
-_Outcome = Tuple[SweepPoint, str, str, Union[RunRecord, _Pending]]
+_Outcome = Tuple[_Routed, str, str, Union[RunRecord, _Pending]]
 
 
 class _ServeTCPServer(socketserver.ThreadingTCPServer):
@@ -248,8 +257,8 @@ class _Handler(socketserver.StreamRequestHandler):
                 raise ConfigError(
                     f"max_cycles must be positive, got {max_cycles}"
                 )
-        points = [point_from_wire(entry) for entry in raw_points]
-        outcomes = owner.route(points, max_cycles)
+        points, digests = owner._decode(raw_points, max_cycles)
+        outcomes = owner.route(points, max_cycles, digests)
         job = owner._next_job()
         # Events are flushed only before the handler blocks and with
         # ``done``, so a fully cached submission leaves in one send.
@@ -401,6 +410,10 @@ class SweepServer:
         self._port = port
         self._lock = threading.Lock()
         self._inflight: Dict[str, _Pending] = {}
+        #: :func:`wire_digest` -> content key of every point a submission
+        #: routed.  Entries never change, so reads take no lock; it is
+        #: not persisted and grows with the distinct points submitted.
+        self._keys_by_digest: Dict[bytes, str] = {}
         self._running: set = set()  # keys an execution attempt has begun for
         self._work: "queue.Queue[Optional[List[Tuple[str, _Pending]]]]" = (
             queue.Queue()
@@ -630,8 +643,36 @@ class SweepServer:
             min(30.0, max(0.05, queue_depth * self._avg_point_seconds)), 3
         )
 
+    def _decode(
+        self, entries: Sequence[Dict[str, object]], max_cycles: Optional[int]
+    ) -> Tuple[List[_Routed], List[bytes]]:
+        """A submission's wire points, ready for :meth:`route`, and the
+        :func:`wire_digest` of each.
+
+        A point whose digest an earlier submission routed, and whose
+        record is stored, stays a :class:`WireIdentity`: replaying it
+        needs neither its spec nor a new key.  Any other point is
+        rebuilt by :func:`point_from_wire`.  Both kinds pass the same
+        field checks, and the first point that fails them, or whose
+        spec does not decode, raises :class:`ConfigError`.
+        """
+        points: List[_Routed] = []
+        digests: List[bytes] = []
+        for entry in entries:
+            point: _Routed = wire_identity(entry)
+            digest = wire_digest(entry, max_cycles)
+            key = self._keys_by_digest.get(digest)
+            if key is None or key not in self.store:
+                point = point_from_wire(entry)
+            points.append(point)
+            digests.append(digest)
+        return points, digests
+
     def route(
-        self, points: Sequence[SweepPoint], max_cycles: Optional[int] = None
+        self,
+        points: Sequence[_Routed],
+        max_cycles: Optional[int] = None,
+        digests: Optional[Sequence[bytes]] = None,
     ) -> List[_Outcome]:
         """Admit, journal and dedupe *points*; one outcome per point.
 
@@ -639,6 +680,12 @@ class SweepServer:
         quarantined error row), an existing pending (in-flight hit —
         joined, not re-run) or a freshly journaled-and-queued pending.
         The cold remainder is enqueued as one batch for the executor.
+
+        *digests*, from :meth:`_decode` with *points*, are the points'
+        wire digests: a point whose digest is known takes its key from
+        the server's memo instead of from :func:`point_key` (a
+        :class:`WireIdentity` always does), and a routed submission
+        files each digest's key there for the next one.
 
         Raises :class:`ServerDraining` while draining/stopped and
         :class:`ServerOverloaded` when the cold remainder would push
@@ -651,14 +698,21 @@ class SweepServer:
                 "server is draining; journaled work resumes on the next "
                 "start — retry there"
             )
-        # Key every point once, off the lock: hashing is the costly part
-        # of a warm submission, and the executor's _finish needs the lock.
+        # Key every point whose key is not known yet, off the lock:
+        # hashing is costly, and the executor's _finish needs the lock.
         # A point that cannot be keyed raises here, before anything is
         # journaled or counted.
-        keys = [
-            point_key(point.spec, engine=point.engine, max_cycles=max_cycles)
-            for point in points
-        ]
+        known = self._keys_by_digest
+        keys = []
+        for index, point in enumerate(points):
+            key = known.get(digests[index]) if digests is not None else None
+            if key is None:
+                key = point_key(
+                    point.spec,  # type: ignore[union-attr]
+                    engine=point.engine,
+                    max_cycles=max_cycles,
+                )
+            keys.append(key)
         outcomes: List[_Outcome] = []
         to_run: List[Tuple[str, _Pending]] = []
         with self._lock:
@@ -684,7 +738,10 @@ class SweepServer:
                 )
             self._stats["submissions"] += 1
             self._stats["points"] += len(points)
+            if digests is not None:
+                self._keys_by_digest.update(zip(digests, keys))
             for point, key in zip(points, keys):
+                # A WireIdentity's record is stored: the store only grows.
                 cached = self.store.get(key)
                 if cached is not None:
                     self._stats["hits_store"] += 1

@@ -1,15 +1,9 @@
 """Tests for repro.kernel.signal."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.errors import SimulationError
-from repro.kernel.signal import (
-    Signal,
-    SignalBundle,
-    bytes_to_vector,
-    vector_to_bytes,
-)
+from repro.kernel.signal import Signal, SignalBundle
 
 
 class TestSignal:
@@ -79,19 +73,3 @@ class TestSignalBundle:
         b = bundle.make("b")
         assert {sig.name for sig in bundle.signals()} == {"m0.a", "m0.b"}
         assert a.width == 2 and b.width == 1
-
-    def test_reset_all(self):
-        bundle = SignalBundle("x")
-        sig = bundle.make("v", width=8, reset=3)
-        sig.drive(200)
-        bundle.reset_all()
-        assert sig.value == 0
-
-
-class TestVectorHelpers:
-    @given(st.integers(min_value=0, max_value=2**32 - 1))
-    def test_roundtrip_32bit(self, value):
-        assert bytes_to_vector(vector_to_bytes(value, 32)) == value
-
-    def test_little_endian(self):
-        assert vector_to_bytes(0x0102, 16) == b"\x02\x01"

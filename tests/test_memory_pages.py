@@ -2,8 +2,8 @@
 
 The store keeps 1 KB pages, and a burst segment that is one contiguous
 block is packed in one call.  These properties drive it with accesses
-around page boundaries and several pages apart: single writes of every
-size, and ``write_beats``/``read_beats`` over ranges (some straddling a
+around page boundaries and several pages apart: single writes and reads of
+every size, and ``write_beats``/``read_beats`` over ranges (some straddling a
 page boundary), contiguous lists and wrapping lists, with values that
 are sometimes out of range.  Every observable — values, operation
 counts, the error and the prefix written before it, ``touched_bytes``,
@@ -96,11 +96,13 @@ def bursts(draw):
 
 @st.composite
 def ops(draw):
-    """``(name, addrs, size, values)``: one write, a burst write or a burst read."""
-    name = draw(st.sampled_from(("write", "write_beats", "read_beats")))
-    if name == "write":
-        size = draw(st.sampled_from((1, 2, 4, 8)))
-        return name, draw(addresses(size)), size, draw(values(size, 1))
+    """``(name, addrs, size, values)``: one write or read (of any size,
+    3 bytes included), a burst write or a burst read."""
+    name = draw(st.sampled_from(("write", "read", "write_beats", "read_beats")))
+    if name in ("write", "read"):
+        size = draw(st.sampled_from((1, 2, 3, 4, 8)))
+        vals = draw(values(size, 1)) if name == "write" else None
+        return name, draw(addresses(size)), size, vals
     addrs, size = draw(bursts())
     vals = draw(values(size, len(addrs))) if name == "write_beats" else None
     return name, addrs, size, vals
@@ -109,6 +111,14 @@ def ops(draw):
 def apply(mem, oracle, op):
     """Run *op* on both stores; the oracle stops where the model must."""
     name, addrs, size, vals = op
+    if name == "read":
+        try:
+            got = mem.read(addrs, size)
+        except MemoryError_ as exc:
+            assert addrs < 0 and str(exc) == _error(addrs, size, None)
+        else:
+            assert addrs >= 0 and got == oracle.read(addrs, size)
+        return
     if name == "write":
         addrs = [addrs]
     if name == "read_beats":

@@ -1,5 +1,6 @@
-"""The serve request path: one key per point, off the lock; coalesced
-sends; one kept connection per client.
+"""The serve request path: one key per point, off the lock; a digest
+memo that skips decoding and keying; coalesced sends; one kept
+connection per client.
 
 ``SweepServer.route`` keys each submitted point exactly once, before it
 takes the server lock that the executor's ``_finish`` also needs, and a
@@ -9,6 +10,13 @@ it flushes only before it blocks on a running point and with ``done``,
 so a fully cached submission leaves in one send while a cold one still
 gets every known event out before the handler waits.  The events
 themselves are the ones a client sees over a real socket.
+
+The server remembers the key of every wire point it routed, by a digest
+of the point's spec, engine and the submission's ``max_cycles``.  A
+point whose digest is known and whose record is stored is answered
+without ``SystemSpec.from_dict`` or ``point_key``, under the label,
+axis and value it was sent with; anything else is decoded and keyed as
+before, and a spec that does not decode is never remembered.
 
 A client opens one connection and keeps it for every operation; it
 replaces a kept connection the server closed without spending a retry,
@@ -32,6 +40,8 @@ from repro.errors import ConfigError, SimulationError
 from repro.exec import point_key
 from repro.serve import (
     PROTOCOL,
+    Journal,
+    ResultStore,
     ServeClient,
     ServerOverloaded,
     SweepServer,
@@ -39,7 +49,7 @@ from repro.serve import (
 )
 from repro.serve.protocol import encode_message, read_message
 from repro.serve.server import _Handler
-from repro.system import paper_topology, sweep
+from repro.system import SystemSpec, paper_topology, sweep
 from repro.traffic import single_master_workload
 
 
@@ -351,3 +361,193 @@ class TestKeptConnection:
             assert getattr(client, op)() is True
             assert _listener_closed(server)
             assert getattr(client, op)() is False
+
+
+@pytest.fixture()
+def decodes(monkeypatch):
+    """Count ``SystemSpec.from_dict`` and the server's ``point_key`` calls;
+    returns the log, one ``"from_dict"``/``"point_key"`` name per call."""
+    calls = []
+    from_dict = SystemSpec.from_dict.__func__
+
+    def counting_from_dict(cls, data):
+        calls.append("from_dict")
+        return from_dict(cls, data)
+
+    def counting_key(spec, engine="tlm", max_cycles=None):
+        calls.append("point_key")
+        return point_key(spec, engine=engine, max_cycles=max_cycles)
+
+    monkeypatch.setattr(SystemSpec, "from_dict", classmethod(counting_from_dict))
+    monkeypatch.setattr(server_module, "point_key", counting_key)
+    return calls
+
+
+def _submit_wire(server, entries, max_cycles=None):
+    """Decode and route *entries* as the connection handler does."""
+    points, digests = server._decode(entries, max_cycles)
+    return server.route(points, max_cycles, digests)
+
+
+def _wire(grid):
+    return [point_to_wire(point) for point in grid]
+
+
+class TestDigestMemo:
+    def test_warm_resend_decodes_and_keys_nothing(self, decodes):
+        grid = _grid()
+        with SweepServer() as server, ServeClient(*server.address) as client:
+            cold = client.submit(grid)
+            assert decodes.count("from_dict") == len(grid)
+            assert decodes.count("point_key") == len(grid)
+            decodes.clear()
+            warm = client.submit(grid)
+        assert decodes == []
+        assert warm.sources == ("store",) * len(grid)
+        assert warm.records == cold.records
+
+    def test_same_spec_under_a_new_label_hits_and_answers_as_sent(
+        self, decodes
+    ):
+        grid = _grid()
+        renamed = [
+            replace(point, label=f"other-{index}", axis="renamed", value=-index)
+            for index, point in enumerate(grid)
+        ]
+        with SweepServer() as server, ServeClient(*server.address) as client:
+            cold = client.submit(grid)
+            decodes.clear()
+            warm = client.submit(renamed)
+        assert decodes == []
+        assert warm.sources == ("store",) * len(grid)
+        assert [
+            (record.label, record.axis, record.value) for record in warm.records
+        ] == [(point.label, "renamed", repr(point.value)) for point in renamed]
+        assert warm.records == tuple(
+            replace(record, label=point.label, axis="renamed", value=repr(point.value))
+            for record, point in zip(cold.records, renamed)
+        )
+
+    @pytest.mark.parametrize(
+        "engine, max_cycles",
+        [("tlm", 10**6), ("plain", None)],
+        ids=["max_cycles", "engine"],
+    )
+    def test_a_new_ceiling_or_engine_misses(self, decodes, engine, max_cycles):
+        grid = _grid(values=(1, 2))
+        with SweepServer() as server, ServeClient(*server.address) as client:
+            client.submit(grid)
+            decodes.clear()
+            again = [replace(point, engine=engine) for point in grid]
+            other = client.submit(again, max_cycles=max_cycles)
+            memo = len(server._keys_by_digest)
+        assert other.sources == ("run",) * len(grid)
+        assert decodes.count("from_dict") == len(grid)
+        assert decodes.count("point_key") == len(grid)
+        assert memo == 2 * len(grid)
+
+    def test_an_invalid_spec_errors_on_every_submit_and_is_never_kept(
+        self, decodes
+    ):
+        server = SweepServer()
+        grid = _grid(values=(1, 2))
+        _submit_wire(server, _wire(grid[:1]))
+        _settle(server)  # grid[0] is stored, its digest known
+        bad = point_to_wire(grid[1])
+        bad["spec"] = {**bad["spec"], "warp_drive": True}
+        message = {"op": "submit", "points": [_wire(grid[:1])[0], bad]}
+        memo = dict(server._keys_by_digest)
+        stats, journal = server.stats(), server.journal.stats()
+        handler = object.__new__(_Handler)
+        decodes.clear()
+        for _attempt in range(3):
+            writer = _RecordingWriter()
+            assert handler._answer(server, message, writer) is True
+            [event] = writer.events()
+            assert event["event"] == "error"
+            assert "bad spec" in event["message"]
+        assert decodes.count("from_dict") == 3  # the bad spec, every time
+        assert server._keys_by_digest == memo
+        assert server.stats() == stats
+        assert server.journal.stats() == journal
+
+    @pytest.mark.parametrize("field", ["label", "axis", "value", "spec", "engine"])
+    def test_a_missing_field_fails_alike_known_or_not(self, field):
+        grid = _grid(values=(1,))
+        known = SweepServer()
+        _submit_wire(known, _wire(grid))
+        _settle(known)
+        entry = {k: v for k, v in _wire(grid)[0].items() if k != field}
+        errors = []
+        for server in (known, SweepServer()):
+            with pytest.raises(ConfigError) as caught:
+                server._decode([entry], None)
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1] == f"wire point needs fields ['{field}']"
+
+    @pytest.mark.parametrize("entry", [5, "point", None, [1, 2]])
+    def test_a_wire_point_that_is_no_object_is_a_config_error(self, entry):
+        with pytest.raises(ConfigError, match="wire points are JSON objects"):
+            SweepServer()._decode([entry], None)
+
+    def test_a_wire_point_that_is_no_object_leaves_the_connection_up(self):
+        with SweepServer() as server:
+            sock = socket.create_connection(server.address, timeout=10)
+            with sock, sock.makefile("rb") as reader:
+                sock.sendall(encode_message({"op": "submit", "points": [5]}))
+                assert read_message(reader) == {
+                    "event": "error",
+                    "message": "wire points are JSON objects, got int",
+                }
+                sock.sendall(encode_message({"op": "ping"}))
+                assert read_message(reader)["event"] == "pong"
+
+    def test_a_known_point_in_flight_joins_the_running_one(self, decodes):
+        server = SweepServer()  # parked executor: the points stay in flight
+        grid = _grid(values=(1, 2))
+        first = _submit_wire(server, _wire(grid))
+        assert len(server._keys_by_digest) == len(grid)
+        decodes.clear()
+        second = _submit_wire(server, _wire(grid))
+        assert [source for _p, _k, source, _s in first] == ["run"] * len(grid)
+        assert [source for _p, _k, source, _s in second] == (
+            ["inflight"] * len(grid)
+        )
+        for (_p1, key1, _s1, slot1), (_p2, key2, _s2, slot2) in zip(
+            first, second
+        ):
+            assert key2 == key1 and slot2 is slot1
+        # Not stored yet, so each point is decoded; its key is known.
+        assert decodes == ["from_dict"] * len(grid)
+        assert server.stats()["hits_inflight"] == len(grid)
+        assert server.journal.stats()["pending"] == len(grid)
+        _settle(server)
+        third = _submit_wire(server, _wire(grid))
+        assert [source for _p, _k, source, _s in third] == ["store"] * len(grid)
+        assert [slot for _p, _k, _s, slot in third] == [
+            slot.record for _p, _k, _s, slot in first
+        ]
+
+    def test_a_restarted_server_replays_what_the_first_ran(
+        self, decodes, tmp_path
+    ):
+        grid = _grid()
+        store, journal = tmp_path / "results.jsonl", tmp_path / "journal.jsonl"
+        with SweepServer(
+            store=ResultStore(store), journal=Journal(journal)
+        ) as server, ServeClient(*server.address) as client:
+            cold = client.submit(grid)
+        replies, counts = [], []
+        with SweepServer(
+            store=ResultStore(store), journal=Journal(journal)
+        ) as server, ServeClient(*server.address) as client:
+            for _attempt in range(2):
+                decodes.clear()
+                replies.append(client.submit(grid))
+                counts.append(len(decodes))
+        # The memo is not persisted: the first warm submit decodes and
+        # keys every point again, the second nothing.
+        assert counts == [2 * len(grid), 0]
+        for reply in replies:
+            assert reply.sources == ("store",) * len(grid)
+            assert reply.records == cold.records
