@@ -11,7 +11,10 @@ test:
 # DET-* determinism rules over src/ (RNG, wall clock, mutable defaults,
 # collector picklability, content-key schemas).  Exit 0 means clean
 # modulo the documented LINT_WAIVERS.  JSON: `make lint LINT_FLAGS=--format=json`.
-# The same run gates tier-1 via tests/test_lint.py.
+# The same run gates tier-1 via tests/test_lint.py, which also fails
+# tier-1 (not this target) on an unused import, an orphan module, or a
+# public name in src/repro whose only users are tests (the public-name
+# check; waivers with reasons in PUBLIC_NAME_WAIVERS there).
 LINT_FLAGS ?=
 lint:
 	$(PYTHON) -m repro.lint --scenario all $(LINT_FLAGS)

@@ -10,9 +10,7 @@ baseline is the AHB+ engine run with
 from repro.ahb.burst import (
     KB_BOUNDARY,
     beat_addresses,
-    check_burst_legal,
     crosses_kb_boundary,
-    split_at_kb_boundary,
     transaction_addresses,
 )
 from repro.ahb.decoder import AddressMap, Region, single_slave_map
@@ -39,9 +37,7 @@ __all__ = [
     "WRITE_BUFFER_MASTER",
     "beat_addresses",
     "burst_for_beats",
-    "check_burst_legal",
     "crosses_kb_boundary",
     "single_slave_map",
-    "split_at_kb_boundary",
     "transaction_addresses",
 ]

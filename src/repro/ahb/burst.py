@@ -69,53 +69,3 @@ def crosses_kb_boundary(addr: int, beats: int, size_bytes: int) -> bool:
     first = addr
     last = addr + (beats - 1) * size_bytes
     return (first // KB_BOUNDARY) != (last // KB_BOUNDARY)
-
-
-def check_burst_legal(txn: Transaction) -> None:
-    """Raise :class:`~repro.errors.ProtocolError` for illegal bursts.
-
-    Checks the 1 KB rule for incrementing bursts; wrapping bursts wrap
-    inside an aligned block and can never cross.
-    """
-    if txn.wrapping:
-        return
-    if crosses_kb_boundary(txn.addr, txn.beats, txn.size_bytes):
-        raise ProtocolError(
-            f"incrementing burst at {txn.addr:#x} x{txn.beats}*{txn.size_bytes}B "
-            f"crosses a 1KB boundary"
-        )
-
-
-def split_at_kb_boundary(txn: Transaction) -> List[Transaction]:
-    """Split an incrementing burst into legal sub-bursts at 1 KB boundaries.
-
-    Masters in both models use this so generated traffic is always
-    protocol-legal regardless of the random addresses a pattern produces.
-    Wrapping bursts are returned unchanged.
-    """
-    if txn.wrapping or not crosses_kb_boundary(txn.addr, txn.beats, txn.size_bytes):
-        return [txn]
-    pieces: List[Transaction] = []
-    remaining = txn.beats
-    addr = txn.addr
-    data = list(txn.data)
-    consumed = 0
-    while remaining > 0:
-        room = (KB_BOUNDARY - addr % KB_BOUNDARY) // txn.size_bytes
-        take = min(remaining, max(room, 1))
-        piece = Transaction(
-            master=txn.master,
-            kind=txn.kind,
-            addr=addr,
-            beats=take,
-            size_bytes=txn.size_bytes,
-            wrapping=False,
-            locked=txn.locked,
-            deadline=txn.deadline,
-            data=data[consumed : consumed + take] if data else [],
-        )
-        pieces.append(piece)
-        consumed += take
-        addr += take * txn.size_bytes
-        remaining -= take
-    return pieces

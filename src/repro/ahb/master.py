@@ -203,9 +203,5 @@ class TlmMaster:
     def transactions_completed(self) -> int:
         return len(self.completed)
 
-    @property
-    def bytes_completed(self) -> int:
-        return sum(txn.total_bytes for txn in self.completed)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TlmMaster({self.index}, {self.name!r}, done={self.done})"

@@ -13,7 +13,6 @@ as "ignored / always permitted / no banks".
 from __future__ import annotations
 
 import abc
-from typing import Optional
 
 from repro.ahb.burst import transaction_addresses
 from repro.ahb.transaction import Transaction
@@ -116,10 +115,6 @@ class SramSlave(TlmSlave):
             self.reads += 1
         txn.started_at = start_cycle
         return cycle - 1
-
-    def peek_word(self, addr: int, size_bytes: int = 4) -> Optional[int]:
-        """Read the backing store without modelling timing (tests)."""
-        return self._store.get(self._word_index(addr, size_bytes))
 
 
 class ApbBridgeSlave(SramSlave):

@@ -140,18 +140,6 @@ class Transaction:
         return self.finished_at - self.issued_at
 
     @property
-    def wait_cycles(self) -> int:
-        """Cycles spent waiting for grant (arbitration + contention)."""
-        self._require_done()
-        return self.granted_at - self.issued_at
-
-    @property
-    def service_cycles(self) -> int:
-        """Cycles from grant to completion (slave + data transfer)."""
-        self._require_done()
-        return self.finished_at - self.granted_at
-
-    @property
     def met_deadline(self) -> Optional[bool]:
         """Whether the QoS deadline was met; ``None`` when no deadline set."""
         if self.deadline is None:
@@ -162,22 +150,6 @@ class Transaction:
     def _require_done(self) -> None:
         if self.finished_at < 0:
             raise ProtocolError(f"transaction {self.uid} has not completed")
-
-    def clone_for_replay(self) -> "Transaction":
-        """Fresh copy with bookkeeping cleared (same uid lineage not kept)."""
-        return Transaction(
-            master=self.master,
-            kind=self.kind,
-            addr=self.addr,
-            beats=self.beats,
-            size_bytes=self.size_bytes,
-            wrapping=self.wrapping,
-            locked=self.locked,
-            deadline=self.deadline,
-            data=list(self.data),
-            fault_plan=self.fault_plan,
-            retry_limit=self.retry_limit,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         rw = "W" if self.is_write else "R"

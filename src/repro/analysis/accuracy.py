@@ -55,11 +55,6 @@ class MasterAccuracy:
             return 0.0
         return abs(self.difference) / self.rtl_cycles * 100.0
 
-    @property
-    def accuracy_pct(self) -> float:
-        """The paper's accuracy figure (100 % - error)."""
-        return 100.0 - self.error_pct
-
 
 @dataclass(frozen=True)
 class LevelTotals:

@@ -161,12 +161,6 @@ class QosPoint:
     deadline_misses: int
     worst_latency: int
 
-    @property
-    def miss_rate(self) -> float:
-        if self.rt_transactions == 0:
-            return 0.0
-        return self.deadline_misses / self.rt_transactions
-
 
 def _collect_deadline_stats(
     point: SweepPoint, platform, result

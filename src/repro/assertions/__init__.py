@@ -2,14 +2,12 @@
 
 from repro.assertions.base import Checker, PropertyChecker, Violation
 from repro.assertions.properties import (
-    BankFsmChecker,
     OrderingChecker,
     QosPropertyChecker,
 )
 from repro.assertions.protocol import RtlProtocolChecker, TransactionChecker
 
 __all__ = [
-    "BankFsmChecker",
     "Checker",
     "OrderingChecker",
     "PropertyChecker",

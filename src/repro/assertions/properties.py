@@ -4,45 +4,20 @@ These run during performance analysis and catch architectural — not
 protocol — mistakes:
 
 * :class:`QosPropertyChecker` — RT transactions must meet their
-  deadlines (with a configurable tolerated miss rate for saturation
-  studies).
+  deadlines; misses are counted (or raised when ``strict``).
 * :class:`OrderingChecker` — per-master writes must commit to memory in
   issue order even when posted through the write buffer, and a read
   must never observe a value older than the last write the same master
   completed to that address.
-* :class:`BankFsmChecker` — the DDR bank machines only make legal
-  state transitions (hooked into the RTL engine).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Tuple
 
 from repro.ahb.burst import transaction_addresses
 from repro.ahb.transaction import Transaction
 from repro.assertions.base import PropertyChecker
-from repro.ddr.bank import BankFsm, BankState
-
-#: Legal bank FSM transitions as observed at once-per-cycle sampling.
-#: A transitional state may complete and the next command issue within
-#: the same cycle, so e.g. PRECHARGING can appear to step directly to
-#: ACTIVATING (through an invisible IDLE).
-_LEGAL_BANK_TRANSITIONS = {
-    BankState.IDLE: {BankState.IDLE, BankState.ACTIVATING, BankState.REFRESHING},
-    BankState.ACTIVATING: {BankState.ACTIVATING, BankState.ACTIVE},
-    BankState.ACTIVE: {BankState.ACTIVE, BankState.PRECHARGING},
-    BankState.PRECHARGING: {
-        BankState.PRECHARGING,
-        BankState.IDLE,
-        BankState.ACTIVATING,
-        BankState.REFRESHING,
-    },
-    BankState.REFRESHING: {
-        BankState.REFRESHING,
-        BankState.IDLE,
-        BankState.ACTIVATING,
-    },
-}
 
 
 class QosPropertyChecker(PropertyChecker):
@@ -71,11 +46,6 @@ class QosPropertyChecker(PropertyChecker):
                 master=txn.master,
                 txn_uid=txn.uid,
             )
-
-    def miss_rate(self) -> float:
-        if self.rt_transactions == 0:
-            return 0.0
-        return self.misses / self.rt_transactions
 
 
 class OrderingChecker(PropertyChecker):
@@ -118,24 +88,3 @@ class OrderingChecker(PropertyChecker):
                     master=owner,
                     txn_uid=txn.uid,
                 )
-
-
-class BankFsmChecker(PropertyChecker):
-    """Watches DDR bank FSMs for illegal transitions (RTL hook)."""
-
-    def __init__(self, banks: Sequence[BankFsm], strict: bool = False) -> None:
-        super().__init__("bank-fsm", strict)
-        self.banks = list(banks)
-        self._last: List[BankState] = [bank.state for bank in self.banks]
-
-    def sample(self, cycle: int) -> None:
-        """Cycle hook for the RTL engine."""
-        self.checks_run += 1
-        for bank, previous in zip(self.banks, self._last):
-            if bank.state not in _LEGAL_BANK_TRANSITIONS[previous]:
-                self.flag(
-                    cycle,
-                    "bank-transition",
-                    f"bank {bank.index}: {previous.value} -> {bank.state.value}",
-                )
-        self._last = [bank.state for bank in self.banks]

@@ -43,7 +43,7 @@ from repro.core.filters import (
     default_filter_chain,
 )
 from repro.core.ports import InteractiveAhbPlus, PortStatus, TransactionPort
-from repro.core.qos import QosRegisterFile, QosSetting, decode_setting, encode_setting
+from repro.core.qos import QosRegisterFile, QosSetting
 from repro.core.threaded import ThreadedAhbPlusBus
 from repro.core.write_buffer import WriteBuffer
 
@@ -75,7 +75,5 @@ __all__ = [
     "WRITE_BUFFER_MASTER",
     "WriteBuffer",
     "config_for_workload",
-    "decode_setting",
     "default_filter_chain",
-    "encode_setting",
 ]

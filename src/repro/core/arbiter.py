@@ -75,12 +75,6 @@ class AhbPlusArbiter:
         """Rebuild the list of enabled narrowing filters ``choose`` runs."""
         self._narrowing = [f for f in self.filters[:-1] if f.enabled]
 
-    def filter_by_name(self, name: str) -> ArbitrationFilter:
-        for filt in self.filters:
-            if filt.name == name:
-                return filt
-        raise ConfigError(f"no arbitration filter named {name!r}")
-
     # -- arbitration ----------------------------------------------------------------
 
     def choose(

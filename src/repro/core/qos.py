@@ -66,36 +66,9 @@ class QosSetting:
         )
 
 
-#: Register-file encoding used by the memory-mapped view: bit 31 = RT
-#: flag, low 24 bits = objective.  Mirrors how the proprietary bus
-#: exposes its internal registers to software.
-_RT_BIT = 1 << 31
-_OBJECTIVE_MASK = (1 << 24) - 1
-
-
-def encode_setting(setting: QosSetting) -> int:
-    """Pack a :class:`QosSetting` into its register word."""
-    word = setting.objective_cycles & _OBJECTIVE_MASK
-    if setting.real_time:
-        word |= _RT_BIT
-    return word
-
-
-def decode_setting(word: int) -> QosSetting:
-    """Unpack a register word into a :class:`QosSetting`."""
-    return QosSetting(
-        real_time=bool(word & _RT_BIT),
-        objective_cycles=word & _OBJECTIVE_MASK,
-    )
-
-
 class QosRegisterFile:
-    """The AHB+ internal QoS register block.
-
-    Settings may be installed programmatically (:meth:`configure`) or
-    through the register-word view (:meth:`write_word`), which is how a
-    memory-mapped configuration port would drive it.
-    """
+    """The AHB+ internal QoS register block; :meth:`configure` installs
+    each master's setting."""
 
     def __init__(self, num_masters: int) -> None:
         if num_masters < 1:
@@ -117,15 +90,6 @@ class QosRegisterFile:
         self._check_master(master)
         self._settings[master] = setting
         self._rt_flags[master] = setting.real_time
-
-    def write_word(self, master: int, word: int) -> None:
-        """Register-word write path (software-visible encoding)."""
-        self.configure(master, decode_setting(word))
-
-    def read_word(self, master: int) -> int:
-        """Register-word read path."""
-        self._check_master(master)
-        return encode_setting(self._settings[master])
 
     def setting(self, master: int) -> QosSetting:
         self._check_master(master)
@@ -171,15 +135,3 @@ class QosRegisterFile:
             self.deadline_hits += 1
         else:
             self.deadline_misses += 1
-
-    @property
-    def rt_masters(self) -> List[int]:
-        """Indices of masters configured as real-time."""
-        return [m for m, s in self._settings.items() if s.real_time]
-
-    def miss_rate(self) -> float:
-        """Fraction of RT transactions that missed their deadline."""
-        total = self.deadline_hits + self.deadline_misses
-        if total == 0:
-            return 0.0
-        return self.deadline_misses / total

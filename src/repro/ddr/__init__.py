@@ -12,9 +12,7 @@ from repro.ddr.commands import (
     COMMAND_PRIORITY,
     BankAddress,
     DdrCommand,
-    bank_span,
     decode_address,
-    encode_address,
     same_row,
 )
 from repro.ddr.controller import DdrControllerTlm
@@ -42,9 +40,7 @@ __all__ = [
     "PRESETS",
     "PendingAccess",
     "ScheduledCommand",
-    "bank_span",
     "decode_address",
-    "encode_address",
     "preset",
     "same_row",
 ]

@@ -9,7 +9,7 @@ WRITE), row (ACTIVATE) and PRECHARGE commands is the paper's §3.3
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple, Tuple
+from typing import NamedTuple
 
 from repro.ddr.timing import DdrTiming
 from repro.errors import MemoryError_
@@ -77,28 +77,6 @@ def decode_address(
     )
 
 
-def encode_address(
-    bank_addr: BankAddress, timing: DdrTiming, bus_bytes: int = 4
-) -> int:
-    """Inverse of :func:`decode_address` (tests and trace tooling)."""
-    word = (
-        (bank_addr.row << (timing.col_bits + timing.bank_bits))
-        | (bank_addr.bank << timing.col_bits)
-        | bank_addr.col
-    )
-    return word * bus_bytes
-
-
 def same_row(a: BankAddress, b: BankAddress) -> bool:
     """True when two accesses hit the same open row of the same bank."""
     return a.bank == b.bank and a.row == b.row
-
-
-def bank_span(addr: int, nbytes: int, timing: DdrTiming, bus_bytes: int = 4) -> Tuple[int, ...]:
-    """Banks touched by an access of *nbytes* starting at *addr*."""
-    banks = []
-    for offset in range(0, max(nbytes, 1), bus_bytes):
-        bank = decode_address(addr + offset, timing, bus_bytes).bank
-        if bank not in banks:
-            banks.append(bank)
-    return tuple(banks)

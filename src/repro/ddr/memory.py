@@ -8,15 +8,15 @@ functional equivalence of the two abstraction levels.
 
 Each page, keyed by ``addr >> 10``, is a ``bytearray(1024)`` of
 little-endian data (zero where unwritten) and an integer bit mask of
-the bytes ever written, which :meth:`touched_bytes` and :meth:`items`
-count so a written zero stays distinct from an unwritten byte.  Every
-access is one slice of a page (:meth:`_get`/:meth:`_put`), split in
-two only where an unaligned access crosses a page.  An AHB burst never
-crosses a 1 KB boundary, so a contiguous burst segment of 1/2/4/8-byte
-beats is one slice and one ``Struct`` pack or unpack; any other
-segment goes beat by beat.  A single 1/2/4/8-byte :meth:`read` or
-:meth:`write` inside one page (a written page, for a write) is one
-``Struct`` unpack or pack straight on the page.
+the bytes ever written, which :meth:`items` reads so a written zero
+stays distinct from an unwritten byte.  Every access is one slice of
+a page (:meth:`_get`/:meth:`_put`), split in two only where an
+unaligned access crosses a page.  An AHB burst never crosses a 1 KB
+boundary, so a contiguous burst segment of 1/2/4/8-byte beats is one
+slice and one ``Struct`` pack or unpack; any other segment goes beat
+by beat.  A single 1/2/4/8-byte :meth:`read` or :meth:`write` inside
+one page (a written page, for a write) is one ``Struct`` unpack or
+pack straight on the page.
 """
 
 from __future__ import annotations
@@ -186,10 +186,6 @@ class MemoryModel:
 
     # -- whole-image views ----------------------------------------------------------
 
-    def touched_bytes(self) -> int:
-        """Number of distinct bytes ever written."""
-        return sum(written.bit_count() for _data, written in self._pages.values())
-
     def items(self) -> Iterator[Tuple[int, int]]:
         """Iterate written ``(address, byte)`` pairs in address order."""
         for index in sorted(self._pages):
@@ -216,11 +212,3 @@ class MemoryModel:
         Zero bytes equal unwritten bytes, matching read semantics.
         """
         return all(a == b for _index, a, b in self._data_pages(other))
-
-    def first_difference(self, other: "MemoryModel") -> Tuple[int, int, int]:
-        """First (addr, mine, theirs) mismatch; raises if images match."""
-        for index, a, b in self._data_pages(other):
-            if a != b:
-                off = next(i for i in range(_PAGE) if a[i] != b[i])
-                return (index << _PAGE_BITS) + off, a[off], b[off]
-        raise MemoryError_("memory images are identical")

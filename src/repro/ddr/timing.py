@@ -97,18 +97,9 @@ class DdrTiming:
         return self._bank_bits
 
     @property
-    def words_per_row(self) -> int:
-        """Bus-width words per open row (the row-hit window)."""
-        return self._col_mask + 1
-
-    @property
     def total_words(self) -> int:
         """Total addressable bus-width words of the device."""
         return 1 << (self.row_bits + self._bank_bits + self.col_bits)
-
-    def row_miss_penalty(self) -> int:
-        """Worst-case extra cycles a row miss costs over a row hit."""
-        return self.t_rp + self.t_rcd
 
     def to_dict(self) -> Dict[str, int]:
         """JSON-ready mapping of the declared timing fields."""

@@ -76,6 +76,10 @@ DEPTH_POOL = (1, 2, 4, 8, 16)
 #: and raises ``SimulationError`` — deterministically, every attempt.
 POISON_MAX_CYCLES = 3
 
+#: Seconds any one wait on a daemon may take: a client reply, a kill
+#: round, or recovery after a restart.
+STARTUP_TIMEOUT = 60.0
+
 
 @dataclass
 class ChaosFailure:
@@ -204,7 +208,6 @@ class ChaosHarness:
         transactions: Tuple[int, int] = DEFAULT_TRANSACTIONS,
         points: int = 3,
         quarantine_threshold: int = 3,
-        startup_timeout: float = 60.0,
     ) -> None:
         # The threshold must exceed the kill rounds (2): interrupted
         # starts count as crashes — by design, a poison point that
@@ -214,7 +217,6 @@ class ChaosHarness:
         self.transactions = transactions
         self.points = points
         self.quarantine_threshold = quarantine_threshold
-        self.startup_timeout = startup_timeout
 
     # -- campaign pieces -------------------------------------------------------
 
@@ -242,7 +244,7 @@ class ChaosHarness:
         return ServeClient(
             daemon.host,
             daemon.port,
-            timeout=self.startup_timeout,
+            timeout=STARTUP_TIMEOUT,
             retries=retries,
             backoff_base=0.02,
             backoff_max=0.2,
@@ -274,10 +276,10 @@ class ChaosHarness:
 
         thread = threading.Thread(target=submitter, daemon=True)
         thread.start()
-        armed.wait(self.startup_timeout)
+        armed.wait(STARTUP_TIMEOUT)
         daemon.kill9()
-        finished.wait(self.startup_timeout)
-        thread.join(self.startup_timeout)
+        finished.wait(STARTUP_TIMEOUT)
+        thread.join(STARTUP_TIMEOUT)
 
     @staticmethod
     def _tear_tail(path: Path) -> None:
@@ -302,7 +304,7 @@ class ChaosHarness:
     def _await_recovery(self, daemon: _Daemon) -> int:
         """Poll until journaled work has drained; return re-run count."""
         client = self._client(daemon, retries=2)
-        deadline = time.monotonic() + self.startup_timeout
+        deadline = time.monotonic() + STARTUP_TIMEOUT
         while time.monotonic() < deadline:
             status = client.status()
             stats = status["stats"] or {}
@@ -319,7 +321,7 @@ class ChaosHarness:
                 return int(stats.get("recovered_rerun", 0))
             time.sleep(0.05)
         raise SimulationError(
-            f"recovery did not finish within {self.startup_timeout}s"
+            f"recovery did not finish within {STARTUP_TIMEOUT}s"
         )
 
     # -- the invariants --------------------------------------------------------

@@ -134,7 +134,6 @@ class Fuzzer:
         masters: Tuple[int, int] = (1, 3),
         transactions: Tuple[int, int] = (3, 10),
         max_cycles: int = DEFAULT_MAX_CYCLES,
-        fault_fraction: float = 0.6,
     ) -> None:
         engines = tuple(engines)
         if len(engines) < 1:
@@ -163,7 +162,6 @@ class Fuzzer:
         self.masters = masters
         self.transactions = transactions
         self.max_cycles = max_cycles
-        self.fault_fraction = fault_fraction
 
     # -- scenario drawing -----------------------------------------------------
 
@@ -221,7 +219,7 @@ class Fuzzer:
                 )
             )
         fault: Optional[FaultSpec] = None
-        if rng.random() < self.fault_fraction:
+        if rng.random() < 0.6:  # three scenarios in five inject faults
             error_rate = rng.uniform(0.0, 0.25)
             fault = FaultSpec(
                 seed=rng.randrange(1 << 31),

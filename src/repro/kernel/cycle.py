@@ -467,16 +467,6 @@ class CycleEngine:
         """Total evaluate-phase passes executed (a cost/diagnostic metric)."""
         return self._eval_passes
 
-    @property
-    def sensitivity_enabled(self) -> bool:
-        """Whether sensitivity-based process skipping is active."""
-        return self._sensitivity
-
-    @property
-    def quiescence_enabled(self) -> bool:
-        """Whether sequential quiescence and skip-ahead are active."""
-        return self._quiescence
-
     # -- execution ---------------------------------------------------------------
 
     def _settle(self) -> None:

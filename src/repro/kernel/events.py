@@ -46,21 +46,15 @@ class Event:
     observers that existed when :meth:`notify` began).
     """
 
-    __slots__ = ("name", "_observers", "_fire_count", "_notify_depth", "_round")
+    __slots__ = ("name", "_observers", "_notify_depth", "_round")
 
     def __init__(self, name: str = "event") -> None:
         self.name = name
         self._observers: List[Action] = []
-        self._fire_count = 0
         #: Non-zero while a notify() delivery round is in progress.
         self._notify_depth = 0
         #: Snapshot of the observer list taken lazily on mid-fire mutation.
         self._round: Optional[List[Action]] = None
-
-    @property
-    def fire_count(self) -> int:
-        """Number of times :meth:`notify` has been called."""
-        return self._fire_count
 
     def _snapshot_round(self) -> None:
         """Preserve the in-flight delivery round before a mutation."""
@@ -83,7 +77,6 @@ class Event:
 
     def notify(self) -> None:
         """Fire the event, invoking all currently subscribed observers."""
-        self._fire_count += 1
         observers = self._observers
         if not observers:
             return

@@ -28,7 +28,7 @@ class Simulator:
     -------
     >>> sim = Simulator()
     >>> seen = []
-    >>> sim.schedule_at(5, lambda: seen.append(sim.now))
+    >>> sim.schedule_after(5, lambda: seen.append(sim.now))
     >>> sim.schedule_after(2, lambda: seen.append(sim.now))
     >>> sim.run()
     >>> seen
@@ -50,14 +50,6 @@ class Simulator:
     def pending(self) -> int:
         """Number of actions still queued."""
         return len(self._queue)
-
-    def schedule_at(self, time: int, action: Action) -> None:
-        """Run *action* at absolute cycle *time* (must not be in the past)."""
-        if time < self._now:
-            raise SchedulingError(
-                f"cannot schedule at cycle {time}; current time is {self._now}"
-            )
-        self._queue.push(time, action)
 
     def schedule_after(self, delay: int, action: Action) -> None:
         """Run *action* ``delay`` cycles from now (``delay >= 0``)."""

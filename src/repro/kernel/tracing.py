@@ -49,12 +49,6 @@ class VcdTracer:
         self._ids: Dict[int, str] = {}
         self._last: Dict[int, int] = {}
         self._header_done = False
-        self._changes = 0
-
-    @property
-    def change_count(self) -> int:
-        """Total value changes emitted (cheap activity metric for tests)."""
-        return self._changes
 
     def add_signals(self, signals: Iterable[Signal]) -> None:
         """Register signals to trace; must happen before the first sample."""
@@ -83,7 +77,6 @@ class VcdTracer:
             self._out.write(f"{sig.value}{ident}\n")
         else:
             self._out.write(f"b{sig.value:b} {ident}\n")
-        self._changes += 1
 
     def sample(self, cycle: int) -> None:
         """Record all changed signals at *cycle* (hook into the cycle engine)."""

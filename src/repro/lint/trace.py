@@ -80,14 +80,6 @@ class Netlist:
     #: genuine consumers as far as the dead-signal rule is concerned.
     external_reads: Set[Signal] = field(default_factory=set)
 
-    @property
-    def comb_procs(self) -> List[ProcInfo]:
-        return [p for p in self.procs if p.kind == "comb"]
-
-    @property
-    def seq_procs(self) -> List[ProcInfo]:
-        return [p for p in self.procs if p.kind == "seq"]
-
 
 class _Tracker:
     """Mutable read/drive recording state shared with TracedSignal."""

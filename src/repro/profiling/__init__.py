@@ -7,11 +7,10 @@ from repro.profiling.report import (
     format_table,
     port_report,
 )
-from repro.profiling.stats import Histogram, RunningStats, ThroughputWindow
+from repro.profiling.stats import RunningStats, ThroughputWindow
 
 __all__ = [
     "BusMonitor",
-    "Histogram",
     "PortProfile",
     "RunningStats",
     "ThroughputWindow",

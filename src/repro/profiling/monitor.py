@@ -5,8 +5,8 @@ transaction-level ports and some internal functions such as arbiter,
 write buffer and so on."*  A :class:`BusMonitor` attaches to any bus
 engine's observer hook and accumulates the metrics the paper's
 introduction calls out as essential: **bus contention, utilization and
-throughput**, plus per-master port profiles (latency distribution,
-bytes, wait cycles, deadline performance).
+throughput**, plus per-master port profiles (latency, bytes, wait
+cycles, deadline performance).
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.ahb.transaction import WRITE_BUFFER_MASTER, Transaction
-from repro.profiling.stats import Histogram, RunningStats, ThroughputWindow
+from repro.ahb.transaction import Transaction
+from repro.profiling.stats import RunningStats, ThroughputWindow
 
 
 @dataclass
@@ -31,7 +31,6 @@ class PortProfile:
     deadline_misses: int = 0
     latency: RunningStats = field(default_factory=RunningStats)
     wait: RunningStats = field(default_factory=RunningStats)
-    latency_hist: Histogram = field(default_factory=lambda: Histogram(bin_width=8))
 
     def record(self, txn: Transaction) -> None:
         if txn.is_write:
@@ -42,9 +41,7 @@ class PortProfile:
         if txn.via_write_buffer:
             self.posted_writes += 1
         if txn.finished_at >= 0 and txn.issued_at >= 0:
-            latency = txn.finished_at - txn.issued_at
-            self.latency.add(latency)
-            self.latency_hist.add(latency)
+            self.latency.add(txn.finished_at - txn.issued_at)
         if txn.granted_at >= 0 and txn.issued_at >= 0:
             self.wait.add(max(txn.granted_at - txn.issued_at, 0))
         met = txn.met_deadline
@@ -121,7 +118,3 @@ class BusMonitor:
     def port(self, master: int) -> PortProfile:
         """Profile of one master (write buffer under its pseudo-index)."""
         return self.ports.setdefault(master, PortProfile(master=master))
-
-    @property
-    def write_buffer_port(self) -> PortProfile:
-        return self.port(WRITE_BUFFER_MASTER)

@@ -1,16 +1,14 @@
 """Statistics primitives used by the profiling monitors.
 
-Small, dependency-free accumulators: streaming mean/min/max, fixed-bin
-histograms and windowed throughput counters.  Integer-friendly — all
-bus metrics are cycle counts or byte counts.
+Small, dependency-free accumulators: streaming mean/min/max and
+windowed throughput counters.  Integer-friendly — all bus metrics are
+cycle counts or byte counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
-from repro.errors import ConfigError
+from typing import Dict, Optional
 
 
 class RunningStats:
@@ -36,59 +34,6 @@ class RunningStats:
             return 0.0
         return self.total / self.count
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "count": self.count,
-            "total": self.total,
-            "mean": self.mean,
-            "min": self.minimum if self.minimum is not None else 0,
-            "max": self.maximum if self.maximum is not None else 0,
-        }
-
-
-class Histogram:
-    """Fixed-width-bin histogram of non-negative integers."""
-
-    def __init__(self, bin_width: int = 8, max_bins: int = 64) -> None:
-        if bin_width < 1 or max_bins < 1:
-            raise ConfigError("histogram needs positive bin width and bin count")
-        self.bin_width = bin_width
-        self.max_bins = max_bins
-        self._bins: List[int] = [0] * max_bins
-        self.overflow = 0
-        self.samples = 0
-
-    def add(self, value: int) -> None:
-        if value < 0:
-            raise ConfigError(f"histogram sample {value} is negative")
-        index = value // self.bin_width
-        if index >= self.max_bins:
-            self.overflow += 1
-        else:
-            self._bins[index] += 1
-        self.samples += 1
-
-    def nonzero_bins(self) -> List[Tuple[int, int, int]]:
-        """List of (bin_low, bin_high_exclusive, count) for occupied bins."""
-        result = []
-        for index, count in enumerate(self._bins):
-            if count:
-                low = index * self.bin_width
-                result.append((low, low + self.bin_width, count))
-        return result
-
-    def percentile(self, fraction: float) -> int:
-        """Approximate percentile (upper bin edge); overflow counts last."""
-        if not 0.0 < fraction <= 1.0:
-            raise ConfigError("percentile fraction must be in (0, 1]")
-        target = fraction * self.samples
-        seen = 0
-        for index, count in enumerate(self._bins):
-            seen += count
-            if seen >= target:
-                return (index + 1) * self.bin_width
-        return (self.max_bins + 1) * self.bin_width
-
 
 @dataclass
 class ThroughputWindow:
@@ -100,13 +45,6 @@ class ThroughputWindow:
     def add(self, cycle: int, nbytes: int) -> None:
         index = cycle // self.window_cycles
         self._windows[index] = self._windows.get(index, 0) + nbytes
-
-    def series(self) -> List[Tuple[int, float]]:
-        """(window_start_cycle, bytes_per_cycle) in time order."""
-        return [
-            (index * self.window_cycles, total / self.window_cycles)
-            for index, total in sorted(self._windows.items())
-        ]
 
     def peak(self) -> float:
         """Highest bytes-per-cycle across windows."""

@@ -120,10 +120,6 @@ class StaticSlaveRtl:
         """No burst in flight (the platform's drain check)."""
         return self._access is None and not self._fault_resp and not self._fault_clear
 
-    def peek_word(self, addr: int, size_bytes: int = 4) -> int:
-        """Read the backing store without modelling timing (tests)."""
-        return self.memory.read(addr, size_bytes)
-
     # -- sequential phase ---------------------------------------------------------
 
     def update(self) -> None:

@@ -107,7 +107,6 @@ def trace_replay(
     transactions: Optional[int] = None,
     source: object = None,
     config: Optional[AhbPlusConfig] = None,
-    capture_engine: Optional[str] = None,
     preserve_issue_times: Optional[bool] = None,
     qos: Optional[Dict[int, QosSetting]] = None,
     num_masters: Optional[int] = None,
@@ -116,15 +115,14 @@ def trace_replay(
     """Table-1 playback: one captured run, replayed on any engine.
 
     With no *source* this captures the canonical Table-1 pattern-A run
-    once — elaborate the paper topology at *capture_engine*, record
-    every transaction with a :class:`~repro.traffic.trace.
-    TraceRecorder` — and binds the records as a trace-backed
-    :class:`~repro.traffic.Workload`.  The resulting spec is plain
-    data (the records travel inline), so it JSON-round-trips and
-    pickles into process-backend sweep workers like any other spec;
-    elaborating it at ``tlm``, ``plain`` or ``rtl`` replays the
-    *identical* per-master transaction sequence, which is the paper's
-    Table-1 methodology made literal.
+    once — elaborate the paper topology at TLM, record every transaction
+    with a :class:`~repro.traffic.trace.TraceRecorder` — and binds the
+    records as a trace-backed :class:`~repro.traffic.Workload`.  The
+    resulting spec is plain data (the records travel inline), so it
+    JSON-round-trips and pickles into process-backend sweep workers
+    like any other spec; elaborating it at ``tlm``, ``plain`` or
+    ``rtl`` replays the *identical* per-master transaction sequence,
+    which is the paper's Table-1 methodology made literal.
 
     *source* short-circuits the capture: a trace file path, a record
     sequence, or a prepared :class:`~repro.traffic.trace.TraceSource`.
@@ -140,11 +138,9 @@ def trace_replay(
     from repro.traffic.trace import TraceRecorder
     from repro.traffic.workloads import Workload
 
-    if source is not None and (
-        transactions is not None or capture_engine is not None
-    ):
+    if source is not None and transactions is not None:
         raise ConfigError(
-            "transactions/capture_engine only shape a fresh capture; "
+            "transactions only shapes a fresh capture; "
             "a source= trace already fixes the record set"
         )
     if source is None and (
@@ -160,7 +156,7 @@ def trace_replay(
             transactions=60 if transactions is None else transactions,
             config=config,
         )
-        platform = PlatformBuilder(base).build(capture_engine or "tlm")
+        platform = PlatformBuilder(base).build("tlm")
         recorder = TraceRecorder()
         platform.attach(recorder)
         platform.run()

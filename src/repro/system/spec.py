@@ -220,10 +220,6 @@ class SystemSpec:
             self, bus=BusSpec(config=replace(resolved, **overrides))  # type: ignore[arg-type]
         )
 
-    def with_workload(self, workload: Workload) -> "SystemSpec":
-        """A copy bound to a different workload."""
-        return replace(self, workload=workload)
-
     def with_seed(self, seed: int) -> "SystemSpec":
         """A copy with the workload re-seeded (sweep repetition axis)."""
         return replace(self, workload=self.workload.with_seed(seed))

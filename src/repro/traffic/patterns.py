@@ -234,13 +234,3 @@ NAMED_PATTERNS = {
     pattern.name: pattern
     for pattern in (CPU, DMA, VIDEO, AUDIO, WRITER, MPEG, RANDOM)
 }
-
-
-def named_pattern(name: str) -> TrafficPattern:
-    """Look up one of the canonical patterns by name."""
-    try:
-        return NAMED_PATTERNS[name]
-    except KeyError:
-        raise TrafficError(
-            f"unknown pattern {name!r}; choose from {sorted(NAMED_PATTERNS)}"
-        ) from None

@@ -12,10 +12,10 @@ sweep machinery as synthetic traffic.
 Semantics
 ---------
 A trace is the **offered** per-master traffic, not the raw bus transfer
-log: by default the recorder replaces a write-buffer drain transfer
-with the posted *original* it replays (``drains="origin"``), so every
-record belongs to a real master and the per-master record sets are the
-complete streams those masters issued — exactly what a replay needs.
+log: the recorder replaces a write-buffer drain transfer with the
+posted *original* it replays, so every record belongs to a real master
+and the per-master record sets are the complete streams those masters
+issued — exactly what a replay needs.
 Records land in completion order; within one master that can differ
 from issue order (a posted write completes for the master at absorb
 time but is only recorded when its drain reaches memory), which is why
@@ -32,10 +32,8 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Sequence,
     TextIO,
     Tuple,
-    Union,
 )
 
 from repro.ahb.burst import crosses_kb_boundary
@@ -43,13 +41,6 @@ from repro.ahb.master import TrafficItem
 from repro.ahb.transaction import WRITE_BUFFER_MASTER, Transaction
 from repro.ahb.types import AccessKind
 from repro.errors import TrafficError
-
-#: How :class:`TraceRecorder` archives write-buffer drain transfers:
-#: ``"origin"`` records the posted original (complete per-master
-#: streams — the replayable default), ``"bus"`` records the drain
-#: transfer itself under :data:`~repro.ahb.transaction.
-#: WRITE_BUFFER_MASTER` (the raw bus log), ``"skip"`` drops them.
-DRAIN_MODES = ("origin", "bus", "skip")
 
 _KINDS = tuple(kind.value for kind in AccessKind)
 
@@ -253,6 +244,13 @@ def record_from_payload(
             f"{where}: write supplies {len(data)} beats of data but "
             f"declares {beats} beats"
         )
+    limit = 1 << (8 * size_bytes)
+    for beat, word in enumerate(data):
+        if not 0 <= word < limit:
+            raise TrafficError(
+                f"{where}: data word {beat} ({word}) does not fit a "
+                f"{size_bytes}-byte beat"
+            )
     return TraceRecord(
         master=payload["master"],
         kind=kind,
@@ -284,18 +282,12 @@ class TraceRecorder:
     bookkeeping and the trace would lie about timing), so the recorder
     asserts consistency instead of silently trusting either side.
 
-    ``drains`` selects what a write-buffer drain transfer contributes
-    (see :data:`DRAIN_MODES`).  The default, ``"origin"``, archives the
-    posted original — the trace then holds every transaction each
-    master *issued*, which is what trace-backed workloads replay.
+    A write-buffer drain transfer is archived as the posted original it
+    replays, so the trace holds every transaction each master *issued*,
+    which is what trace-backed workloads replay.
     """
 
-    def __init__(self, drains: str = "origin") -> None:
-        if drains not in DRAIN_MODES:
-            raise TrafficError(
-                f"unknown drain mode {drains!r}; choose from {DRAIN_MODES}"
-            )
-        self.drains = drains
+    def __init__(self) -> None:
         self.records: List[TraceRecord] = []
 
     def __call__(
@@ -315,14 +307,11 @@ class TraceRecorder:
                     f"{observed}; the engine delivered stale timestamps"
                 )
         if txn.master == WRITE_BUFFER_MASTER and txn.origin is not None:
-            if self.drains == "skip":
-                return
-            if self.drains == "origin":
-                # The posted original carries the master-side timing:
-                # issued when the master issued it, finished at absorb
-                # time, never granted the bus itself (-1 stamps).
-                self.records.append(TraceRecord.from_transaction(txn.origin))
-                return
+            # The posted original carries the master-side timing: issued
+            # when the master issued it, finished at absorb time, never
+            # granted the bus itself (-1 stamps).
+            self.records.append(TraceRecord.from_transaction(txn.origin))
+            return
         self.records.append(
             replace(
                 TraceRecord.from_transaction(txn),
@@ -334,24 +323,6 @@ class TraceRecorder:
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def by_master(self) -> Dict[int, List[TraceRecord]]:
-        """Records grouped by issuing master, in completion order.
-
-        Completion order within one master may differ from issue order
-        when posted writes are involved (their ``"origin"`` records
-        only appear once the drain reaches memory); replay re-sorts by
-        ``issued_at``, and so should any order-sensitive consumer.
-        """
-        return group_by_master(self.records)
-
-    def dump(self, stream: TextIO) -> int:
-        """Write JSON-lines; returns the record count."""
-        return dump_trace(self.records, stream)
-
-    def save(self, path: Union[str, "object"]) -> int:
-        """Write the records to *path* as JSON-lines."""
-        return save_trace(self.records, path)
 
 
 # -- serialisation ---------------------------------------------------------------
@@ -521,8 +492,8 @@ def group_by_master(
 def trace_masters(records: Iterable[TraceRecord]) -> Tuple[int, ...]:
     """Sorted real master indices present in *records*.
 
-    Drain records kept by a ``drains="bus"`` recorder (master
-    :data:`~repro.ahb.transaction.WRITE_BUFFER_MASTER`) are not
+    Records under the write buffer's pseudo-master index
+    (:data:`~repro.ahb.transaction.WRITE_BUFFER_MASTER`) are not
     replayable masters and are excluded.
     """
     return tuple(
@@ -606,46 +577,6 @@ def remap_addresses(
             )
         out.append(replace(record, addr=addr))
     return out
-
-
-def remap_masters(
-    records: Iterable[TraceRecord], mapping: Mapping[int, int]
-) -> List[TraceRecord]:
-    """Reassign master indices via *mapping* (unmapped indices pass).
-
-    Used to densify sparse captures or to stack two captures onto
-    disjoint index ranges before :func:`merge_traces`.
-    """
-    for old, new in mapping.items():
-        if not _is_int(new) or new < 0:
-            raise TrafficError(
-                f"master remap {old} -> {new!r}: target must be a "
-                f"non-negative integer"
-            )
-        if new == WRITE_BUFFER_MASTER:
-            raise TrafficError(
-                f"master remap {old} -> {new}: target is the write "
-                f"buffer's pseudo-master index; replay would drop the "
-                f"stream"
-            )
-    return [
-        replace(record, master=mapping.get(record.master, record.master))
-        for record in records
-    ]
-
-
-def merge_traces(
-    *traces: Sequence[TraceRecord],
-) -> List[TraceRecord]:
-    """Merge several traces into one, ordered by issue cycle.
-
-    Traces that share master indices interleave on the issue axis
-    (well-defined, but usually you want :func:`remap_masters` first so
-    each capture keeps its own masters).
-    """
-    merged = [record for trace in traces for record in trace]
-    merged.sort(key=lambda record: record.issued_at)
-    return merged
 
 
 # -- workload binding ------------------------------------------------------------
@@ -738,8 +669,14 @@ class TraceSource:
                 record_from_payload(payload, f"trace record {index}")
                 for index, payload in enumerate(raw)
             )
+        preserve_issue_times = data.get("preserve_issue_times", True)
+        if not isinstance(preserve_issue_times, bool):
+            raise TrafficError(
+                f"trace source field 'preserve_issue_times' must be a "
+                f"boolean, got {preserve_issue_times!r}"
+            )
         return cls(
             path=data.get("path"),  # type: ignore[arg-type]
             records=records,
-            preserve_issue_times=bool(data.get("preserve_issue_times", True)),
+            preserve_issue_times=preserve_issue_times,
         )

@@ -440,9 +440,7 @@ def single_master_workload(
     )
 
 
-def saturating_workload(
-    transactions: int = 300, seed: int = 5, rt_objective: int = 90
-) -> Workload:
+def saturating_workload(transactions: int = 300, seed: int = 5) -> Workload:
     """An RT stream fighting three greedy NRT masters (QoS experiment).
 
     The video master sits at the *highest* master index, i.e. the lowest
@@ -452,9 +450,7 @@ def saturating_workload(
     master's QoS").
     """
     hungry = replace(DMA, think_range=(0, 0), burst_mix=((16, 1.0),))
-    video = replace(
-        VIDEO, period=120, deadline_offset=rt_objective, burst_mix=((8, 1.0),)
-    )
+    video = replace(VIDEO, period=120, deadline_offset=90, burst_mix=((8, 1.0),))
     # The NRT movers carry several times the RT stream's transaction
     # count so the bus stays saturated for the whole RT window.
     specs = (
@@ -465,7 +461,7 @@ def saturating_workload(
             "video0",
             _window(video, 3),
             transactions,
-            QosSetting(real_time=True, objective_cycles=rt_objective),
+            QosSetting(real_time=True, objective_cycles=90),
         ),
     )
     return Workload("saturating", specs, seed)

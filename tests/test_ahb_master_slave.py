@@ -80,7 +80,7 @@ class TestTlmMaster:
         agent.complete(txn, 9)
         assert agent.done
         assert agent.transactions_completed == 1
-        assert agent.bytes_completed == 16
+        assert agent.completed == [txn]
 
 
 class TestSramSlave:

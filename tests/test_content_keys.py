@@ -74,7 +74,7 @@ class TestPointKeyStability:
         base = point_key(spec)
         assert point_key(spec.with_seed(99)) != base
         assert point_key(spec.with_seed(99)) == point_key(spec.with_seed(99))
-        assert point_key(spec.with_workload(single_master_workload(30))) != base
+        assert point_key(replace(spec, workload=single_master_workload(30))) != base
 
     def test_invalid_arguments(self):
         spec = paper_topology(30)

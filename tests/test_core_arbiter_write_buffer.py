@@ -70,7 +70,7 @@ class TestAhbPlusArbiter:
     def test_disable_filter_by_name(self):
         arb = AhbPlusArbiter(num_masters=2)
         arb.set_filter_enabled("real-time", False)
-        assert not arb.filter_by_name("real-time").enabled
+        assert arb.filter_stats()["real-time"]["enabled"] == 0
 
     def test_tie_break_cannot_be_disabled(self):
         arb = AhbPlusArbiter(num_masters=2)
@@ -279,7 +279,7 @@ class TestArbiterAgainstOracle:
                 }
                 for f in chain
             }
-            assert arbiter.filter_by_name("tie-break")._last_winner == chain[-1]._last_winner
+            assert arbiter.filters[-1]._last_winner == chain[-1]._last_winner
 
 
 # -- stored footprints against recomputed ones --------------------------------------

@@ -17,12 +17,7 @@ from repro.core.filters import (
     UrgencyFilter,
     default_filter_chain,
 )
-from repro.core.qos import (
-    QosRegisterFile,
-    QosSetting,
-    decode_setting,
-    encode_setting,
-)
+from repro.core.qos import QosRegisterFile, QosSetting
 from repro.errors import ConfigError
 
 
@@ -52,14 +47,10 @@ def ctx(**kwargs):
 
 
 class TestQosRegisterFile:
-    def test_register_word_roundtrip(self):
-        setting = QosSetting(real_time=True, objective_cycles=123)
-        assert decode_setting(encode_setting(setting)) == setting
-
-    def test_write_read_word(self):
+    def test_configure_installs_setting(self):
         regs = QosRegisterFile(2)
-        regs.write_word(1, encode_setting(QosSetting(True, 55)))
-        assert regs.read_word(1) == encode_setting(QosSetting(True, 55))
+        regs.configure(1, QosSetting(True, 55))
+        assert regs.setting(1) == QosSetting(True, 55)
         assert regs.is_real_time(1)
 
     def test_default_is_nrt(self):
@@ -99,12 +90,6 @@ class TestQosRegisterFile:
         late.finished_at = 50
         regs.record_completion(late, regs.deadline_for(late))
         assert regs.deadline_hits == 1 and regs.deadline_misses == 1
-        assert regs.miss_rate() == 0.5
-
-    def test_rt_masters_list(self):
-        regs = QosRegisterFile(3)
-        regs.configure(2, QosSetting(True, 9))
-        assert regs.rt_masters == [2]
 
 
 class TestFilters:

@@ -54,14 +54,14 @@ class TestDdrControllerTlm:
         f1 = ctrl.serve(read(0x0, beats=1), 0)
         hit = read(0x4, beats=1)
         f2 = ctrl.serve(hit, f1 + 1)
-        row_span = T.words_per_row * 4 * T.num_banks
+        row_span = (1 << T.col_bits) * 4 * T.num_banks
         conflict = read(row_span, beats=1)  # same bank, different row
         f3 = ctrl.serve(conflict, f2 + 1)
         assert (f3 - f2) > (f2 - f1)
 
     def test_burst_crossing_rows_splits_segments(self):
         ctrl = ddrc(refresh_enabled=False)
-        row_bytes = T.words_per_row * 4
+        row_bytes = (1 << T.col_bits) * 4
         addr = row_bytes - 8  # last two words of row 0
         txn = write(addr, [1, 2, 3, 4])
         finish = ctrl.serve(txn, 0)
@@ -72,11 +72,11 @@ class TestDdrControllerTlm:
     def test_notify_next_hides_activation(self):
         baseline = ddrc(refresh_enabled=False)
         f_first = baseline.serve(read(0x0, beats=8), 0)
-        cold = baseline.serve(read(T.words_per_row * 4, beats=1), f_first)
+        cold = baseline.serve(read((1 << T.col_bits) * 4, beats=1), f_first)
 
         prepared = ddrc(refresh_enabled=False)
         f_first2 = prepared.serve(read(0x0, beats=8), 0)
-        nxt = read(T.words_per_row * 4, beats=1)
+        nxt = read((1 << T.col_bits) * 4, beats=1)
         prepared.notify_next(nxt, f_first2 - 4)  # BI info mid-burst
         warm = prepared.serve(nxt, f_first2)
         assert warm < cold
@@ -171,7 +171,7 @@ def per_beat_serve(ctrl, txn, start_cycle):
 
 #: Device bytes of DDR_TEST behind a 4-byte bus, and one row's bytes.
 CAPACITY = T.total_words * 4
-ROW_BYTES = T.words_per_row * 4
+ROW_BYTES = (1 << T.col_bits) * 4
 
 
 @st.composite
@@ -246,7 +246,7 @@ class TestSegmentService:
                 assert txn.data == copy.data
                 cycle = got[1] + 1
         assert fast.memory.equal_contents(slow.memory)
-        assert fast.memory.touched_bytes() == slow.memory.touched_bytes()
+        assert len(list(fast.memory.items())) == len(list(slow.memory.items()))
         assert (fast.memory.read_ops, fast.memory.write_ops) == (
             slow.memory.read_ops,
             slow.memory.write_ops,
@@ -310,7 +310,7 @@ def _state(ctrl):
         ctrl.prepared_banks,
         ctrl.memory.read_ops,
         ctrl.memory.write_ops,
-        ctrl.memory.touched_bytes(),
+        len(list(ctrl.memory.items())),
         ctrl.timeline.stats(),
         ctrl.timeline.data_busy_until,
     )

@@ -137,15 +137,13 @@ class TestMemoryModel:
         with pytest.raises(MemoryError_):
             MemoryModel().read(-4, 4)
 
-    def test_equality_and_difference(self):
+    def test_equality(self):
         a, b = MemoryModel(), MemoryModel()
         a.write(0, 4, 5)
         b.write(0, 4, 5)
         assert a.equal_contents(b)
         b.write(8, 1, 9)
         assert not a.equal_contents(b)
-        addr, mine, theirs = a.first_difference(b)
-        assert (addr, mine, theirs) == (8, 0, 9)
 
     def test_zero_equals_unwritten(self):
         a, b = MemoryModel(), MemoryModel()
@@ -176,7 +174,7 @@ class TestWordFastPath:
         mem.write(0x11, 1, 0xAA)  # spills the word, patches one byte
         assert mem.read(0x10, 4) == 0x1122AA44
         assert mem.read(0x11, 1) == 0xAA
-        assert mem.touched_bytes() == 4
+        assert len(list(mem.items())) == 4
 
     def test_word_write_over_byte_entries(self):
         mem = MemoryModel()
@@ -185,7 +183,7 @@ class TestWordFastPath:
         mem.write(0x20, 4, 0xDEADBEEF)  # evicts all byte residue
         assert mem.read(0x20, 4) == 0xDEADBEEF
         assert mem.read(0x21, 1) == 0xBE
-        assert mem.touched_bytes() == 4
+        assert len(list(mem.items())) == 4
 
     def test_unaligned_word_read_merges_stores(self):
         mem = MemoryModel()
@@ -209,8 +207,6 @@ class TestWordFastPath:
         assert byte_wise.equal_contents(word_wise)
         byte_wise.write(0x41, 1, 0x00)
         assert not word_wise.equal_contents(byte_wise)
-        addr, mine, theirs = word_wise.first_difference(byte_wise)
-        assert (addr, mine, theirs) == (0x41, 0xBA, 0x00)
 
     def test_items_merge_in_address_order(self):
         mem = MemoryModel()
@@ -246,7 +242,7 @@ class TestWordFastPath:
                 oracle[addr + i] = (value >> (8 * i)) & 0xFF
         for addr in range(0, 72):
             assert mem.read(addr, 1) == oracle.get(addr, 0)
-        assert mem.touched_bytes() == len(oracle)
+        assert len(list(mem.items())) == len(oracle)
 
 
 class TestMemoryBulkBeats:
@@ -282,7 +278,7 @@ class TestMemoryBulkBeats:
         addrs = [0, 4, 8, 12] if size == 4 else [0, 1, 2, 3]
         with pytest.raises(MemoryError_, match="values for 4 beat addresses"):
             mem.write_beats(addrs, size, list(range(1, count + 1)))
-        assert mem.touched_bytes() == 0 and mem.write_ops == 0
+        assert len(list(mem.items())) == 0 and mem.write_ops == 0
 
 
 def _outcome(call):
@@ -335,7 +331,7 @@ class TestBulkBeatsAgainstPerBeat:
         want = _outcome(lambda: _per_beat_write(single, addrs, size, values))
         assert got == want
         assert bulk.equal_contents(single)
-        assert bulk.touched_bytes() == single.touched_bytes()
+        assert len(list(bulk.items())) == len(list(single.items()))
         got = _outcome(lambda: bulk.read_beats(addrs, size))
         want = _outcome(lambda: [single.read(addr, size) for addr in addrs])
         assert got == want

@@ -7,20 +7,20 @@ from repro.ddr.commands import (
     COMMAND_PRIORITY,
     BankAddress,
     DdrCommand,
-    bank_span,
     decode_address,
-    encode_address,
     same_row,
 )
 from repro.ddr.timing import DDR_266, DDR_TEST, DdrTiming, preset
 from repro.errors import ConfigError, MemoryError_
+
+from oracles import encode_address
 
 
 class TestTiming:
     def test_defaults_valid(self):
         timing = DdrTiming()
         assert timing.bank_bits == 2
-        assert timing.words_per_row == 1024
+        assert timing.col_bits == 10
 
     def test_presets(self):
         assert preset("ddr266") is DDR_266
@@ -35,9 +35,6 @@ class TestTiming:
         with pytest.raises(ConfigError):
             DdrTiming(t_rcd=0)
 
-    def test_row_miss_penalty(self):
-        assert DDR_266.row_miss_penalty() == DDR_266.t_rp + DDR_266.t_rcd
-
     def test_total_words(self):
         assert DDR_TEST.total_words == 1 << (6 + 2 + 4)
 
@@ -48,7 +45,7 @@ class TestAddressDecode:
         baddr = decode_address(0, timing)
         assert baddr == BankAddress(bank=0, row=0, col=0)
         # One full row of one bank later -> next bank.
-        one_bank = timing.words_per_row * 4  # bytes
+        one_bank = (1 << timing.col_bits) * 4  # bytes
         assert decode_address(one_bank, timing).bank == 1
 
     def test_beyond_capacity_rejected(self):
@@ -69,12 +66,6 @@ class TestAddressDecode:
         a = BankAddress(1, 5, 0)
         assert same_row(a, BankAddress(1, 5, 9))
         assert not same_row(a, BankAddress(2, 5, 0))
-
-    def test_bank_span(self):
-        timing = DDR_TEST
-        row_bytes = timing.words_per_row * 4
-        banks = bank_span(0, row_bytes * 2, timing)
-        assert banks == (0, 1)
 
 
 class TestCommandPriority:

@@ -16,12 +16,6 @@ class TestEvent:
         event.notify()
         assert seen == ["a", "b"]
 
-    def test_fire_count(self):
-        event = Event()
-        event.notify()
-        event.notify()
-        assert event.fire_count == 2
-
     def test_unsubscribe_stops_delivery(self):
         event = Event()
         seen = []

@@ -9,8 +9,9 @@ Four layers of coverage:
   cycles, no workload);
 * the shipped tree is lint-clean (``make lint`` exit-0 guarantee), with
   only the documented waivers present;
-* ``src/`` imports nothing it does not use, and every module in it is
-  imported from somewhere in it (``ast`` walks); and
+* ``src/`` imports nothing it does not use, every module in it is
+  imported from somewhere in it, and every public name in it has a
+  user outside ``tests/`` (``ast`` walks); and
 * the instrumentation hooks are invisible outside a lint elaboration
   (plain :class:`Signal` construction, no observer) — the structural
   half of the zero-hot-path-cost claim; ``make bench`` gates the timing
@@ -20,6 +21,7 @@ Four layers of coverage:
 import ast
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -277,6 +279,106 @@ def test_src_has_no_orphan_modules():
         and (name := _module_name(path)) not in imported
     ]
     assert orphans == []
+
+
+#: Where a public name's users may live.  Tests are not users: a name
+#: only tests call is an oracle, and belongs in ``tests/``.
+USER_DIRS = ("src", "examples", "benchmarks", "perfbench")
+
+#: Deliberate public API that no shipped code calls, with the reason.
+PUBLIC_NAME_WAIVERS = {
+    "load_repro": "reads a repro file that `make fuzz-long` archives; "
+    "tests/test_repro_regressions.py replays the pinned ones through it",
+    "replay_repro": "re-runs a loaded repro with its original engines "
+    "and checks; the triage half of load_repro",
+    "Platform": "the typing Protocol that documents what every "
+    "elaborated platform exposes (run, attach)",
+}
+
+_IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+
+
+def _referenced_names(path):
+    """Every name *path* uses: AST names, attributes, import aliases,
+    keywords, and identifiers inside string constants other than
+    docstrings (perfbench names its hooks in strings)."""
+    tree = ast.parse(path.read_text())
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and ast.get_docstring(node, clean=False) is not None
+    }
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+            names.add(node.asname)
+        elif isinstance(node, ast.keyword):
+            names.add(node.arg)
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in docstrings
+        ):
+            names.update(_IDENTIFIER.findall(node.value))
+    return names
+
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _is_public(name):
+    # Dunders are private by this test; visitors are called by name.
+    return not name.startswith(("_", "visit_"))
+
+
+def _public_defs(path):
+    """``(qualified name, line)`` of each public top-level def and class,
+    and each public def of a public class."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, _DEFS) and _is_public(node.name):
+            yield node.name, node.lineno
+            for sub in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(sub, _DEFS) and _is_public(sub.name):
+                    yield f"{node.name}.{sub.name}", sub.lineno
+
+
+def unreferenced_public_names(root, waivers):
+    """Public defs under ``root/src`` that no file in :data:`USER_DIRS`
+    names, package ``__init__`` re-exports excluded."""
+    used = set()
+    for folder in USER_DIRS:
+        for path in (root / folder).rglob("*.py"):
+            if path.name != "__init__.py":
+                used |= _referenced_names(path)
+    return [
+        f"{path.relative_to(root)}:{line}: {qualname}"
+        for path in sorted((root / "src").rglob("*.py"))
+        for qualname, line in _public_defs(path)
+        if qualname not in waivers and qualname.rpartition(".")[2] not in used
+    ]
+
+
+def test_src_has_no_test_only_public_names():
+    """Each public function, class and method in ``src/`` has a user
+    outside ``tests/``; delete it, move it into ``tests/oracles.py``,
+    or waive it here with a reason."""
+    assert unreferenced_public_names(SRC.parent, PUBLIC_NAME_WAIVERS) == []
+    assert len(PUBLIC_NAME_WAIVERS) <= 5
+
+
+def test_public_name_fixture_fires():
+    root = FIXTURES / "public_names"
+    assert unreferenced_public_names(root, {"waived": "fixture"}) == [
+        "src/pkg/mod.py:7: stray",
+        "src/pkg/mod.py:11: reexported",
+        "src/pkg/mod.py:36: Widget.spin",
+    ]
 
 
 # -- hook hygiene ------------------------------------------------------------

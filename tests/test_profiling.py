@@ -2,10 +2,8 @@
 
 import pytest
 
-from repro.errors import ConfigError
 from repro.profiling import (
     BusMonitor,
-    Histogram,
     RunningStats,
     ThroughputWindow,
     bus_summary,
@@ -28,39 +26,12 @@ class TestRunningStats:
     def test_empty_mean_is_zero(self):
         assert RunningStats().mean == 0.0
 
-    def test_as_dict(self):
-        stats = RunningStats()
-        stats.add(3)
-        assert stats.as_dict()["count"] == 1
-
-
-class TestHistogram:
-    def test_binning_and_overflow(self):
-        hist = Histogram(bin_width=10, max_bins=2)
-        hist.add(5)
-        hist.add(15)
-        hist.add(999)
-        assert hist.overflow == 1
-        assert [(lo, hi) for lo, hi, _ in hist.nonzero_bins()] == [(0, 10), (10, 20)]
-
-    def test_percentile(self):
-        hist = Histogram(bin_width=10, max_bins=10)
-        for v in range(0, 100, 10):
-            hist.add(v)
-        assert hist.percentile(0.5) <= hist.percentile(1.0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ConfigError):
-            Histogram().add(-1)
-
 
 class TestThroughputWindow:
-    def test_series_and_peak(self):
+    def test_peak(self):
         window = ThroughputWindow(window_cycles=100)
         window.add(50, 400)
         window.add(150, 100)
-        series = window.series()
-        assert series == [(0, 4.0), (100, 1.0)]
         assert window.peak() == 4.0
 
 

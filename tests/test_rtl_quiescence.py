@@ -89,7 +89,7 @@ class TestQuiescenceSpy:
         _calls, platform, _result = self._count_updates(
             monkeypatch, full_sweep=True
         )
-        assert not platform.engine.quiescence_enabled
+        assert not platform.engine._quiescence
         assert platform.engine.cycles_skipped == 0
 
 

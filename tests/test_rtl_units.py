@@ -118,7 +118,7 @@ class TestRtlArbiterBehaviour:
         platform = PlatformBuilder(
             paper_topology(workload=workload, config=cfg)
         ).build("rtl")
-        assert not platform.arbiter.arbiter.filter_by_name("bank").enabled
+        assert platform.arbiter.arbiter.filter_stats()["bank"]["enabled"] == 0
 
     def test_grants_issued_counted(self):
         platform = PlatformBuilder(

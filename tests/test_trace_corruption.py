@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.errors import TrafficError
-from repro.traffic import load_trace, load_trace_file
+from repro.traffic import TraceSource, load_trace, load_trace_file
 from repro.traffic.trace import record_from_payload
 
 #: A fully valid record payload; each test corrupts one aspect.
@@ -167,6 +167,30 @@ class TestProtocolLevelCorruption:
         with pytest.raises(TrafficError, match="beats of data"):
             _load_lines(_dumps(kind="write", data=[1, 2], beats=4))
 
+    @pytest.mark.parametrize(
+        "size,word", [(4, -5), (4, 2**40), (4, 2**32), (1, 256), (2, -1)]
+    )
+    def test_write_word_wider_than_its_beat(self, size, word):
+        # Unchecked, such a word loads, fails mid-replay at TLM and runs
+        # silently at RTL.
+        with pytest.raises(TrafficError, match="trace line 1: data word 0"):
+            _load_lines(_dumps(kind="write", size_bytes=size, beats=1, data=[word]))
+
+    def test_widest_word_of_a_beat_loads(self):
+        [record] = _load_lines(
+            _dumps(kind="write", size_bytes=2, addr=64, beats=2, data=[0, 0xFFFF])
+        )
+        assert record.data == [0, 0xFFFF]
+
     def test_record_from_payload_prefix(self):
         with pytest.raises(TrafficError, match="^my context:"):
             record_from_payload(_payload(resp=9), "my context")
+
+
+class TestTraceSourcePayload:
+    def test_preserve_issue_times_must_be_a_bool(self):
+        payload = {"records": [_payload()], "preserve_issue_times": "false"}
+        with pytest.raises(TrafficError, match="'preserve_issue_times' must be a boolean"):
+            TraceSource.from_dict(payload)
+        with pytest.raises(TrafficError, match="boolean"):
+            TraceSource.from_dict(dict(payload, preserve_issue_times=0))

@@ -5,8 +5,7 @@ import io
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ahb.burst import check_burst_legal
-from repro.ahb.transaction import WRITE_BUFFER_MASTER, Transaction
+from repro.ahb.transaction import Transaction
 from repro.ahb.types import AccessKind
 from repro.core.write_buffer import WriteBuffer
 from repro.system import PlatformBuilder, paper_topology
@@ -20,12 +19,11 @@ from repro.traffic import (
     TraceSource,
     TrafficPattern,
     bank_striped_workload,
+    dump_trace,
     generate_items,
+    group_by_master,
     load_trace,
-    merge_traces,
-    named_pattern,
     remap_addresses,
-    remap_masters,
     replay_items,
     saturating_workload,
     single_master_workload,
@@ -33,6 +31,8 @@ from repro.traffic import (
     time_scale,
 )
 from repro.errors import TrafficError
+
+from oracles import check_burst_legal
 
 from dataclasses import replace
 
@@ -58,11 +58,6 @@ def _record(master=0, addr=0, issued_at=0, kind="read", beats=4, data=(), **kw):
 
 
 class TestPatterns:
-    def test_named_lookup(self):
-        assert named_pattern("cpu") is CPU
-        with pytest.raises(TrafficError):
-            named_pattern("quantum")
-
     def test_validation(self):
         with pytest.raises(TrafficError):
             TrafficPattern(name="bad", read_fraction=1.5)
@@ -188,7 +183,7 @@ class TestTrace:
         platform.run()
         assert len(recorder) == 15
         buffer = io.StringIO()
-        recorder.dump(buffer)
+        dump_trace(recorder.records, buffer)
         buffer.seek(0)
         records = load_trace(buffer)
         assert len(records) == 15
@@ -216,11 +211,11 @@ class TestTrace:
         recorder = TraceRecorder()
         platform.bus.add_observer(recorder)
         platform.run()
-        grouped = recorder.by_master()
+        grouped = group_by_master(recorder.records)
         assert sum(len(v) for v in grouped.values()) == len(recorder)
 
     def test_multi_master_capture_is_complete_per_master(self):
-        """``drains="origin"`` archives posted writes under their master.
+        """The recorder archives posted writes under their master.
 
         Even with write-buffer absorption in play, every master's record
         set is exactly the stream it issued — the property trace-backed
@@ -232,7 +227,7 @@ class TestTrace:
         platform.bus.add_observer(recorder)
         result = platform.run()
         assert result.absorbed_writes > 0  # the interesting case
-        grouped = recorder.by_master()
+        grouped = group_by_master(recorder.records)
         assert set(grouped) == {0, 1, 2, 3}
         assert all(len(v) == 8 for v in grouped.values())
 
@@ -273,7 +268,7 @@ class TestRecorderTimestamps:
         drain.finished_at = 22
         return origin, drain
 
-    def test_drain_records_origin_by_default(self):
+    def test_drain_records_origin(self):
         origin, drain = self._drain()
         recorder = TraceRecorder()
         recorder(drain, 20, 21, 22)
@@ -282,17 +277,6 @@ class TestRecorderTimestamps:
         assert record.via_write_buffer
         assert record.issued_at == 10 and record.finished_at == 12
         assert record.granted_at == -1  # the origin never owned the bus
-
-    def test_drain_modes_bus_and_skip(self):
-        origin, drain = self._drain()
-        bus_mode = TraceRecorder(drains="bus")
-        bus_mode(drain, 20, 21, 22)
-        assert bus_mode.records[0].master == WRITE_BUFFER_MASTER
-        skip = TraceRecorder(drains="skip")
-        skip(drain, 20, 21, 22)
-        assert len(skip) == 0
-        with pytest.raises(TrafficError):
-            TraceRecorder(drains="both")
 
 
 class TestReplayOrdering:
@@ -421,19 +405,6 @@ class TestTraceTransforms:
         with pytest.raises(TrafficError, match="below zero"):
             remap_addresses([_record(addr=0x100)], -0x400)
 
-    def test_remap_masters(self):
-        records = [_record(master=0), _record(master=3)]
-        mapped = remap_masters(records, {3: 1})
-        assert [r.master for r in mapped] == [0, 1]
-        with pytest.raises(TrafficError):
-            remap_masters(records, {0: -1})
-
-    def test_merge_traces_orders_by_issue(self):
-        a = [_record(master=0, issued_at=10), _record(master=0, issued_at=30)]
-        b = [_record(master=1, issued_at=20)]
-        merged = merge_traces(a, b)
-        assert [r.issued_at for r in merged] == [10, 20, 30]
-
 
 class TestTraceSource:
     def test_exactly_one_of_path_or_records(self):
@@ -456,6 +427,7 @@ class TestTraceSource:
     def test_round_trip(self):
         import json
 
-        source = TraceSource(records=(_record(master=2),))
-        clone = TraceSource.from_dict(json.loads(json.dumps(source.to_dict())))
-        assert clone == source
+        for preserve in (True, False):
+            source = TraceSource(records=(_record(master=2),), preserve_issue_times=preserve)
+            clone = TraceSource.from_dict(json.loads(json.dumps(source.to_dict())))
+            assert clone == source

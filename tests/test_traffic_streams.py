@@ -15,7 +15,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ahb.burst import KB_BOUNDARY, check_burst_legal
+from repro.ahb.burst import KB_BOUNDARY
 from repro.ahb.master import TrafficItem
 from repro.ahb.transaction import Transaction
 from repro.ahb.types import AccessKind
@@ -35,6 +35,8 @@ from repro.traffic import (
 )
 from repro.traffic.generator import _beat_data
 from repro.traffic.patterns import NAMED_PATTERNS
+
+from oracles import check_burst_legal
 
 
 # -- the frozen seed implementation (the generator's reference) ------------------
