@@ -79,6 +79,17 @@ class TestQosRegisterFile:
         regs = QosRegisterFile(2)
         with pytest.raises(ConfigError):
             regs.configure(5, QosSetting())
+        with pytest.raises(ConfigError):
+            regs.is_real_time(2)
+        with pytest.raises(ConfigError):
+            regs.is_real_time(-1)
+
+    def test_reconfigure_to_nrt_clears_real_time(self):
+        regs = QosRegisterFile(2)
+        regs.configure(0, QosSetting(True, 20))
+        regs.configure(0, QosSetting())
+        assert not regs.is_real_time(0)
+        assert regs.deadline_for(txn(master=0, issued=5)) is None
 
     def test_miss_tracking(self):
         regs = QosRegisterFile(1)

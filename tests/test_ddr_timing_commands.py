@@ -48,6 +48,18 @@ class TestAddressDecode:
         one_bank = (1 << timing.col_bits) * 4  # bytes
         assert decode_address(one_bank, timing).bank == 1
 
+    def test_sequential_words_fill_a_row_before_the_next_bank(self):
+        timing = DDR_TEST
+        row_words = 1 << timing.col_bits
+        decoded = [
+            decode_address(word * 4, timing)
+            for word in range(row_words * (timing.num_banks + 1))
+        ]
+        for word, baddr in enumerate(decoded):
+            bank_slot, col = divmod(word, row_words)
+            row, bank = divmod(bank_slot, timing.num_banks)
+            assert baddr == BankAddress(bank=bank, row=row, col=col)
+
     def test_beyond_capacity_rejected(self):
         with pytest.raises(MemoryError_):
             decode_address(DDR_TEST.total_words * 4, DDR_TEST)

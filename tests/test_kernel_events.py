@@ -44,6 +44,48 @@ class TestEvent:
         event.notify()
         assert "late" in seen
 
+    def test_each_notify_calls_each_observer_once(self):
+        event = Event()
+        seen = []
+        event.subscribe(lambda: seen.append("a"))
+        event.subscribe(lambda: seen.append("b"))
+        for _ in range(3):
+            event.notify()
+        assert seen == ["a", "b"] * 3
+
+    def test_observer_removed_during_notify_still_called_this_round(self):
+        event = Event()
+        seen = []
+
+        def second():
+            seen.append("second")
+
+        def first():
+            seen.append("first")
+            if seen == ["first"]:
+                event.unsubscribe(second)
+
+        event.subscribe(first)
+        event.subscribe(second)
+        event.notify()
+        assert seen == ["first", "second"]
+        event.notify()
+        assert seen == ["first", "second", "first"]
+
+    def test_reentrant_notify_runs_a_nested_round(self):
+        event = Event()
+        seen = []
+
+        def first():
+            seen.append("a")
+            if len(seen) == 1:
+                event.notify()
+
+        event.subscribe(first)
+        event.subscribe(lambda: seen.append("b"))
+        event.notify()
+        assert seen == ["a", "a", "b", "b"]
+
 
 class TestEventQueue:
     def test_pop_returns_time_order(self):

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.ahb.transaction import Transaction
+from repro.ahb.types import AccessKind
 from repro.profiling import (
     BusMonitor,
+    PortProfile,
     RunningStats,
     ThroughputWindow,
     bus_summary,
@@ -33,6 +36,35 @@ class TestThroughputWindow:
         window.add(50, 400)
         window.add(150, 100)
         assert window.peak() == 4.0
+
+    def test_same_window_accumulates(self):
+        window = ThroughputWindow(window_cycles=10)
+        assert window.peak() == 0.0
+        window.add(0, 20)
+        window.add(9, 30)
+        window.add(10, 40)
+        assert window.peak() == 5.0
+
+
+class TestPortProfile:
+    def test_record_latency_wait_and_deadline(self):
+        profile = PortProfile(master=1)
+        write = Transaction(
+            master=1, kind=AccessKind.WRITE, addr=0, beats=2, data=[1, 2]
+        )
+        write.issued_at, write.granted_at, write.finished_at = 10, 14, 20
+        write.via_write_buffer = True
+        write.deadline = 15
+        read = Transaction(master=1, kind=AccessKind.READ, addr=0, beats=4)
+        read.issued_at, read.granted_at, read.finished_at = 30, 30, 36
+        read.deadline = 40
+        profile.record(write)
+        profile.record(read)
+        assert (profile.reads, profile.writes, profile.posted_writes) == (1, 1, 1)
+        assert profile.bytes_moved == 24
+        assert (profile.latency.minimum, profile.latency.maximum) == (6, 10)
+        assert profile.wait.mean == 2.0
+        assert (profile.deadline_hits, profile.deadline_misses) == (1, 1)
 
 
 class TestBusMonitor:

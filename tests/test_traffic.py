@@ -5,7 +5,7 @@ import io
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ahb.transaction import Transaction
+from repro.ahb.transaction import WRITE_BUFFER_MASTER, Transaction
 from repro.ahb.types import AccessKind
 from repro.core.write_buffer import WriteBuffer
 from repro.system import PlatformBuilder, paper_topology
@@ -27,8 +27,10 @@ from repro.traffic import (
     replay_items,
     saturating_workload,
     single_master_workload,
+    sort_issue_order,
     table1_workloads,
     time_scale,
+    trace_masters,
 )
 from repro.errors import TrafficError
 
@@ -404,6 +406,35 @@ class TestTraceTransforms:
             remap_addresses([_record(addr=0x0)], 0x3F8)
         with pytest.raises(TrafficError, match="below zero"):
             remap_addresses([_record(addr=0x100)], -0x400)
+
+    def test_trace_masters_sorted_without_write_buffer(self):
+        records = [
+            _record(master=3),
+            _record(master=WRITE_BUFFER_MASTER),
+            _record(master=1),
+            _record(master=3),
+        ]
+        assert trace_masters(records) == (1, 3)
+
+    def test_sort_issue_order_breaks_cycle_ties_by_uid(self):
+        records = [
+            _record(issued_at=5, uid=4),
+            _record(issued_at=5, uid=2),
+            _record(issued_at=1, uid=9),
+        ]
+        assert [r.uid for r in sort_issue_order(records)] == [9, 2, 4]
+
+    def test_sort_issue_order_keeps_input_order_without_every_uid(self):
+        records = [
+            _record(issued_at=5, uid=4),
+            _record(issued_at=5, uid=None, addr=0x40),
+            _record(issued_at=1, uid=9),
+        ]
+        assert [(r.issued_at, r.uid) for r in sort_issue_order(records)] == [
+            (1, 9),
+            (5, 4),
+            (5, None),
+        ]
 
 
 class TestTraceSource:
