@@ -8,12 +8,18 @@ backend:
 
 * ``serial`` — run in-process, point by point (wall clocks see no pool
   overhead);
-* ``process`` — shard the grid over a ``multiprocessing`` pool.  Specs
-  are plain picklable data (PR 2), so a worker rebuilds the platform
-  from the point alone; each point's traffic regenerates in-worker from
-  its own spec seed, and ``Pool.map`` with explicit chunking merges the
-  records back in grid order.  Records compare equal to the serial
-  backend's because wall time is excluded from record equality.
+* ``process`` — shard the grid over a pool of forked worker
+  processes.  Specs are plain picklable data, so a worker rebuilds the
+  platform from the point alone; each point's traffic regenerates
+  in-worker from its own spec seed, and the chunks are collected in
+  submission order, so the records merge back in grid order.  Records
+  compare equal to the serial backend's because wall time is excluded
+  from record equality.
+
+A runner used as a context manager (or :meth:`SweepRunner.open` ...
+:meth:`SweepRunner.close`) keeps one pool for every ``run()`` in
+between; a one-shot ``run()`` forks a pool for that call.  Each worker
+dies with the process that forked it, even one killed by ``SIGKILL``.
 
 ``collect`` extracts extra metrics while the platform is still alive
 (the process backend tears platforms down inside the worker).  It must
@@ -28,13 +34,27 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
+import sys
+import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+)
 
 from repro.errors import ConfigError, SimulationError
 from repro.exec.records import RunRecord
 from repro.system.spec import SweepPoint
+
+if TYPE_CHECKING:  # imported where a pool is made: serial users skip ~1 MB
+    from concurrent.futures import Future, ProcessPoolExecutor
 
 #: Supported execution backends.
 BACKENDS = ("serial", "process")
@@ -52,9 +72,16 @@ OnResult = Callable[[int, RunRecord], None]
 
 #: Per-point dispatch callback: ``(grid_index, point) -> None``, fired
 #: when an execution attempt for the point begins (serial: immediately
-#: before it runs; process: when its job is handed to the pool).  The
-#: serving layer journals these as write-ahead ``start`` marks.
+#: before it runs; process: for every point of the grid before any job
+#: is handed to the pool, so all start marks precede all results).
+#: The serving layer journals these as write-ahead ``start`` marks.
 OnStart = Callable[[int, SweepPoint], None]
+
+#: ``prctl`` option that signals a process when its parent dies (Linux).
+_PR_SET_PDEATHSIG = 1
+
+#: Seconds between parent checks where the parent-death signal is missing.
+_PARENT_POLL_SECONDS = 0.5
 
 
 def default_workers(grid_size: Optional[int] = None) -> int:
@@ -78,11 +105,10 @@ class _PointJob:
 def _execute(job: _PointJob) -> RunRecord:
     """Run one point and build its record.
 
-    Module-level so the process backend can ship it by reference.
     Under ``on_error="record"`` any exception the point raises —
     build-time config errors, drain-limit SimulationErrors, checker
     crashes inside collectors — becomes an error row instead of killing
-    the sweep (and, on the process backend, the whole pool map).
+    the sweep (and, on the process backend, the rest of its chunk).
     """
     if job.on_error == "record":
         start = time.perf_counter()
@@ -97,6 +123,16 @@ def _execute(job: _PointJob) -> RunRecord:
     return _execute_point(job)
 
 
+def _run_jobs(jobs: Sequence[_PointJob]) -> List[RunRecord]:
+    """Pool entry point: run one chunk of points in a worker.
+
+    The pool ships this name by reference, and nothing wraps it, so a
+    hook that wraps :func:`_execute` in the submitting process (the
+    benchmark's tracer does) never has to pickle.
+    """
+    return [_execute(job) for job in jobs]
+
+
 def _execute_point(job: _PointJob) -> RunRecord:
     platform = job.point.build()  # untimed
     start = time.perf_counter()
@@ -108,8 +144,80 @@ def _execute_point(job: _PointJob) -> RunRecord:
     )
 
 
+def _arm_parent_death_signal() -> bool:
+    """Ask the kernel to ``SIGKILL`` this process when its parent dies."""
+    if not sys.platform.startswith("linux"):
+        return False
+    import ctypes
+
+    try:
+        prctl = ctypes.CDLL(None).prctl
+    except (OSError, AttributeError):
+        return False
+    prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+    prctl.restype = ctypes.c_int
+    return prctl(_PR_SET_PDEATHSIG, int(signal.SIGKILL), 0, 0, 0) == 0
+
+
+def _watch_parent(parent: int) -> None:
+    while os.getppid() == parent:
+        time.sleep(_PARENT_POLL_SECONDS)
+    os._exit(1)
+
+
+def _worker_init(parent: int) -> None:
+    """Pool worker start-up: never outlive *parent*, even after kill -9.
+
+    An orphaned worker would keep simulating, and keep every pipe it
+    inherited open, for nobody.  Linux kills it with the parent-death
+    signal (sent when the *thread* that forked it ends); elsewhere a
+    daemon thread polls :func:`os.getppid`.
+
+    Signals are the parent's to act on: a terminal's Ctrl-C reaches the
+    whole process group, and a handler inherited from the parent (the
+    serve CLI drains on ``SIGTERM``) must not run here; the pool's own
+    ``SIGTERM`` still ends the worker.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    if not _arm_parent_death_signal():
+        threading.Thread(
+            target=_watch_parent, args=(parent,), daemon=True
+        ).start()
+    if os.getppid() != parent:  # the parent died before the signal was armed
+        os._exit(1)
+
+
+def _start_pool(workers: int) -> ProcessPoolExecutor:
+    """A pool of *workers* forked processes, all forked before returning.
+
+    A fork-context pool forks every worker at its first submit, in the
+    submitting thread; the no-op submitted here makes that this thread,
+    without waiting for it to run.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_worker_init,
+        initargs=(os.getpid(),),
+    )
+    pool.submit(int)
+    return pool
+
+
 class SweepRunner:
-    """Maps a sweep grid to :class:`RunRecord` rows via a backend."""
+    """Maps a sweep grid to :class:`RunRecord` rows via a backend.
+
+    On the process backend, a runner that is open (a ``with`` block, or
+    :meth:`open` then :meth:`close`) runs every untimed ``run()`` on one
+    kept :class:`~concurrent.futures.ProcessPoolExecutor` of *workers*
+    processes (default :func:`default_workers`), so a sweep service
+    forks its pool once.  A worker killed mid-point fails the unfinished
+    points of that ``run()`` (error rows under ``on_error="record"``)
+    and the runner forks a fresh pool for the next one.
+    """
 
     def __init__(
         self,
@@ -128,7 +236,9 @@ class SweepRunner:
         delivery*: dispatch switches to per-point ``apply_async`` and
         a point whose record has not arrived ``timeout`` seconds after
         the runner starts waiting on it is abandoned.  The stuck worker
-        is not killed; the pool is terminated when the run returns.
+        is not killed until the run returns, when the pool is
+        terminated; so a timed runner forks a ``multiprocessing.Pool``
+        per ``run()`` and keeps none open.
         """
         if backend not in BACKENDS:
             raise ConfigError(
@@ -151,6 +261,33 @@ class SweepRunner:
         self.workers = workers
         self.on_error = on_error
         self.timeout = timeout
+        self._pool: Optional[ProcessPoolExecutor] = None
+
+    def open(self) -> "SweepRunner":
+        """Fork the kept pool now (untimed process backend only).
+
+        Call it before the caller starts threads of its own: the
+        workers fork from this thread, and die when it ends.
+        """
+        if (
+            self.backend == "process"
+            and self.timeout is None
+            and self._pool is None
+        ):
+            self._pool = _start_pool(self.workers or default_workers())
+        return self
+
+    def close(self) -> None:
+        """Shut the kept pool down and wait for its workers to exit."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+
+    def __enter__(self) -> "SweepRunner":
+        return self.open()
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     def _chunksize(self, jobs: int, workers: int) -> int:
         if workers == 1:
@@ -180,12 +317,12 @@ class SweepRunner:
         ``on_result(index, record)`` fires once per completed point —
         error rows included under ``on_error="record"`` — *in grid
         order*, before ``run`` returns, on every backend (the process
-        backend switches from ``Pool.map`` to the order-preserving
-        ``imap`` so earlier points surface while later ones still
-        run).  It executes in the calling process, so unlike a
-        collector it need not be picklable; the sweep server uses it
-        to stream per-point progress without polling.  An exception it
-        raises propagates and abandons the rest of the sweep.
+        backend delivers each chunk once it and every chunk before it
+        are back, while later ones still run).  It executes in the
+        calling process, so unlike a collector it need not be
+        picklable; the sweep server uses it to stream per-point
+        progress without polling.  An exception it raises propagates
+        and abandons the rest of the sweep.
 
         ``on_start(index, point)`` fires when an attempt for a point
         *begins* (see :data:`OnStart` for per-backend timing).  The
@@ -227,7 +364,7 @@ class SweepRunner:
             return records
         if on_start is not None:
             # Pool dispatch ships every job up front; each point's
-            # attempt effectively begins when the map is submitted.
+            # attempt effectively begins when the grid is submitted.
             for index, job in enumerate(jobs):
                 on_start(index, job.point)
         return self._run_pool(jobs, on_result)
@@ -235,24 +372,63 @@ class SweepRunner:
     def _run_pool(
         self, jobs: Sequence[_PointJob], on_result: Optional[OnResult] = None
     ) -> List[RunRecord]:
-        workers = (
-            self.workers
-            if self.workers is not None
-            else default_workers(len(jobs))
-        )
+        if self._pool is not None:
+            workers = self.workers or default_workers()
+            return self._run_futures(self._pool, workers, jobs, on_result)
+        workers = self.workers or default_workers(len(jobs))
         if self.timeout is not None:
             return self._run_pool_deadline(jobs, workers, on_result)
-        chunksize = self._chunksize(len(jobs), workers)
-        # Pool.map/imap preserve input order, so the merge is
-        # deterministic no matter which worker finished first.
-        with multiprocessing.Pool(processes=workers) as pool:
-            if on_result is None:
-                return pool.map(_execute, jobs, chunksize=chunksize)
-            records: List[RunRecord] = []
-            for record in pool.imap(_execute, jobs, chunksize=chunksize):
-                on_result(len(records), record)
-                records.append(record)
+        with _start_pool(workers) as pool:
+            return self._run_futures(pool, workers, jobs, on_result)
+
+    def _run_futures(
+        self,
+        pool: ProcessPoolExecutor,
+        workers: int,
+        jobs: Sequence[_PointJob],
+        on_result: Optional[OnResult],
+    ) -> List[RunRecord]:
+        """Ship *jobs* to *pool* in chunks; collect them in grid order.
+
+        A dead worker breaks the whole pool: every chunk still out then
+        fails with :class:`BrokenProcessPool`.  Under
+        ``on_error="record"`` each of its points becomes an error row;
+        otherwise the first one raises :class:`SimulationError`.  The
+        runner's kept pool is replaced before either happens.
+        """
+        from concurrent.futures.process import BrokenProcessPool
+
+        size = self._chunksize(len(jobs), workers)
+        chunks = [jobs[begin : begin + size] for begin in range(0, len(jobs), size)]
+        futures: List[Future] = [pool.submit(_run_jobs, chunk) for chunk in chunks]
+        records: List[RunRecord] = []
+        try:
+            for chunk, future in zip(chunks, futures):
+                try:
+                    rows = future.result()
+                except BrokenProcessPool as exc:
+                    if pool is self._pool:
+                        self.close()
+                        self.open()
+                    reason = (
+                        "worker process died before the point's record "
+                        f"arrived ({type(exc).__name__})"
+                    )
+                    if self.on_error != "record":
+                        raise SimulationError(
+                            f"sweep point {chunk[0].point.label!r}: {reason}"
+                        ) from exc
+                    rows = [RunRecord.from_error(job.point, reason) for job in chunk]
+                for record in rows:
+                    if on_result is not None:
+                        on_result(len(records), record)
+                    records.append(record)
             return records
+        finally:
+            # A raising point or callback leaves later chunks queued on a
+            # kept pool; do not let them run for nobody.
+            for future in futures:
+                future.cancel()
 
     def _run_pool_deadline(
         self,
@@ -270,13 +446,15 @@ class SweepRunner:
         ``on_result`` fires per collected row — timeout rows included —
         as the grid-order walk reaches it.
         """
-        pool = multiprocessing.Pool(processes=workers)
+        pool = multiprocessing.Pool(
+            processes=workers, initializer=_worker_init, initargs=(os.getpid(),)
+        )
         try:
-            pending = [pool.apply_async(_execute, (job,)) for job in jobs]
+            pending = [pool.apply_async(_run_jobs, ([job],)) for job in jobs]
             records: List[RunRecord] = []
             for job, handle in zip(jobs, pending):
                 try:
-                    record = handle.get(timeout=self.timeout)
+                    [record] = handle.get(timeout=self.timeout)
                 except multiprocessing.TimeoutError:
                     if self.on_error != "record":
                         raise SimulationError(

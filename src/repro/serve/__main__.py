@@ -238,12 +238,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     serve.add_argument(
         "--backend",
-        choices=("auto", "serial", "process"),
-        default="auto",
-        help="sweep backend; auto picks process when --workers or "
-        "--timeout is given, serial otherwise",
+        choices=("process", "serial"),
+        default="process",
+        help="sweep backend; process (default) runs cold points in a "
+        "worker pool forked at start, so simulation never holds the GIL "
+        "the connection threads need; serial runs them in the server "
+        "process",
     )
-    serve.add_argument("--workers", type=int, default=None)
+    serve.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="worker processes in the pool (default: one per CPU)",
+    )
     serve.add_argument(
         "--timeout",
         type=float,

@@ -145,6 +145,10 @@ class _Handler(socketserver.StreamRequestHandler):
 
     def setup(self) -> None:
         super().setup()
+        # Send each reply's events as soon as they are flushed: with
+        # Nagle's algorithm a ``result`` written while the previous one
+        # is unacknowledged waits for the client's delayed ACK.
+        self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.server.owner._attach(self.connection)  # type: ignore[attr-defined]
 
     def finish(self) -> None:
@@ -334,10 +338,14 @@ class SweepServer:
     *backend*/*workers*/*timeout* configure the underlying
     :class:`SweepRunner` (``on_error`` is always ``"record"`` — a bad
     point must produce a failure row, not kill the daemon).  The default
-    ``backend="auto"`` resolves to ``process`` when a process-pool
-    knob (*workers*/*timeout*) is given and to ``serial``
-    otherwise.  *store* defaults to a fresh in-memory
-    :class:`ResultStore`; *journal* to an in-memory
+    ``backend="process"`` runs cold points in a pool of *workers*
+    processes (default :func:`~repro.exec.runner.default_workers`, one
+    per CPU), forked once in :meth:`start` and shut down by
+    :meth:`stop`, so a simulating point never holds the GIL the
+    transport threads answer warm submits with; a worker dies with the
+    server, even one killed by ``SIGKILL``.  ``backend="serial"`` runs
+    points in the executor thread instead.  *store* defaults to a
+    fresh in-memory :class:`ResultStore`; *journal* to an in-memory
     :class:`~repro.serve.journal.Journal` — hand in path-backed ones to
     make results **and accepted work** survive restarts: on
     :meth:`start`, unfinished journaled points re-run automatically
@@ -368,7 +376,7 @@ class SweepServer:
         self,
         store: Optional[ResultStore] = None,
         journal: Optional[Journal] = None,
-        backend: str = "auto",
+        backend: str = "process",
         workers: Optional[int] = None,
         timeout: Optional[float] = None,
         host: str = "127.0.0.1",
@@ -392,11 +400,6 @@ class SweepServer:
             )
         self.store = store if store is not None else ResultStore()
         self.journal = journal if journal is not None else Journal()
-        if backend == "auto":
-            if workers is not None or timeout is not None:
-                backend = "process"  # pool knobs imply the pool backend
-            else:
-                backend = "serial"
         self.runner = SweepRunner(
             backend=backend,
             workers=workers,
@@ -462,12 +465,20 @@ class SweepServer:
     # -- lifecycle -------------------------------------------------------------
 
     def start(self) -> Tuple[str, int]:
-        """Bind, recover journaled work, spawn the threads, return address."""
+        """Fork the worker pool, recover journaled work, bind, spawn the
+        threads, return the address."""
         if self._tcp is not None:
             raise ConfigError("server already started")
         self._started_at = time.monotonic()
+        # Fork before this server starts a thread: a forked child gets
+        # only the forking thread, so no lock another thread holds.
+        self.runner.open()
         self._recover()
-        self._tcp = _ServeTCPServer((self._host, self._port), _Handler)
+        try:
+            self._tcp = _ServeTCPServer((self._host, self._port), _Handler)
+        except OSError:
+            self.runner.close()
+            raise
         self._tcp.owner = self
         acceptor = threading.Thread(
             target=self._tcp.serve_forever,
@@ -578,6 +589,7 @@ class SweepServer:
         for thread in self._threads:
             if thread is not threading.current_thread():
                 thread.join(timeout=10.0)
+        self.runner.close()
         with self._lock:
             leftovers = list(self._inflight.items())
             self._inflight.clear()
@@ -848,14 +860,26 @@ class SweepServer:
                 self._stats["bursts"] += 1
         except Exception as exc:  # infrastructure failure, not a point crash
             for key, pending in chunk:
-                if not pending.event.is_set():
-                    self._finish(
+                if pending.event.is_set():
+                    continue
+                if self._stopped.is_set():
+                    # stop() shut the pool down under a long burst: no
+                    # crash to charge, and the journal keeps the point.
+                    self._abandon(
                         key,
                         pending,
-                        RunRecord.from_error(
-                            pending.point, f"{type(exc).__name__}: {exc}"
-                        ),
+                        "server stopped before the point finished; the "
+                        "accepted work is journaled and re-runs on the "
+                        "next start",
                     )
+                    continue
+                self._finish(
+                    key,
+                    pending,
+                    RunRecord.from_error(
+                        pending.point, f"{type(exc).__name__}: {exc}"
+                    ),
+                )
         finally:
             with self._lock:
                 self._running.difference_update(key for key, _p in chunk)

@@ -490,21 +490,24 @@ def group_by_master(
 
 
 def trace_masters(records: Iterable[TraceRecord]) -> Tuple[int, ...]:
-    """Sorted real master indices present in *records*.
+    """Sorted master indices present in *records*.
 
-    Records under the write buffer's pseudo-master index
-    (:data:`~repro.ahb.transaction.WRITE_BUFFER_MASTER`) are not
-    replayable masters and are excluded.
+    A record under the write buffer's pseudo-master index
+    (:data:`~repro.ahb.transaction.WRITE_BUFFER_MASTER`) raises
+    :class:`TrafficError` naming it: no master issued it, so a replay
+    would have to drop it, and :class:`TraceRecorder` never writes one.
     """
-    return tuple(
-        sorted(
-            {
-                record.master
-                for record in records
-                if record.master != WRITE_BUFFER_MASTER
-            }
-        )
-    )
+    masters = set()
+    for position, record in enumerate(records):
+        if record.master == WRITE_BUFFER_MASTER:
+            raise TrafficError(
+                f"trace record {position} ({record.kind} at "
+                f"{record.addr:#x}, uid {record.uid}) is under the write "
+                f"buffer's pseudo-master {WRITE_BUFFER_MASTER}, which no "
+                f"master replays"
+            )
+        masters.add(record.master)
+    return tuple(sorted(masters))
 
 
 # -- transforms ------------------------------------------------------------------

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.ahb.master import TlmMaster
-from repro.ahb.transaction import WRITE_BUFFER_MASTER
 from repro.core.qos import QosSetting
 from repro.errors import TrafficError
 from repro.traffic.faults import FaultInjector, FaultSpec
@@ -167,18 +166,19 @@ class Workload:
 
         if self.source == "trace":
             assert self.trace is not None  # __post_init__ invariant
-            grouped = group_by_master(self.trace.resolve())
-            uncovered = sorted(
+            records = self.trace.resolve()
+            uncovered = [
                 index
-                for index in grouped
-                if index != WRITE_BUFFER_MASTER and index >= len(self.masters)
-            )
+                for index in trace_masters(records)
+                if index >= len(self.masters)
+            ]
             if uncovered:
                 raise TrafficError(
                     f"workload {self.name!r} has {len(self.masters)} "
                     f"masters but its trace names masters {uncovered}; "
                     f"their streams would be dropped"
                 )
+            grouped = group_by_master(records)
             return [
                 TlmMaster(
                     index,

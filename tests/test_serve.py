@@ -337,16 +337,32 @@ def _multi_master_grid(transactions=15, values=(1, 2, 4)):
 
 
 class TestDefaultBackend:
-    """The default path runs each cold point once, journaling as it goes."""
+    """The default server runs cold points in its kept worker pool."""
 
-    def test_auto_backend_resolution(self):
-        assert SweepServer().runner.backend == "serial"
-        assert SweepServer(workers=1).runner.backend == "process"
-        assert SweepServer(timeout=30.0).runner.backend == "process"
+    def test_default_backend_is_the_worker_pool(self):
+        assert SweepServer().runner.backend == "process"
+        assert SweepServer(backend="serial").runner.backend == "serial"
+        with SweepServer() as server:
+            ServeClient(*server.address).submit(_grid(values=(1,)))
+            stats = server.stats()
+        assert stats["backend"] == "process"
+        assert stats["bursts"] == 1
+        with pytest.raises(ConfigError, match="backend"):
+            SweepServer(backend="auto")
 
-    def test_cold_grid_journals_start_then_done_per_point(self, tmp_path):
-        """Each point's ``done`` mark lands before the next ``start``, so
-        a kill -9 mid-burst charges a crash only to the running point."""
+    def _start_done_marks(self, journal_path):
+        return [
+            (entry["op"], entry["key"])
+            for entry in map(json.loads, journal_path.read_text().splitlines())
+            if entry["op"] in ("start", "done")
+        ]
+
+    def test_pool_burst_journals_every_start_before_its_done_marks(
+        self, tmp_path
+    ):
+        """The pool takes a burst whole, so each point's ``start`` mark
+        lands when the burst is handed over, before any ``done`` mark
+        (the process backend's ``OnStart`` timing)."""
         journal_path = tmp_path / "journal.jsonl"
         grid = _multi_master_grid()
         with SweepServer(journal=Journal(journal_path)) as server:
@@ -355,12 +371,25 @@ class TestDefaultBackend:
             point_key(point.spec, engine=point.engine, max_cycles=None)
             for point in grid
         ]
-        marks = [
-            (entry["op"], entry["key"])
-            for entry in map(json.loads, journal_path.read_text().splitlines())
-            if entry["op"] in ("start", "done")
+        assert self._start_done_marks(journal_path) == [
+            ("start", key) for key in keys
+        ] + [("done", key) for key in keys]
+
+    def test_cold_grid_journals_start_then_done_per_point(self, tmp_path):
+        """Serially each point's ``done`` mark lands before the next
+        ``start``, so a kill -9 mid-burst charges a crash only to the
+        running point."""
+        journal_path = tmp_path / "journal.jsonl"
+        grid = _multi_master_grid()
+        with SweepServer(
+            journal=Journal(journal_path), backend="serial"
+        ) as server:
+            ServeClient(*server.address).submit(grid)
+        keys = [
+            point_key(point.spec, engine=point.engine, max_cycles=None)
+            for point in grid
         ]
-        assert marks == [
+        assert self._start_done_marks(journal_path) == [
             (op, key) for key in keys for op in ("start", "done")
         ]
 
@@ -374,9 +403,19 @@ class TestDefaultBackend:
 
         monkeypatch.setattr(SweepPoint, "build", counting_build)
         grid = _multi_master_grid()
-        with SweepServer() as server:
+        # In-process, so the count is visible here.
+        with SweepServer(backend="serial") as server:
             ServeClient(*server.address).submit(grid)
         assert builds == [point.label for point in grid]
+
+    def test_accepted_connections_disable_nagle(self, served):
+        """Each streamed event leaves when flushed, not after the
+        client's delayed ACK of the one before."""
+        server, client = served
+        assert client.ping()
+        with server._lock:
+            [conn] = server._connections
+        assert conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
 
     def test_served_records_match_serial(self, served):
         _server, client = served

@@ -79,12 +79,34 @@ class TestTraceBackedWorkload:
         from repro.ahb.transaction import WRITE_BUFFER_MASTER
 
         drains_only = (replace(captured[0], master=WRITE_BUFFER_MASTER),)
-        with pytest.raises(TrafficError, match="no records"):
+        with pytest.raises(TrafficError, match="pseudo-master 255"):
             Workload.from_trace(drains_only)
         with pytest.raises(TrafficError, match="num_masters"):
             Workload.from_trace(tuple(captured), num_masters=2)
         with pytest.raises(TrafficError, match="names"):
             Workload.from_trace(tuple(captured), master_names=["a"])
+
+    def test_write_buffer_records_are_refused_not_dropped(self):
+        """No master issued a record under the write buffer's
+        pseudo-master, so replay cannot place it: loading or building a
+        workload from such a trace names the record instead of running
+        one transaction short."""
+        from dataclasses import replace
+
+        from repro.ahb.transaction import WRITE_BUFFER_MASTER
+
+        clean = tuple(_capture(transactions=5))
+        assert len(clean) == 20
+        spoiled = list(clean)
+        spoiled[7] = replace(spoiled[7], master=WRITE_BUFFER_MASTER)
+        with pytest.raises(TrafficError, match="trace record 7 .*pseudo-master"):
+            Workload.from_trace(tuple(spoiled))
+        workload = replace(
+            Workload.from_trace(clean),
+            trace=TraceSource(records=tuple(spoiled)),
+        )
+        with pytest.raises(TrafficError, match="trace record 7"):
+            workload.build_masters()
 
     def test_trace_workload_validation(self, captured):
         workload = Workload.from_trace(tuple(captured))

@@ -408,13 +408,14 @@ class TestTraceTransforms:
             remap_addresses([_record(addr=0x100)], -0x400)
 
     def test_trace_masters_sorted_without_write_buffer(self):
-        records = [
-            _record(master=3),
-            _record(master=WRITE_BUFFER_MASTER),
-            _record(master=1),
-            _record(master=3),
-        ]
+        records = [_record(master=3), _record(master=1), _record(master=3)]
         assert trace_masters(records) == (1, 3)
+        # A write-buffer record is refused by name, not dropped.
+        records.insert(1, _record(master=WRITE_BUFFER_MASTER, addr=0x40, uid=7))
+        with pytest.raises(
+            TrafficError, match=r"trace record 1 \(read at 0x40, uid 7\)"
+        ):
+            trace_masters(records)
 
     def test_sort_issue_order_breaks_cycle_ties_by_uid(self):
         records = [
