@@ -18,8 +18,9 @@ backend:
 
 A runner used as a context manager (or :meth:`SweepRunner.open` ...
 :meth:`SweepRunner.close`) keeps one pool for every ``run()`` in
-between; a one-shot ``run()`` forks a pool for that call.  Each worker
-dies with the process that forked it, even one killed by ``SIGKILL``.
+between; a one-shot ``run()`` forks a pool for that call.  On Linux
+each worker dies with the process that started it, even one killed by
+``SIGKILL``.
 
 ``collect`` extracts extra metrics while the platform is still alive
 (the process backend tears platforms down inside the worker).  It must
@@ -71,17 +72,16 @@ Collector = Callable[[SweepPoint, object, object], Dict[str, object]]
 OnResult = Callable[[int, RunRecord], None]
 
 #: Per-point dispatch callback: ``(grid_index, point) -> None``, fired
-#: when an execution attempt for the point begins (serial: immediately
-#: before it runs; process: for every point of the grid before any job
-#: is handed to the pool, so all start marks precede all results).
-#: The serving layer journals these as write-ahead ``start`` marks.
+#: when an execution attempt for the point begins.  Serial: immediately
+#: before it runs.  Process: when the point is handed to the pool, which
+#: holds at most one uncollected point per worker, so a crash finds at
+#: most that many begun and unfinished; with ``timeout=``, for every
+#: point of the grid before any is handed out.  The serving layer
+#: journals these as write-ahead ``start`` marks.
 OnStart = Callable[[int, SweepPoint], None]
 
 #: ``prctl`` option that signals a process when its parent dies (Linux).
 _PR_SET_PDEATHSIG = 1
-
-#: Seconds between parent checks where the parent-death signal is missing.
-_PARENT_POLL_SECONDS = 0.5
 
 
 def default_workers(grid_size: Optional[int] = None) -> int:
@@ -144,34 +144,28 @@ def _execute_point(job: _PointJob) -> RunRecord:
     )
 
 
-def _arm_parent_death_signal() -> bool:
-    """Ask the kernel to ``SIGKILL`` this process when its parent dies."""
+def _arm_parent_death_signal() -> None:
+    """Have the kernel ``SIGKILL`` this process when its parent dies (Linux)."""
     if not sys.platform.startswith("linux"):
-        return False
+        return
     import ctypes
 
-    try:
-        prctl = ctypes.CDLL(None).prctl
-    except (OSError, AttributeError):
-        return False
-    prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
-    prctl.restype = ctypes.c_int
-    return prctl(_PR_SET_PDEATHSIG, int(signal.SIGKILL), 0, 0, 0) == 0
-
-
-def _watch_parent(parent: int) -> None:
-    while os.getppid() == parent:
-        time.sleep(_PARENT_POLL_SECONDS)
-    os._exit(1)
+    libc = ctypes.CDLL(None, use_errno=True)
+    libc.prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+    libc.prctl.restype = ctypes.c_int
+    if libc.prctl(_PR_SET_PDEATHSIG, int(signal.SIGKILL), 0, 0, 0) != 0:
+        errno = ctypes.get_errno()
+        raise OSError(errno, f"prctl(PR_SET_PDEATHSIG): {os.strerror(errno)}")
 
 
 def _worker_init(parent: int) -> None:
     """Pool worker start-up: never outlive *parent*, even after kill -9.
 
     An orphaned worker would keep simulating, and keep every pipe it
-    inherited open, for nobody.  Linux kills it with the parent-death
-    signal (sent when the *thread* that forked it ends); elsewhere a
-    daemon thread polls :func:`os.getppid`.
+    inherited open, for nobody.  On Linux the kernel kills it with the
+    parent-death signal, sent when the *thread* that started it ends;
+    other platforms have no such signal, and there a worker outlives a
+    parent killed by ``SIGKILL``.
 
     Signals are the parent's to act on: a terminal's Ctrl-C reaches the
     whole process group, and a handler inherited from the parent (the
@@ -180,30 +174,29 @@ def _worker_init(parent: int) -> None:
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    if not _arm_parent_death_signal():
-        threading.Thread(
-            target=_watch_parent, args=(parent,), daemon=True
-        ).start()
+    _arm_parent_death_signal()
     if os.getppid() != parent:  # the parent died before the signal was armed
         os._exit(1)
 
 
-def _start_pool(workers: int) -> ProcessPoolExecutor:
-    """A pool of *workers* forked processes, all forked before returning.
+def _start_pool(workers: int, method: str = "fork") -> ProcessPoolExecutor:
+    """A pool of *workers* processes started with the *method* context.
 
     A fork-context pool forks every worker at its first submit, in the
     submitting thread; the no-op submitted here makes that this thread,
-    without waiting for it to run.
+    without waiting for it to run.  A spawn-context pool starts a
+    worker per submit while none is idle.
     """
     from concurrent.futures import ProcessPoolExecutor
 
     pool = ProcessPoolExecutor(
         max_workers=workers,
-        mp_context=multiprocessing.get_context("fork"),
+        mp_context=multiprocessing.get_context(method),
         initializer=_worker_init,
         initargs=(os.getpid(),),
     )
-    pool.submit(int)
+    if method == "fork":
+        pool.submit(int)
     return pool
 
 
@@ -214,9 +207,12 @@ class SweepRunner:
     :meth:`open` then :meth:`close`) runs every untimed ``run()`` on one
     kept :class:`~concurrent.futures.ProcessPoolExecutor` of *workers*
     processes (default :func:`default_workers`), so a sweep service
-    forks its pool once.  A worker killed mid-point fails the unfinished
-    points of that ``run()`` (error rows under ``on_error="record"``)
-    and the runner forks a fresh pool for the next one.
+    forks its pool once.  A worker killed mid-point breaks the pool and
+    loses every point still out; the runner renews the pool and re-runs
+    each lost point alone, so only a point that kills its worker again
+    fails (an error row under ``on_error="record"``).  A renewed pool
+    spawns its workers, so, as with any spawn-started pool, the main
+    module must be importable without side effects.
     """
 
     def __init__(
@@ -262,6 +258,9 @@ class SweepRunner:
         self.on_error = on_error
         self.timeout = timeout
         self._pool: Optional[ProcessPoolExecutor] = None
+        self._pool_size = 0
+        #: Guards replacing the pool against closing it from another thread.
+        self._pool_lock = threading.Lock()
 
     def open(self) -> "SweepRunner":
         """Fork the kept pool now (untimed process backend only).
@@ -274,14 +273,45 @@ class SweepRunner:
             and self.timeout is None
             and self._pool is None
         ):
-            self._pool = _start_pool(self.workers or default_workers())
+            self._open_pool(self.workers or default_workers())
         return self
 
+    def _open_pool(self, workers: int) -> None:
+        self._pool = _start_pool(workers)
+        self._pool_size = workers
+
     def close(self) -> None:
-        """Shut the kept pool down and wait for its workers to exit."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
+        """Shut the kept pool down: terminate its workers and wait for them.
+
+        A running point is not waited for: its worker gets ``SIGTERM``,
+        and the ``run()`` it belongs to (in another thread) raises.
+        """
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
+        if pool is None:
+            return
+        # The executor has no public way to stop a running call.
+        for process in list((pool._processes or {}).values()):
+            process.terminate()
+        pool.shutdown(wait=True, cancel_futures=True)
+
+    def _live_pool(self) -> ProcessPoolExecutor:
+        pool = self._pool
+        if pool is None:
+            raise SimulationError("the sweep runner was closed while it ran")
+        return pool
+
+    def _renew_pool(self) -> None:
+        """Replace the pool a dead worker broke with one of the same size.
+
+        The new pool spawns its workers rather than forking them: other
+        threads of this process may be running, and a forked child
+        would inherit any lock one of them holds, held forever.
+        """
+        with self._pool_lock:
+            broken = self._live_pool()
+            self._pool = _start_pool(self._pool_size, "spawn")
+        broken.shutdown(wait=True)  # its workers are already gone
 
     def __enter__(self) -> "SweepRunner":
         return self.open()
@@ -327,7 +357,7 @@ class SweepRunner:
         ``on_start(index, point)`` fires when an attempt for a point
         *begins* (see :data:`OnStart` for per-backend timing).  The
         serving layer journals these as write-ahead ``start`` marks so
-        a crash mid-point is attributable to the point that was
+        a crash mid-point is attributable to the points that were
         running.
         """
         if on_result is not None and not callable(on_result):
@@ -362,63 +392,69 @@ class SweepRunner:
                     on_result(len(records), record)
                 records.append(record)
             return records
-        if on_start is not None:
-            # Pool dispatch ships every job up front; each point's
-            # attempt effectively begins when the grid is submitted.
-            for index, job in enumerate(jobs):
-                on_start(index, job.point)
-        return self._run_pool(jobs, on_result)
+        return self._run_pool(jobs, on_result, on_start)
 
     def _run_pool(
-        self, jobs: Sequence[_PointJob], on_result: Optional[OnResult] = None
+        self,
+        jobs: Sequence[_PointJob],
+        on_result: Optional[OnResult],
+        on_start: Optional[OnStart],
     ) -> List[RunRecord]:
-        if self._pool is not None:
-            workers = self.workers or default_workers()
-            return self._run_futures(self._pool, workers, jobs, on_result)
-        workers = self.workers or default_workers(len(jobs))
         if self.timeout is not None:
+            if on_start is not None:
+                for index, job in enumerate(jobs):
+                    on_start(index, job.point)
+            workers = self.workers or default_workers(len(jobs))
             return self._run_pool_deadline(jobs, workers, on_result)
-        with _start_pool(workers) as pool:
-            return self._run_futures(pool, workers, jobs, on_result)
+        if self._pool is not None:
+            return self._run_futures(jobs, on_result, on_start)
+        self._open_pool(self.workers or default_workers(len(jobs)))
+        try:
+            return self._run_futures(jobs, on_result, on_start)
+        finally:
+            self.close()
 
     def _run_futures(
         self,
-        pool: ProcessPoolExecutor,
-        workers: int,
         jobs: Sequence[_PointJob],
         on_result: Optional[OnResult],
+        on_start: Optional[OnStart],
     ) -> List[RunRecord]:
-        """Ship *jobs* to *pool* in chunks; collect them in grid order.
+        """Hand *jobs* to the pool in chunks; collect them in grid order.
 
-        A dead worker breaks the whole pool: every chunk still out then
-        fails with :class:`BrokenProcessPool`.  Under
-        ``on_error="record"`` each of its points becomes an error row;
-        otherwise the first one raises :class:`SimulationError`.  The
-        runner's kept pool is replaced before either happens.
+        At most one chunk per worker is out and not yet collected, and
+        ``on_start`` fires as a chunk goes out.  With ``on_start``, a
+        chunk is one point, so the points whose start has fired and
+        whose record has not are at most one per worker.
         """
+        from concurrent.futures import Future
         from concurrent.futures.process import BrokenProcessPool
 
-        size = self._chunksize(len(jobs), workers)
+        if on_start is not None:
+            size = 1
+        else:
+            size = self._chunksize(len(jobs), self._pool_size)
         chunks = [jobs[begin : begin + size] for begin in range(0, len(jobs), size)]
-        futures: List[Future] = [pool.submit(_run_jobs, chunk) for chunk in chunks]
+        futures: List[Future] = []
         records: List[RunRecord] = []
         try:
-            for chunk, future in zip(chunks, futures):
+            for index in range(len(chunks)):
+                while len(futures) < min(index + self._pool_size, len(chunks)):
+                    chunk = chunks[len(futures)]
+                    if on_start is not None:
+                        for offset, job in enumerate(chunk):
+                            on_start(len(futures) * size + offset, job.point)
+                    try:
+                        future = self._live_pool().submit(_run_jobs, chunk)
+                    except BrokenProcessPool as exc:  # a worker just died
+                        future = Future()
+                        future.set_exception(exc)
+                    futures.append(future)
                 try:
-                    rows = future.result()
-                except BrokenProcessPool as exc:
-                    if pool is self._pool:
-                        self.close()
-                        self.open()
-                    reason = (
-                        "worker process died before the point's record "
-                        f"arrived ({type(exc).__name__})"
-                    )
-                    if self.on_error != "record":
-                        raise SimulationError(
-                            f"sweep point {chunk[0].point.label!r}: {reason}"
-                        ) from exc
-                    rows = [RunRecord.from_error(job.point, reason) for job in chunk]
+                    rows = futures[index].result()
+                except BrokenProcessPool:
+                    self._rerun_lost(chunks, futures, index)
+                    rows = futures[index].result()
                 for record in rows:
                     if on_result is not None:
                         on_result(len(records), record)
@@ -429,6 +465,47 @@ class SweepRunner:
             # kept pool; do not let them run for nobody.
             for future in futures:
                 future.cancel()
+
+    def _rerun_lost(
+        self, chunks: Sequence[Sequence[_PointJob]], futures: List[Future], first: int
+    ) -> None:
+        """A worker died: re-run every point the broken pool lost, alone.
+
+        The executor does not say which worker died, and it ends the
+        others too, so every chunk still out from *first* on is lost.
+        Each lost point re-runs by itself on a renewed pool (its attempt
+        goes on: no second ``on_start``).  Only a point that kills its
+        worker again gets an error row under ``on_error="record"``, or
+        raises :class:`SimulationError`; the others get their records.
+        """
+        from concurrent.futures import Future, wait
+        from concurrent.futures.process import BrokenProcessPool
+
+        wait(futures[first:])
+        self._renew_pool()
+        for position in range(first, len(futures)):
+            lost = futures[position]
+            if lost.cancelled() or not isinstance(lost.exception(), BrokenProcessPool):
+                continue
+            rows = []
+            for job in chunks[position]:
+                try:
+                    [record] = self._live_pool().submit(_run_jobs, [job]).result()
+                except BrokenProcessPool as exc:
+                    self._renew_pool()
+                    reason = (
+                        "worker process died while the point ran alone "
+                        f"({type(exc).__name__})"
+                    )
+                    if self.on_error != "record":
+                        raise SimulationError(
+                            f"sweep point {job.point.label!r}: {reason}"
+                        ) from exc
+                    record = RunRecord.from_error(job.point, reason)
+                rows.append(record)
+            redone: Future = Future()
+            redone.set_result(rows)
+            futures[position] = redone
 
     def _run_pool_deadline(
         self,

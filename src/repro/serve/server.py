@@ -165,6 +165,8 @@ class _Handler(socketserver.StreamRequestHandler):
             except ConfigError as exc:
                 self._safe_emit(writer, {"event": "error", "message": str(exc)})
                 return
+            except ConnectionError:  # the client reset the connection
+                return
             if message is None:
                 return
             if not message:
@@ -342,9 +344,12 @@ class SweepServer:
     processes (default :func:`~repro.exec.runner.default_workers`, one
     per CPU), forked once in :meth:`start` and shut down by
     :meth:`stop`, so a simulating point never holds the GIL the
-    transport threads answer warm submits with; a worker dies with the
-    server, even one killed by ``SIGKILL``.  ``backend="serial"`` runs
-    points in the executor thread instead.  *store* defaults to a
+    transport threads answer warm submits with; on Linux a worker dies
+    with the server, even one killed by ``SIGKILL``.  A point that
+    kills its worker is told apart from the points the broken pool
+    lost with it (see :class:`SweepRunner`): only it gets a failure
+    row and a crash strike.  ``backend="serial"`` runs points in the
+    executor thread instead.  *store* defaults to a
     fresh in-memory :class:`ResultStore`; *journal* to an in-memory
     :class:`~repro.serve.journal.Journal` — hand in path-backed ones to
     make results **and accepted work** survive restarts: on
@@ -564,13 +569,16 @@ class SweepServer:
         self.stop()
 
     def stop(self) -> None:
-        """Stop accepting, hang up open connections, drain the executor,
+        """Stop accepting, hang up open connections, stop the executor,
         fail leftover pendings.
 
-        Abrupt but not lossy: leftover pendings are answered with error
+        Abrupt but not lossy: the pool's workers are terminated under a
+        running burst, and leftover pendings are answered with error
         rows, yet their journal entries keep no terminal mark, so a
         restart on the same journal re-runs them (:meth:`drain` is the
-        graceful variant that lets in-flight work finish first).
+        graceful variant that lets in-flight work finish first).  On
+        ``backend="serial"`` a running point cannot be interrupted: the
+        executor is given 10 s to finish it.
         """
         if self._stopped.is_set():
             return
@@ -586,10 +594,13 @@ class SweepServer:
         for conn in idle:
             _hang_up(conn)
         self._work.put(None)
+        # A running burst is cut short, not waited for: the executor
+        # answers its points without a crash mark, and the journal keeps
+        # them for the next start.
+        self.runner.close()
         for thread in self._threads:
             if thread is not threading.current_thread():
                 thread.join(timeout=10.0)
-        self.runner.close()
         with self._lock:
             leftovers = list(self._inflight.items())
             self._inflight.clear()
@@ -863,7 +874,7 @@ class SweepServer:
                 if pending.event.is_set():
                     continue
                 if self._stopped.is_set():
-                    # stop() shut the pool down under a long burst: no
+                    # stop() terminated the pool under this burst: no
                     # crash to charge, and the journal keeps the point.
                     self._abandon(
                         key,

@@ -357,23 +357,30 @@ class TestDefaultBackend:
             if entry["op"] in ("start", "done")
         ]
 
-    def test_pool_burst_journals_every_start_before_its_done_marks(
+    def test_pool_burst_journals_one_open_start_mark_per_worker(
         self, tmp_path
     ):
-        """The pool takes a burst whole, so each point's ``start`` mark
-        lands when the burst is handed over, before any ``done`` mark
-        (the process backend's ``OnStart`` timing)."""
+        """A point's ``start`` mark lands when it is handed to a worker,
+        and the pool holds one uncollected point per worker, so a kill -9
+        mid-burst charges a crash only to those points (the process
+        backend's ``OnStart`` timing)."""
         journal_path = tmp_path / "journal.jsonl"
-        grid = _multi_master_grid()
-        with SweepServer(journal=Journal(journal_path)) as server:
+        grid = _multi_master_grid(values=(1, 2, 3, 4, 8))
+        with SweepServer(journal=Journal(journal_path), workers=2) as server:
             ServeClient(*server.address).submit(grid)
         keys = [
             point_key(point.spec, engine=point.engine, max_cycles=None)
             for point in grid
         ]
+        starts = [("start", key) for key in keys]
+        dones = [("done", key) for key in keys]
         assert self._start_done_marks(journal_path) == [
-            ("start", key) for key in keys
-        ] + [("done", key) for key in keys]
+            starts[0], starts[1], dones[0],
+            starts[2], dones[1],
+            starts[3], dones[2],
+            starts[4], dones[3],
+            dones[4],
+        ]
 
     def test_cold_grid_journals_start_then_done_per_point(self, tmp_path):
         """Serially each point's ``done`` mark lands before the next
