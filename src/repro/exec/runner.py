@@ -18,8 +18,10 @@ backend:
 
 A runner used as a context manager (or :meth:`SweepRunner.open` ...
 :meth:`SweepRunner.close`) keeps one pool for every ``run()`` in
-between; a one-shot ``run()`` forks a pool for that call.  On Linux
-each worker dies with the process that started it, even one killed by
+between; a one-shot ``run()`` forks a pool for that call.  ``timeout=``
+runs on the same pool: a point past its deadline gets a ``timeout``
+row, and the pool is renewed to end its stuck worker.  On Linux each
+worker dies with the process that started it, even one killed by
 ``SIGKILL``.
 
 ``collect`` extracts extra metrics while the platform is still alive
@@ -75,9 +77,8 @@ OnResult = Callable[[int, RunRecord], None]
 #: when an execution attempt for the point begins.  Serial: immediately
 #: before it runs.  Process: when the point is handed to the pool, which
 #: holds at most one uncollected point per worker, so a crash finds at
-#: most that many begun and unfinished; with ``timeout=``, for every
-#: point of the grid before any is handed out.  The serving layer
-#: journals these as write-ahead ``start`` marks.
+#: most that many begun and unfinished.  The serving layer journals
+#: these as write-ahead ``start`` marks.
 OnStart = Callable[[int, SweepPoint], None]
 
 #: ``prctl`` option that signals a process when its parent dies (Linux).
@@ -200,19 +201,29 @@ def _start_pool(workers: int, method: str = "fork") -> ProcessPoolExecutor:
     return pool
 
 
+def _end_pool(pool: ProcessPoolExecutor, cancel_futures: bool = False) -> None:
+    """Terminate *pool*'s workers, a running one too, and wait for them."""
+    # The executor has no public way to stop a running call.
+    for process in list((pool._processes or {}).values()):
+        process.terminate()
+    pool.shutdown(wait=True, cancel_futures=cancel_futures)
+
+
 class SweepRunner:
     """Maps a sweep grid to :class:`RunRecord` rows via a backend.
 
     On the process backend, a runner that is open (a ``with`` block, or
-    :meth:`open` then :meth:`close`) runs every untimed ``run()`` on one
-    kept :class:`~concurrent.futures.ProcessPoolExecutor` of *workers*
+    :meth:`open` then :meth:`close`) runs every ``run()`` on one kept
+    :class:`~concurrent.futures.ProcessPoolExecutor` of *workers*
     processes (default :func:`default_workers`), so a sweep service
     forks its pool once.  A worker killed mid-point breaks the pool and
     loses every point still out; the runner renews the pool and re-runs
     each lost point alone, so only a point that kills its worker again
-    fails (an error row under ``on_error="record"``).  A renewed pool
-    spawns its workers, so, as with any spawn-started pool, the main
-    module must be importable without side effects.
+    fails (an error row under ``on_error="record"``).  A point past its
+    ``timeout`` is failed, and the pool is renewed the same way to end
+    its stuck worker.  A renewed pool spawns its workers, so, as with
+    any spawn-started pool, the main module must be importable without
+    side effects.
     """
 
     def __init__(
@@ -229,12 +240,11 @@ class SweepRunner:
 
         ``timeout`` (seconds, process backend only — an in-process
         point cannot be interrupted) bounds each point's *result
-        delivery*: dispatch switches to per-point ``apply_async`` and
-        a point whose record has not arrived ``timeout`` seconds after
-        the runner starts waiting on it is abandoned.  The stuck worker
-        is not killed until the run returns, when the pool is
-        terminated; so a timed runner forks a ``multiprocessing.Pool``
-        per ``run()`` and keeps none open.
+        delivery*: the pool is handed one point at a time, and a point
+        whose record has not arrived ``timeout`` seconds after the
+        runner starts waiting on it fails.  Its worker is ended by
+        renewing the pool, and the other points the pool held re-run
+        alone under the same deadline.
         """
         if backend not in BACKENDS:
             raise ConfigError(
@@ -246,8 +256,12 @@ class SweepRunner:
             raise ConfigError(
                 f"unknown on_error policy {on_error!r}; choose from {ON_ERROR}"
             )
-        if timeout is not None and timeout <= 0:
-            raise ConfigError(f"timeout must be positive, got {timeout}")
+        # NaN fails both comparisons; a longer wait overflows the lock.
+        if timeout is not None and not 0 < timeout <= threading.TIMEOUT_MAX:
+            raise ConfigError(
+                "timeout must be a positive number of seconds up to "
+                f"{threading.TIMEOUT_MAX:.0f}, got {timeout}"
+            )
         if timeout is not None and backend != "process":
             raise ConfigError(
                 "timeout= needs the process backend (a point running "
@@ -263,16 +277,12 @@ class SweepRunner:
         self._pool_lock = threading.Lock()
 
     def open(self) -> "SweepRunner":
-        """Fork the kept pool now (untimed process backend only).
+        """Fork the kept pool now (process backend only).
 
         Call it before the caller starts threads of its own: the
         workers fork from this thread, and die when it ends.
         """
-        if (
-            self.backend == "process"
-            and self.timeout is None
-            and self._pool is None
-        ):
+        if self.backend == "process" and self._pool is None:
             self._open_pool(self.workers or default_workers())
         return self
 
@@ -288,12 +298,8 @@ class SweepRunner:
         """
         with self._pool_lock:
             pool, self._pool = self._pool, None
-        if pool is None:
-            return
-        # The executor has no public way to stop a running call.
-        for process in list((pool._processes or {}).values()):
-            process.terminate()
-        pool.shutdown(wait=True, cancel_futures=True)
+        if pool is not None:
+            _end_pool(pool, cancel_futures=True)
 
     def _live_pool(self) -> ProcessPoolExecutor:
         pool = self._pool
@@ -302,16 +308,19 @@ class SweepRunner:
         return pool
 
     def _renew_pool(self) -> None:
-        """Replace the pool a dead worker broke with one of the same size.
+        """Replace the pool with one of the same size, ending the old
+        one's workers: a dead one broke it, or a stuck one is still
+        running.  Every point the old pool still held fails with
+        :class:`~concurrent.futures.process.BrokenProcessPool`.
 
         The new pool spawns its workers rather than forking them: other
         threads of this process may be running, and a forked child
         would inherit any lock one of them holds, held forever.
         """
         with self._pool_lock:
-            broken = self._live_pool()
+            old = self._live_pool()
             self._pool = _start_pool(self._pool_size, "spawn")
-        broken.shutdown(wait=True)  # its workers are already gone
+        _end_pool(old)
 
     def __enter__(self) -> "SweepRunner":
         return self.open()
@@ -400,12 +409,6 @@ class SweepRunner:
         on_result: Optional[OnResult],
         on_start: Optional[OnStart],
     ) -> List[RunRecord]:
-        if self.timeout is not None:
-            if on_start is not None:
-                for index, job in enumerate(jobs):
-                    on_start(index, job.point)
-            workers = self.workers or default_workers(len(jobs))
-            return self._run_pool_deadline(jobs, workers, on_result)
         if self._pool is not None:
             return self._run_futures(jobs, on_result, on_start)
         self._open_pool(self.workers or default_workers(len(jobs)))
@@ -423,14 +426,15 @@ class SweepRunner:
         """Hand *jobs* to the pool in chunks; collect them in grid order.
 
         At most one chunk per worker is out and not yet collected, and
-        ``on_start`` fires as a chunk goes out.  With ``on_start``, a
-        chunk is one point, so the points whose start has fired and
-        whose record has not are at most one per worker.
+        ``on_start`` fires as a chunk goes out.  With ``on_start`` or
+        ``timeout=``, a chunk is one point, so the points whose start
+        has fired and whose record has not are at most one per worker,
+        and each point's deadline is its own.
         """
         from concurrent.futures import Future
         from concurrent.futures.process import BrokenProcessPool
 
-        if on_start is not None:
+        if on_start is not None or self.timeout is not None:
             size = 1
         else:
             size = self._chunksize(len(jobs), self._pool_size)
@@ -450,11 +454,17 @@ class SweepRunner:
                         future = Future()
                         future.set_exception(exc)
                     futures.append(future)
-                try:
-                    rows = futures[index].result()
-                except BrokenProcessPool:
-                    self._rerun_lost(chunks, futures, index)
-                    rows = futures[index].result()
+                if self._outlasts(futures[index]):
+                    # The ended pool lost every other point it held.
+                    rows = [self._timed_out(chunks[index][0])]
+                    self._rerun_lost(chunks, futures, index + 1)
+                else:
+                    try:
+                        rows = futures[index].result()
+                    except BrokenProcessPool:
+                        self._renew_pool()
+                        self._rerun_lost(chunks, futures, index)
+                        rows = futures[index].result()
                 for record in rows:
                     if on_result is not None:
                         on_result(len(records), record)
@@ -469,87 +479,75 @@ class SweepRunner:
     def _rerun_lost(
         self, chunks: Sequence[Sequence[_PointJob]], futures: List[Future], first: int
     ) -> None:
-        """A worker died: re-run every point the broken pool lost, alone.
+        """The pool broke: re-run every point it lost, alone.
 
-        The executor does not say which worker died, and it ends the
-        others too, so every chunk still out from *first* on is lost.
-        Each lost point re-runs by itself on a renewed pool (its attempt
-        goes on: no second ``on_start``).  Only a point that kills its
-        worker again gets an error row under ``on_error="record"``, or
-        raises :class:`SimulationError`; the others get their records.
+        The caller has renewed the pool.  The executor does not say
+        which worker died, and it ends the others too, so every chunk
+        still out from *first* on that did not finish is lost.  Each
+        lost point re-runs by itself (its attempt goes on: no second
+        ``on_start``), under the same deadline, so only a point that
+        kills or outlasts its worker again fails; the others get their
+        records.
         """
         from concurrent.futures import Future, wait
         from concurrent.futures.process import BrokenProcessPool
 
         wait(futures[first:])
-        self._renew_pool()
         for position in range(first, len(futures)):
             lost = futures[position]
             if lost.cancelled() or not isinstance(lost.exception(), BrokenProcessPool):
                 continue
-            rows = []
-            for job in chunks[position]:
-                try:
-                    [record] = self._live_pool().submit(_run_jobs, [job]).result()
-                except BrokenProcessPool as exc:
-                    self._renew_pool()
-                    reason = (
-                        "worker process died while the point ran alone "
-                        f"({type(exc).__name__})"
-                    )
-                    if self.on_error != "record":
-                        raise SimulationError(
-                            f"sweep point {job.point.label!r}: {reason}"
-                        ) from exc
-                    record = RunRecord.from_error(job.point, reason)
-                rows.append(record)
             redone: Future = Future()
-            redone.set_result(rows)
+            redone.set_result([self._run_alone(job) for job in chunks[position]])
             futures[position] = redone
 
-    def _run_pool_deadline(
-        self,
-        jobs: Sequence[_PointJob],
-        workers: int,
-        on_result: Optional[OnResult] = None,
-    ) -> List[RunRecord]:
-        """Per-point ``apply_async`` dispatch with a delivery deadline.
+    def _run_alone(self, job: _PointJob) -> RunRecord:
+        """Run *job* by itself on the pool, renewing the pool if the
+        point kills its worker or outlasts the deadline."""
+        from concurrent.futures.process import BrokenProcessPool
 
-        Results are still merged in grid order.  A point whose result
-        has not arrived within ``timeout`` seconds of the runner
-        starting to wait on it is treated per the ``on_error`` policy;
-        points already finished while the runner waited on an earlier
-        one collect instantly, so only genuinely stuck points pay.
-        ``on_result`` fires per collected row — timeout rows included —
-        as the grid-order walk reaches it.
-        """
-        pool = multiprocessing.Pool(
-            processes=workers, initializer=_worker_init, initargs=(os.getpid(),)
-        )
+        future = self._live_pool().submit(_run_jobs, [job])
+        if self._outlasts(future):
+            return self._timed_out(job)
         try:
-            pending = [pool.apply_async(_run_jobs, ([job],)) for job in jobs]
-            records: List[RunRecord] = []
-            for job, handle in zip(jobs, pending):
-                try:
-                    [record] = handle.get(timeout=self.timeout)
-                except multiprocessing.TimeoutError:
-                    if self.on_error != "record":
-                        raise SimulationError(
-                            f"sweep point {job.point.label!r} exceeded the "
-                            f"{self.timeout}s timeout"
-                        ) from None
-                    record = RunRecord.from_error(
-                        job.point,
-                        f"timeout: no result within {self.timeout}s",
-                        wall_seconds=float(self.timeout),
-                    )
-                if on_result is not None:
-                    on_result(len(records), record)
-                records.append(record)
-            return records
-        finally:
-            # terminate(), not close(): a timed-out worker may still be
-            # grinding through its abandoned point.
-            pool.terminate()
-            pool.join()
+            [record] = future.result()
+            return record
+        except BrokenProcessPool as exc:
+            self._renew_pool()
+            reason = (
+                "worker process died while the point ran alone "
+                f"({type(exc).__name__})"
+            )
+            if self.on_error != "record":
+                raise SimulationError(
+                    f"sweep point {job.point.label!r}: {reason}"
+                ) from exc
+            return RunRecord.from_error(job.point, reason)
 
+    def _outlasts(self, future: Future) -> bool:
+        """Wait for *future* up to ``timeout``; past it, renew the pool,
+        which ends the stuck worker, and say so.
+
+        A waited-out ``result(timeout=)`` would raise the builtin
+        :class:`TimeoutError`, which a point may raise itself.
+        """
+        from concurrent.futures import wait
+
+        if self.timeout is None or wait([future], self.timeout).done:
+            return False
+        self._renew_pool()
+        return True
+
+    def _timed_out(self, job: _PointJob) -> RunRecord:
+        """The ``timeout`` row of a point (its worker already ended), or,
+        under ``on_error="raise"``, the :class:`SimulationError`."""
+        if self.on_error != "record":
+            raise SimulationError(
+                f"sweep point {job.point.label!r} exceeded the "
+                f"{self.timeout}s timeout"
+            )
+        return RunRecord.from_error(
+            job.point,
+            f"timeout: no result within {self.timeout}s",
+            wall_seconds=float(self.timeout),  # type: ignore[arg-type]
+        )

@@ -16,8 +16,9 @@ that exploits it:
   admitted point is journaled before it is queued and marked off as
   its result lands, so a server killed mid-batch restarts on the same
   store+journal and re-runs exactly the unfinished remainder.
-* :class:`SweepServer` — a supervised thread-pool front end over
-  ``SweepRunner`` behind a line-delimited-JSON socket protocol:
+* :class:`SweepServer` — a supervised front end over a kept
+  ``SweepRunner`` worker pool behind a line-delimited-JSON socket
+  protocol:
   dedupes submissions against the store and in-flight work, journals
   accepted points, sheds load past ``max_queue_depth`` with
   ``overloaded``/``retry_after`` backpressure, drains gracefully on
@@ -30,8 +31,8 @@ that exploits it:
   content key);
   ``python -m repro.serve`` is the CLI over the same protocol.
 
-One host program, same workload, any backend — submit the grid and let
-the service pick cached vs fresh execution::
+One host program, same workload — submit the grid and let the service
+pick cached vs fresh execution::
 
     with SweepServer(store=ResultStore("results.jsonl"),
                      journal=Journal("journal.jsonl")) as server:

@@ -81,7 +81,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     server = SweepServer(
         store=store,
         journal=journal,
-        backend=args.backend,
         workers=args.workers,
         timeout=args.timeout,
         host=args.host,
@@ -106,7 +105,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     host, port = server.start()
     print(
         f"repro.serve: listening on {host}:{port} "
-        f"(backend={server.runner.backend}, store="
+        f"(store="
         f"{args.store or 'in-memory'}, {len(store)} cached records, "
         f"journal={args.journal or 'in-memory'}, {recover} pending "
         f"recovered)"
@@ -163,7 +162,6 @@ def cmd_status(args: argparse.Namespace) -> int:
     print(
         f"state:         "
         f"{'draining' if stats.get('draining') else 'serving'}"
-        f" (backend={stats.get('backend')})"
     )
     print(
         f"queue:         {stats.get('queue_depth')} queued "
@@ -237,25 +235,20 @@ def main(argv: Optional[List[str]] = None) -> int:
         "and re-runs on restart (default: in-memory only)",
     )
     serve.add_argument(
-        "--backend",
-        choices=("process", "serial"),
-        default="process",
-        help="sweep backend; process (default) runs cold points in a "
-        "worker pool forked at start, so simulation never holds the GIL "
-        "the connection threads need; serial runs them in the server "
-        "process",
-    )
-    serve.add_argument(
         "--workers",
         type=int,
         default=None,
-        help="worker processes in the pool (default: one per CPU)",
+        help="processes in the worker pool, forked at start, that runs "
+        "cold points so simulation never holds the GIL the connection "
+        "threads need (default: one per CPU)",
     )
     serve.add_argument(
         "--timeout",
         type=float,
         default=None,
-        help="per-point delivery deadline in seconds (process backend)",
+        help="per-point delivery deadline in seconds; a point past it "
+        "gets a timeout row, its worker is ended by renewing the pool, "
+        "and the other points in flight re-run alone",
     )
     serve.add_argument(
         "--max-queue-depth",

@@ -37,10 +37,11 @@
   as they complete, driven by the runner's ``on_result`` hook rather
   than polling.
 
-Execution always runs under ``on_error="record"``: a crashing or
-timed-out point yields a failure row to its subscribers but never
-kills the daemon — and the store refuses to cache such rows, so a
-retry re-runs the point instead of replaying the failure.
+Execution always runs under ``on_error="record"`` on the runner's kept
+worker pool: a crashing or timed-out point yields a failure row to its
+subscribers but never kills the daemon — and the store refuses to
+cache such rows, so a retry re-runs the point instead of replaying the
+failure.
 """
 
 from __future__ import annotations
@@ -253,12 +254,12 @@ class _Handler(socketserver.StreamRequestHandler):
             raise ConfigError("submit needs a non-empty 'points' list")
         max_cycles = message.get("max_cycles")
         if max_cycles is not None:
-            try:
-                max_cycles = int(max_cycles)
-            except (TypeError, ValueError):
+            # A JSON integer only: a bool, a float (Infinity included) or
+            # a string is not a cycle count.
+            if type(max_cycles) is not int:
                 raise ConfigError(
                     f"max_cycles must be an integer, got {max_cycles!r}"
-                ) from None
+                )
             if max_cycles <= 0:
                 raise ConfigError(
                     f"max_cycles must be positive, got {max_cycles}"
@@ -337,19 +338,18 @@ class _Handler(socketserver.StreamRequestHandler):
 class SweepServer:
     """A supervised, persistent simulation service over one result store.
 
-    *backend*/*workers*/*timeout* configure the underlying
+    *workers*/*timeout* configure the underlying process-backend
     :class:`SweepRunner` (``on_error`` is always ``"record"`` — a bad
-    point must produce a failure row, not kill the daemon).  The default
-    ``backend="process"`` runs cold points in a pool of *workers*
-    processes (default :func:`~repro.exec.runner.default_workers`, one
-    per CPU), forked once in :meth:`start` and shut down by
-    :meth:`stop`, so a simulating point never holds the GIL the
-    transport threads answer warm submits with; on Linux a worker dies
-    with the server, even one killed by ``SIGKILL``.  A point that
-    kills its worker is told apart from the points the broken pool
-    lost with it (see :class:`SweepRunner`): only it gets a failure
-    row and a crash strike.  ``backend="serial"`` runs points in the
-    executor thread instead.  *store* defaults to a
+    point must produce a failure row, not kill the daemon).  It runs
+    cold points in a pool of *workers* processes (default
+    :func:`~repro.exec.runner.default_workers`, one per CPU), forked
+    once in :meth:`start` and shut down by :meth:`stop`, so a
+    simulating point never holds the GIL the transport threads answer
+    warm submits with; on Linux a worker dies with the server, even one
+    killed by ``SIGKILL``.  A point that kills its worker, or outlasts
+    *timeout*, is told apart from the points the ended pool lost with
+    it (see :class:`SweepRunner`): only it gets a failure row and a
+    crash strike, and the others re-run alone.  *store* defaults to a
     fresh in-memory :class:`ResultStore`; *journal* to an in-memory
     :class:`~repro.serve.journal.Journal` — hand in path-backed ones to
     make results **and accepted work** survive restarts: on
@@ -381,7 +381,6 @@ class SweepServer:
         self,
         store: Optional[ResultStore] = None,
         journal: Optional[Journal] = None,
-        backend: str = "process",
         workers: Optional[int] = None,
         timeout: Optional[float] = None,
         host: str = "127.0.0.1",
@@ -406,7 +405,7 @@ class SweepServer:
         self.store = store if store is not None else ResultStore()
         self.journal = journal if journal is not None else Journal()
         self.runner = SweepRunner(
-            backend=backend,
+            backend="process",
             workers=workers,
             timeout=timeout,
             on_error="record",
@@ -576,9 +575,7 @@ class SweepServer:
         running burst, and leftover pendings are answered with error
         rows, yet their journal entries keep no terminal mark, so a
         restart on the same journal re-runs them (:meth:`drain` is the
-        graceful variant that lets in-flight work finish first).  On
-        ``backend="serial"`` a running point cannot be interrupted: the
-        executor is given 10 s to finish it.
+        graceful variant that lets in-flight work finish first).
         """
         if self._stopped.is_set():
             return
@@ -811,7 +808,7 @@ class SweepServer:
                 return
             stop_after = False
             # Batch every already-queued submission onto one grid: the
-            # runner's pool (process backend) then shards all clients'
+            # runner's pool then shards all clients'
             # cold points together.
             while True:
                 try:
@@ -975,5 +972,4 @@ class SweepServer:
         stats["hits"] = hits
         total = hits + stats["misses"]
         stats["hit_rate"] = round(hits / total, 4) if total else 0.0
-        stats["backend"] = self.runner.backend
         return stats

@@ -49,9 +49,10 @@ def _children() -> set:
 
 
 class TestPoolLifetime:
-    def test_start_forks_the_pool_and_stop_leaves_no_child(self):
+    @pytest.mark.parametrize("timeout", [None, 60.0])
+    def test_start_forks_the_pool_and_stop_leaves_no_child(self, timeout):
         before = _children()
-        with SweepServer(workers=2) as server:
+        with SweepServer(workers=2, timeout=timeout) as server:
             workers = _children() - before
             assert len(workers) == 2  # forked in start(), before any submit
             with ServeClient(*server.address) as client:
@@ -96,8 +97,9 @@ class TestPoolLifetime:
             time.sleep(0.02)
         assert not [pid for pid in workers if _running(pid)]
 
+    @pytest.mark.parametrize("timeout", [None, 60.0])
     def test_stop_terminates_a_running_point_and_keeps_it_journaled(
-        self, monkeypatch, tmp_path
+        self, monkeypatch, tmp_path, timeout
     ):
         """``stop()`` does not wait for a long point: it terminates the
         worker, answers the point without a crash mark, and the journal
@@ -106,7 +108,9 @@ class TestPoolLifetime:
         monkeypatch.setattr(SweepPoint, "build", _sleep_at_depth_2(30.0))
         before = _children()
         server = SweepServer(
-            workers=1, journal=Journal(tmp_path / "journal.jsonl")
+            workers=1,
+            timeout=timeout,
+            journal=Journal(tmp_path / "journal.jsonl"),
         )
         server.start()
         try:
@@ -125,6 +129,49 @@ class TestPoolLifetime:
         assert [entry[0] for entry in server.journal.pending()] == [key]
         assert server.journal.crash_count(key) == 0
         assert _children() == before
+
+
+class TestTimedOutPoint:
+    def test_only_the_stuck_point_fails_and_the_renewed_pool_serves_on(
+        self, monkeypatch, tmp_path
+    ):
+        """A point past the deadline gets a ``timeout`` row and one crash
+        strike; its worker is ended by renewing the pool, the points
+        beside it get their records, and the renewed pool serves the
+        next cold submit."""
+        # Patched before start(): the forked workers inherit it.
+        monkeypatch.setattr(SweepPoint, "build", _sleep_at_depth_2(30.0))
+        before = _children()
+        grid = _grid(values=(1, 2, 4))
+        keys = [
+            point_key(point.spec, engine=point.engine, max_cycles=None)
+            for point in grid
+        ]
+        with SweepServer(
+            workers=2, timeout=2.0, journal=Journal(tmp_path / "journal.jsonl")
+        ) as server:
+            forked = _children() - before
+            with ServeClient(*server.address, timeout=60.0) as client:
+                first = client.submit(grid)
+                second = client.submit(_grid(values=(8,)))
+            stats = server.stats()
+            # A renewed pool spawns a worker per submit while none idles.
+            renewed = _children() - before
+        assert [record.failed for record in first.records] == [
+            False, True, False
+        ]
+        assert "timeout" in first.records[1].error
+        assert [record.transactions > 0 for record in first.records] == [
+            True, False, True
+        ]
+        assert [server.journal.crash_count(key) for key in keys] == [0, 1, 0]
+        assert stats["failure_rows"] == 1
+        assert len(forked) == 2 and renewed
+        assert not forked & renewed  # the stuck pool's workers were ended
+        assert not any(_running(pid) for pid in forked)
+        assert second.sources == ("run",) and not second.records[0].failed
+        assert _children() == before
+        assert not any(_running(pid) for pid in renewed)
 
 
 def _sleep_at_depth_2(seconds: float):

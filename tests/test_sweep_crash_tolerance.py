@@ -7,6 +7,7 @@ real records everywhere else — and still fails fast under the default
 ``on_error="raise"``.
 """
 
+import os
 import time
 
 import pytest
@@ -38,8 +39,11 @@ class TestKnobValidation:
     def test_timeout_needs_process_backend(self):
         with pytest.raises(ConfigError, match="process backend"):
             SweepRunner(timeout=5.0)
-        with pytest.raises(ConfigError, match="timeout"):
-            SweepRunner(backend="process", timeout=0)
+        # NaN would time every point out at once; infinity would
+        # overflow the first wait.
+        for bad in (0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="timeout"):
+                SweepRunner(backend="process", timeout=bad)
 
     def test_record_policy_composes_with_backends(self):
         SweepRunner(on_error="record")
@@ -96,6 +100,16 @@ def _stall_plain(point, platform, result):
     return {}
 
 
+def _stall_plain_slow_tlm_once(point, platform, result):
+    """:func:`_stall_plain`, and the tlm point outlasts the plain
+    point's deadline the first time it runs (``$SLOW_ONCE_FLAG``)."""
+    flag = os.environ["SLOW_ONCE_FLAG"]
+    if point.value == "tlm" and not os.path.exists(flag):
+        open(flag, "w").close()
+        time.sleep(4)
+    return _stall_plain(point, platform, result)
+
+
 class TestTimeouts:
     def test_stuck_point_becomes_timeout_row(self):
         grid = _engine_grid(8)
@@ -134,6 +148,26 @@ class TestTimeouts:
         assert [r for _, r in seen] == records
         streamed_stuck = next(r for _, r in seen if r.engine == "plain")
         assert streamed_stuck.failed and "timeout" in streamed_stuck.error
+
+    def test_points_a_timeout_loses_rerun_alone(self, monkeypatch, tmp_path):
+        """Ending the stuck worker loses every point the pool held; each
+        re-runs alone under the same deadline, and its attempt goes on
+        (no second ``on_start``)."""
+        monkeypatch.setenv("SLOW_ONCE_FLAG", str(tmp_path / "slowed"))
+        spec = paper_topology(workload=saturating_workload(8))
+        grid = sweep(spec, axis="engine", values=("plain", "tlm", "rtl"))
+        started = []
+        records = SweepRunner(
+            backend="process", workers=2, on_error="record", timeout=2.0
+        ).run(
+            grid,
+            collect=_stall_plain_slow_tlm_once,
+            on_start=lambda index, _point: started.append(index),
+        )
+        assert (tmp_path / "slowed").exists()  # tlm was still running
+        assert [record.failed for record in records] == [True, False, False]
+        assert "timeout" in records[0].error
+        assert started == [0, 1, 2]
 
     def test_timeout_raise_policy(self):
         spec = paper_topology(workload=saturating_workload(8))
