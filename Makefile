@@ -74,8 +74,10 @@ fuzz-long:
 # kill -9 mid-batch, torn file tails, dropped connections, poisoned
 # points — exits non-zero if any supervision guarantee (no accepted
 # work lost, nothing simulated twice, bit-identical recovery, no
-# corruption) is violated.  A short smoke of the same harness runs
-# inside tier-1 via tests/test_chaos.py.
+# corruption) is violated.  The daemon runs in its default
+# configuration (one worker per CPU, one point per free worker; no
+# execution options on its command line), as users run it.  A short
+# smoke of the same harness runs inside tier-1 via tests/test_chaos.py.
 chaos:
 	$(PYTHON) -m repro.fuzz.chaos --start 0 --count 25
 

@@ -80,7 +80,7 @@ def measure(
     # the digest memo; every timed call below is warm.
     points, digests = server._decode(request["points"], None)
     server.route(points, None, digests)
-    server._run_batch(server._work.get_nowait())
+    server._run_burst(server._work.get_nowait())
 
     handler = object.__new__(_Handler)  # no socket: drive the method alone
     message = read_message(io.BytesIO(line))

@@ -9,12 +9,11 @@ backend:
 * ``serial`` — run in-process, point by point (wall clocks see no pool
   overhead);
 * ``process`` — shard the grid over a pool of forked worker
-  processes.  Specs are plain picklable data, so a worker rebuilds the
-  platform from the point alone; each point's traffic regenerates
-  in-worker from its own spec seed, and the chunks are collected in
-  submission order, so the records merge back in grid order.  Records
-  compare equal to the serial backend's because wall time is excluded
-  from record equality.
+  processes, one point per free worker.  Specs are plain picklable
+  data, so a worker rebuilds the platform from the point alone; each
+  point's traffic regenerates in-worker from its own spec seed, and the
+  points are collected in grid order.  Records compare equal to the
+  serial backend's because wall time is excluded from record equality.
 
 A runner used as a context manager (or :meth:`SweepRunner.open` ...
 :meth:`SweepRunner.close`) keeps one pool for every ``run()`` in
@@ -109,7 +108,7 @@ def _execute(job: _PointJob) -> RunRecord:
     Under ``on_error="record"`` any exception the point raises —
     build-time config errors, drain-limit SimulationErrors, checker
     crashes inside collectors — becomes an error row instead of killing
-    the sweep (and, on the process backend, the rest of its chunk).
+    the sweep.
     """
     if job.on_error == "record":
         start = time.perf_counter()
@@ -124,14 +123,14 @@ def _execute(job: _PointJob) -> RunRecord:
     return _execute_point(job)
 
 
-def _run_jobs(jobs: Sequence[_PointJob]) -> List[RunRecord]:
-    """Pool entry point: run one chunk of points in a worker.
+def _run_job(job: _PointJob) -> RunRecord:
+    """Pool entry point: run one point in a worker.
 
     The pool ships this name by reference, and nothing wraps it, so a
     hook that wraps :func:`_execute` in the submitting process (the
     benchmark's tracer does) never has to pickle.
     """
-    return [_execute(job) for job in jobs]
+    return _execute(job)
 
 
 def _execute_point(job: _PointJob) -> RunRecord:
@@ -216,14 +215,15 @@ class SweepRunner:
     :meth:`open` then :meth:`close`) runs every ``run()`` on one kept
     :class:`~concurrent.futures.ProcessPoolExecutor` of *workers*
     processes (default :func:`default_workers`), so a sweep service
-    forks its pool once.  A worker killed mid-point breaks the pool and
-    loses every point still out; the runner renews the pool and re-runs
-    each lost point alone, so only a point that kills its worker again
-    fails (an error row under ``on_error="record"``).  A point past its
-    ``timeout`` is failed, and the pool is renewed the same way to end
-    its stuck worker.  A renewed pool spawns its workers, so, as with
-    any spawn-started pool, the main module must be importable without
-    side effects.
+    forks its pool once.  The pool is handed one point per free worker,
+    so each point's record, deadline and crash are its own.  A worker
+    killed mid-point breaks the pool and loses every point still out;
+    the runner renews the pool and re-runs each lost point alone, so
+    only a point that kills its worker again fails (an error row under
+    ``on_error="record"``).  A point past its ``timeout`` is failed, and
+    the pool is renewed the same way to end its stuck worker.  A renewed
+    pool spawns its workers, so, as with any spawn-started pool, the
+    main module must be importable without side effects.
     """
 
     def __init__(
@@ -240,11 +240,10 @@ class SweepRunner:
 
         ``timeout`` (seconds, process backend only — an in-process
         point cannot be interrupted) bounds each point's *result
-        delivery*: the pool is handed one point at a time, and a point
-        whose record has not arrived ``timeout`` seconds after the
-        runner starts waiting on it fails.  Its worker is ended by
-        renewing the pool, and the other points the pool held re-run
-        alone under the same deadline.
+        delivery*: a point whose record has not arrived ``timeout``
+        seconds after the runner starts waiting on it fails.  Its worker
+        is ended by renewing the pool, and the other points the pool
+        held re-run alone under the same deadline.
         """
         if backend not in BACKENDS:
             raise ConfigError(
@@ -328,15 +327,6 @@ class SweepRunner:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    def _chunksize(self, jobs: int, workers: int) -> int:
-        if workers == 1:
-            # One worker gains nothing from small tasks — ship the whole
-            # grid in a single dispatch and pay IPC once.
-            return jobs
-        # Small grids: one point per task keeps all workers busy;
-        # large grids: ~4 tasks per worker amortises pool dispatch.
-        return max(1, jobs // (workers * 4))
-
     def run(
         self,
         grid: Iterable[SweepPoint],
@@ -356,7 +346,7 @@ class SweepRunner:
         ``on_result(index, record)`` fires once per completed point —
         error rows included under ``on_error="record"`` — *in grid
         order*, before ``run`` returns, on every backend (the process
-        backend delivers each chunk once it and every chunk before it
+        backend delivers each point once it and every point before it
         are back, while later ones still run).  It executes in the
         calling process, so unlike a collector it need not be
         picklable; the sweep server uses it to stream per-point
@@ -423,66 +413,59 @@ class SweepRunner:
         on_result: Optional[OnResult],
         on_start: Optional[OnStart],
     ) -> List[RunRecord]:
-        """Hand *jobs* to the pool in chunks; collect them in grid order.
+        """Hand *jobs* to the pool one point per free worker; collect
+        them in grid order.
 
-        At most one chunk per worker is out and not yet collected, and
-        ``on_start`` fires as a chunk goes out.  With ``on_start`` or
-        ``timeout=``, a chunk is one point, so the points whose start
-        has fired and whose record has not are at most one per worker,
-        and each point's deadline is its own.
+        ``on_start`` fires as a point goes out, and at most one point
+        per worker is out and not yet collected, so the points whose
+        start has fired and whose record has not are at most one per
+        worker, and each point's deadline is its own.
         """
         from concurrent.futures import Future
         from concurrent.futures.process import BrokenProcessPool
 
-        if on_start is not None or self.timeout is not None:
-            size = 1
-        else:
-            size = self._chunksize(len(jobs), self._pool_size)
-        chunks = [jobs[begin : begin + size] for begin in range(0, len(jobs), size)]
         futures: List[Future] = []
         records: List[RunRecord] = []
         try:
-            for index in range(len(chunks)):
-                while len(futures) < min(index + self._pool_size, len(chunks)):
-                    chunk = chunks[len(futures)]
+            for index, job in enumerate(jobs):
+                while len(futures) < min(index + self._pool_size, len(jobs)):
+                    handed = jobs[len(futures)]
                     if on_start is not None:
-                        for offset, job in enumerate(chunk):
-                            on_start(len(futures) * size + offset, job.point)
+                        on_start(len(futures), handed.point)
                     try:
-                        future = self._live_pool().submit(_run_jobs, chunk)
+                        future = self._live_pool().submit(_run_job, handed)
                     except BrokenProcessPool as exc:  # a worker just died
                         future = Future()
                         future.set_exception(exc)
                     futures.append(future)
                 if self._outlasts(futures[index]):
                     # The ended pool lost every other point it held.
-                    rows = [self._timed_out(chunks[index][0])]
-                    self._rerun_lost(chunks, futures, index + 1)
+                    record = self._timed_out(job)
+                    self._rerun_lost(jobs, futures, index + 1)
                 else:
                     try:
-                        rows = futures[index].result()
+                        record = futures[index].result()
                     except BrokenProcessPool:
                         self._renew_pool()
-                        self._rerun_lost(chunks, futures, index)
-                        rows = futures[index].result()
-                for record in rows:
-                    if on_result is not None:
-                        on_result(len(records), record)
-                    records.append(record)
+                        self._rerun_lost(jobs, futures, index)
+                        record = futures[index].result()
+                if on_result is not None:
+                    on_result(index, record)
+                records.append(record)
             return records
         finally:
-            # A raising point or callback leaves later chunks queued on a
+            # A raising point or callback leaves later points queued on a
             # kept pool; do not let them run for nobody.
             for future in futures:
                 future.cancel()
 
     def _rerun_lost(
-        self, chunks: Sequence[Sequence[_PointJob]], futures: List[Future], first: int
+        self, jobs: Sequence[_PointJob], futures: List[Future], first: int
     ) -> None:
         """The pool broke: re-run every point it lost, alone.
 
         The caller has renewed the pool.  The executor does not say
-        which worker died, and it ends the others too, so every chunk
+        which worker died, and it ends the others too, so every point
         still out from *first* on that did not finish is lost.  Each
         lost point re-runs by itself (its attempt goes on: no second
         ``on_start``), under the same deadline, so only a point that
@@ -498,7 +481,7 @@ class SweepRunner:
             if lost.cancelled() or not isinstance(lost.exception(), BrokenProcessPool):
                 continue
             redone: Future = Future()
-            redone.set_result([self._run_alone(job) for job in chunks[position]])
+            redone.set_result(self._run_alone(jobs[position]))
             futures[position] = redone
 
     def _run_alone(self, job: _PointJob) -> RunRecord:
@@ -506,12 +489,11 @@ class SweepRunner:
         point kills its worker or outlasts the deadline."""
         from concurrent.futures.process import BrokenProcessPool
 
-        future = self._live_pool().submit(_run_jobs, [job])
+        future = self._live_pool().submit(_run_job, job)
         if self._outlasts(future):
             return self._timed_out(job)
         try:
-            [record] = future.result()
-            return record
+            return future.result()
         except BrokenProcessPool as exc:
             self._renew_pool()
             reason = (

@@ -2,8 +2,8 @@
 supervision guarantees hold anyway.
 
 Each seeded **campaign** runs a real ``python -m repro.serve`` daemon
-(a subprocess, because ``kill -9`` needs a process to kill) against a
-throwaway store+journal, then plays a scripted-but-seeded sequence of
+(a subprocess, because ``kill -9`` needs a process to kill) in its
+default execution configuration against a throwaway store+journal, then plays a scripted-but-seeded sequence of
 hostile moves against it:
 
 * **kill -9 mid-batch** — SIGKILL the daemon after the first result of
@@ -153,8 +153,6 @@ class _Daemon:
                 str(store),
                 "--journal",
                 str(journal),
-                "--max-inflight",
-                "1",
                 "--quarantine-threshold",
                 str(quarantine_threshold),
             ],

@@ -71,11 +71,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     journal = Journal(args.journal)
     supervision = {
         name: value
-        for name in (
-            "max_queue_depth",
-            "max_inflight",
-            "quarantine_threshold",
-        )
+        for name in ("max_queue_depth", "quarantine_threshold")
         if (value := getattr(args, name)) is not None
     }
     server = SweepServer(
@@ -257,13 +253,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         dest="max_queue_depth",
         help="bound on accepted-but-unfinished points; beyond it "
         "submissions shed with an 'overloaded' retry-after event",
-    )
-    serve.add_argument(
-        "--max-inflight",
-        type=int,
-        default=None,
-        dest="max_inflight",
-        help="points one executor burst hands the runner at a time",
     )
     serve.add_argument(
         "--quarantine-threshold",

@@ -30,24 +30,34 @@ Replaying the file reconstructs three facts per key:
 
 A crash mid-append leaves at most one torn trailing line; loading
 tolerates and counts it, and the next append heals the missing
-newline first so later entries never merge into the torn one
-(:func:`~repro.serve.store.heal_torn_tail` — the same contract as the
-store file).  Entries are flushed per append: ``kill -9`` cannot lose
-an acknowledged accept (only machine power loss could, which is out of
+newline first so later entries never merge into the torn one (the
+store file's reader and appender,
+:func:`~repro.serve.store.read_json_lines` and
+:func:`~repro.serve.store.append_json_line`, serve both files).
+Entries are flushed per append: ``kill -9`` cannot lose an
+acknowledged accept (only machine power loss could, which is out of
 scope for the chaos guarantees).
 """
 
 from __future__ import annotations
 
-import json
 import threading
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.serve.store import heal_torn_tail
+from repro.serve.store import append_json_line, read_json_lines
 
 #: Journal entry kinds.
 JOURNAL_OPS = ("accept", "start", "done", "fail")
+
+
+def _parse_entry(entry: Dict[str, Any]) -> Tuple[str, str, Dict[str, Any]]:
+    """``(op, key, entry)`` of one journal line; ``ValueError`` on an
+    unknown op."""
+    op = entry["op"]
+    if op not in JOURNAL_OPS:
+        raise ValueError(f"unknown journal op {op!r}")
+    return str(op), str(entry["key"]), entry
 
 
 class Journal:
@@ -79,31 +89,19 @@ class Journal:
 
     def _replay(self) -> None:
         assert self._path is not None
-        with self._path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                    op = entry["op"]
-                    key = str(entry["key"])
-                    if op not in JOURNAL_OPS:
-                        raise ValueError(f"unknown journal op {op!r}")
-                except (ValueError, KeyError, TypeError):
-                    self.skipped_lines += 1
-                    continue
-                if op == "accept":
-                    self._pending[key] = (
-                        entry.get("point") or {},
-                        entry.get("max_cycles"),
-                    )
-                elif op == "start":
-                    self._open_starts[key] = self._open_starts.get(key, 0) + 1
-                elif op == "done":
-                    self._apply_done(key)
-                else:  # fail
-                    self._apply_fail(key)
+        entries, self.skipped_lines = read_json_lines(self._path, _parse_entry)
+        for op, key, entry in entries:
+            if op == "accept":
+                self._pending[key] = (
+                    entry.get("point") or {},
+                    entry.get("max_cycles"),
+                )
+            elif op == "start":
+                self._open_starts[key] = self._open_starts.get(key, 0) + 1
+            elif op == "done":
+                self._apply_done(key)
+            else:  # fail
+                self._apply_fail(key)
         # A start with no terminal mark means the server died mid-attempt:
         # that interrupted attempt counts toward the key's crash score.
         for key, open_count in self._open_starts.items():
@@ -125,13 +123,8 @@ class Journal:
             self._open_starts[key] -= 1
 
     def _append(self, entry: Dict[str, object]) -> None:
-        if self._path is None:
-            return
-        self._path.parent.mkdir(parents=True, exist_ok=True)
-        heal_torn_tail(self._path)
-        with self._path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(entry) + "\n")
-            handle.flush()
+        if self._path is not None:
+            append_json_line(self._path, entry)
 
     # -- the WAL interface -----------------------------------------------------
 

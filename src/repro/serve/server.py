@@ -21,11 +21,10 @@
 * **sheds load** instead of queueing unboundedly: a submission that
   would push the queue past ``max_queue_depth`` is refused whole with
   a structured ``overloaded`` event carrying a ``retry_after`` hint
-  (idempotent submissions make the retry safe), and ``max_inflight``
-  bounds how many points one executor burst hands the runner;
+  (idempotent submissions make the retry safe);
 * **drains** gracefully on request (the ``drain`` op, ``SIGTERM`` in
   the CLI, or :meth:`drain`): new submissions are refused with a
-  ``draining`` event, the chunk already executing finishes and files
+  ``draining`` event, the burst already executing finishes and files
   its results, and the queued remainder stays journaled for the next
   start;
 * **quarantines** poisoned points: a point whose attempts crash
@@ -38,16 +37,17 @@
   than polling.
 
 Execution always runs under ``on_error="record"`` on the runner's kept
-worker pool: a crashing or timed-out point yields a failure row to its
-subscribers but never kills the daemon — and the store refuses to
-cache such rows, so a retry re-runs the point instead of replaying the
-failure.
+worker pool, one point per free worker: a crashing or timed-out point
+yields a failure row to its subscribers but never kills the daemon —
+and the store refuses to cache such rows, so a retry re-runs the point
+instead of replaying the failure.
 """
 
 from __future__ import annotations
 
 import io
 import queue
+import selectors
 import socket
 import socketserver
 import threading
@@ -124,7 +124,30 @@ _Outcome = Tuple[_Routed, str, str, Union[RunRecord, _Pending]]
 class _ServeTCPServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
+    #: Seconds an idle acceptor waits before it reads the stop flag
+    #: again, should the connect in :meth:`wake` fail.
+    poll_seconds = 1.0
     owner: "SweepServer"
+
+    def serve_until(self, stopped: threading.Event) -> None:
+        """Accept connections until *stopped* is set.
+
+        ``serve_forever`` would notice ``shutdown()`` only at its next
+        poll; this loop ends as soon as :meth:`wake` connects, and
+        leaves that connection unaccepted.
+        """
+        with selectors.DefaultSelector() as selector:
+            selector.register(self, selectors.EVENT_READ)
+            while not stopped.is_set():
+                if selector.select(self.poll_seconds) and not stopped.is_set():
+                    self._handle_request_noblock()
+
+    def wake(self) -> None:
+        """Connect once, so an acceptor waiting for a client returns now."""
+        try:
+            socket.create_connection(self.server_address[:2], 1.0).close()
+        except OSError:
+            pass  # the acceptor reads the flag again within poll_seconds
 
 
 def _hang_up(conn: socket.socket) -> None:
@@ -346,11 +369,15 @@ class SweepServer:
     once in :meth:`start` and shut down by :meth:`stop`, so a
     simulating point never holds the GIL the transport threads answer
     warm submits with; on Linux a worker dies with the server, even one
-    killed by ``SIGKILL``.  A point that kills its worker, or outlasts
-    *timeout*, is told apart from the points the ended pool lost with
-    it (see :class:`SweepRunner`): only it gets a failure row and a
-    crash strike, and the others re-run alone.  *store* defaults to a
-    fresh in-memory :class:`ResultStore`; *journal* to an in-memory
+    killed by ``SIGKILL``.  The executor runs each coalesced burst of
+    cold points on the pool one point per free worker, and journals a
+    point's ``start`` as it is handed out, so a server killed mid-burst
+    charges a crash only to the points that were running.  A point
+    that kills its worker, or outlasts *timeout*, is told apart from
+    the points the ended pool lost with it (see :class:`SweepRunner`):
+    only it gets a failure row and a crash strike, and the others
+    re-run alone.  *store* defaults to a fresh in-memory
+    :class:`ResultStore`; *journal* to an in-memory
     :class:`~repro.serve.journal.Journal` — hand in path-backed ones to
     make results **and accepted work** survive restarts: on
     :meth:`start`, unfinished journaled points re-run automatically
@@ -362,8 +389,6 @@ class SweepServer:
       will hold; a submission that would exceed it is refused whole
       with an ``overloaded`` event (``retry_after`` estimates when the
       backlog will have cleared);
-    * ``max_inflight`` — how many points one executor burst hands the
-      runner at a time (``None``: the whole coalesced burst);
     * ``quarantine_threshold`` — consecutive crashed attempts (clean
       failure rows and server-killing attempts both count, via the
       journal) after which a point is parked: answered with an
@@ -386,16 +411,11 @@ class SweepServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_queue_depth: int = DEFAULT_MAX_QUEUE_DEPTH,
-        max_inflight: Optional[int] = None,
         quarantine_threshold: int = DEFAULT_QUARANTINE_THRESHOLD,
     ) -> None:
         if max_queue_depth < 1:
             raise ConfigError(
                 f"max_queue_depth must be positive, got {max_queue_depth}"
-            )
-        if max_inflight is not None and max_inflight < 1:
-            raise ConfigError(
-                f"max_inflight must be positive, got {max_inflight}"
             )
         if quarantine_threshold < 1:
             raise ConfigError(
@@ -411,7 +431,6 @@ class SweepServer:
             on_error="record",
         )
         self.max_queue_depth = max_queue_depth
-        self.max_inflight = max_inflight
         self.quarantine_threshold = quarantine_threshold
         self._host = host
         self._port = port
@@ -430,7 +449,8 @@ class SweepServer:
         #: answered; stop() hangs up the idle ones at once, the busy ones
         #: end after their reply.
         self._connections: Dict[socket.socket, bool] = {}
-        self._threads: List[threading.Thread] = []
+        self._acceptor: Optional[threading.Thread] = None
+        self._executor: Optional[threading.Thread] = None
         self._stopped = threading.Event()
         self._draining = threading.Event()
         self._started_at: Optional[float] = None
@@ -484,18 +504,17 @@ class SweepServer:
             self.runner.close()
             raise
         self._tcp.owner = self
-        acceptor = threading.Thread(
-            target=self._tcp.serve_forever,
-            kwargs={"poll_interval": 0.05},
+        self._acceptor = threading.Thread(
+            target=self._tcp.serve_until,
+            args=(self._stopped,),
             name="serve-acceptor",
             daemon=True,
         )
-        executor = threading.Thread(
+        self._executor = threading.Thread(
             target=self._executor_loop, name="serve-executor", daemon=True
         )
-        self._threads = [acceptor, executor]
-        for thread in self._threads:
-            thread.start()
+        self._acceptor.start()
+        self._executor.start()
         return self.address
 
     def _recover(self) -> None:
@@ -545,7 +564,7 @@ class SweepServer:
     def drain(self, timeout: Optional[float] = 30.0) -> None:
         """Stop gracefully: refuse new submits, finish in-flight work.
 
-        The chunk the executor is currently running completes and files
+        The burst the executor is currently running completes and files
         its results (and ``done`` journal marks); queued-but-unstarted
         points are answered with error rows but **stay journaled** —
         the next server started on the same journal re-runs them.  The
@@ -556,15 +575,7 @@ class SweepServer:
             return
         self._draining.set()
         self._work.put(None)
-        executor = next(
-            (t for t in self._threads if t.name == "serve-executor"), None
-        )
-        if (
-            executor is not None
-            and executor.is_alive()
-            and executor is not threading.current_thread()
-        ):
-            executor.join(timeout)
+        self._join(self._executor, timeout)
         self.stop()
 
     def stop(self) -> None:
@@ -582,7 +593,8 @@ class SweepServer:
         self._draining.set()  # route() refuses from this moment
         self._stopped.set()
         if self._tcp is not None:
-            self._tcp.shutdown()
+            self._tcp.wake()
+            self._join(self._acceptor)
             self._tcp.server_close()
         # A stopped server answers no new request on an open connection
         # either: an idle handler's read sees EOF and its thread ends.
@@ -595,9 +607,7 @@ class SweepServer:
         # answers its points without a crash mark, and the journal keeps
         # them for the next start.
         self.runner.close()
-        for thread in self._threads:
-            if thread is not threading.current_thread():
-                thread.join(timeout=10.0)
+        self._join(self._executor)
         with self._lock:
             leftovers = list(self._inflight.items())
             self._inflight.clear()
@@ -608,6 +618,13 @@ class SweepServer:
                 "is journaled and re-runs on the next start",
             )
             pending.event.set()
+
+    @staticmethod
+    def _join(
+        thread: Optional[threading.Thread], timeout: Optional[float] = 10.0
+    ) -> None:
+        if thread is not None and thread is not threading.current_thread():
+            thread.join(timeout)
 
     # Each connection check takes the lock and reads the stop flag, and
     # stop() sets the flag before it walks the connections under the
@@ -819,42 +836,36 @@ class SweepServer:
                     stop_after = True
                     break
                 batch.extend(extra)
-            self._run_batch(batch)
+            self._run_burst(batch)
             if stop_after or self._draining.is_set():
                 return
 
-    def _run_batch(self, batch: List[Tuple[str, _Pending]]) -> None:
-        """Run one coalesced burst, ``max_inflight`` points at a time."""
-        chunk_size = self.max_inflight or len(batch)
-        for begin in range(0, len(batch), chunk_size):
-            if self._draining.is_set():
-                # Journaled but unstarted: answer the waiting clients,
-                # leave the journal entries pending for the next start.
-                for key, pending in batch[begin:]:
-                    self._abandon(
-                        key,
-                        pending,
-                        "server draining before the point ran; the "
-                        "accepted work is journaled and re-runs on the "
-                        "next start",
-                    )
-                return
-            self._run_chunk(batch[begin : begin + chunk_size])
-
-    def _run_chunk(self, chunk: List[Tuple[str, _Pending]]) -> None:
-        points = [pending.point for _key, pending in chunk]
+    def _run_burst(self, burst: List[Tuple[str, _Pending]]) -> None:
+        """Run one coalesced burst on the pool, unless a drain began."""
+        if self._draining.is_set():
+            # Journaled but unstarted: answer the waiting clients,
+            # leave the journal entries pending for the next start.
+            for key, pending in burst:
+                self._abandon(
+                    key,
+                    pending,
+                    "server draining before the point ran; the accepted "
+                    "work is journaled and re-runs on the next start",
+                )
+            return
+        points = [pending.point for _key, pending in burst]
         ceilings = {
-            id(pending.point): pending.max_cycles for _key, pending in chunk
+            id(pending.point): pending.max_cycles for _key, pending in burst
         }
 
         def started(index: int, _point: SweepPoint) -> None:
-            key, _pending = chunk[index]
+            key, _pending = burst[index]
             self.journal.record_start(key)
             with self._lock:
                 self._running.add(key)
 
         def finish(index: int, record: RunRecord) -> None:
-            key, pending = chunk[index]
+            key, pending = burst[index]
             self._finish(key, pending, record)
 
         try:
@@ -867,7 +878,7 @@ class SweepServer:
             with self._lock:
                 self._stats["bursts"] += 1
         except Exception as exc:  # infrastructure failure, not a point crash
-            for key, pending in chunk:
+            for key, pending in burst:
                 if pending.event.is_set():
                     continue
                 if self._stopped.is_set():
@@ -890,7 +901,7 @@ class SweepServer:
                 )
         finally:
             with self._lock:
-                self._running.difference_update(key for key, _p in chunk)
+                self._running.difference_update(key for key, _p in burst)
 
     def _finish(self, key: str, pending: _Pending, record: RunRecord) -> None:
         self.store.put(key, record)  # refuses failure rows itself
@@ -929,24 +940,6 @@ class SweepServer:
 
     # -- introspection ---------------------------------------------------------
 
-    def queue_depth(self) -> int:
-        """Points currently queued or running."""
-        with self._lock:
-            return len(self._inflight)
-
-    def in_flight(self) -> int:
-        """Points an execution attempt is currently running for."""
-        with self._lock:
-            return len(self._running)
-
-    def quarantine(self) -> List[Dict[str, object]]:
-        """The parked points: ``{"key", "label", "crashes"}`` rows."""
-        with self._lock:
-            return [
-                {"key": key, **info}
-                for key, info in sorted(self._quarantine.items())
-            ]
-
     def stats(self) -> Dict[str, object]:
         """JSON-ready serving counters (the ``status`` op's payload)."""
         with self._lock:
@@ -958,7 +951,6 @@ class SweepServer:
                 for key, info in sorted(self._quarantine.items())
             ]
         stats["queue_bound"] = self.max_queue_depth
-        stats["max_inflight"] = self.max_inflight
         stats["quarantine_threshold"] = self.quarantine_threshold
         stats["draining"] = self._draining.is_set()
         stats["stopped"] = self._stopped.is_set()

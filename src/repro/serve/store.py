@@ -21,11 +21,12 @@ whichever writer files a key first is authoritative, later duplicates
 are inert lines (determinism makes them equal anyway — nothing is
 lost, the file merely carries a redundant record).  A writer that
 crashes mid-append leaves a torn line *without* a trailing newline;
-before its first append every store (and the write-ahead journal,
-which shares this discipline via :func:`heal_torn_tail`) terminates
-such a tail so a concurrent or later writer's next record starts on a
-fresh line instead of merging into — and corrupting — the torn one.
-Only the torn fragment itself is ever lost.
+before each append every store (and the write-ahead journal, which
+reads and appends through the same :func:`read_json_lines` and
+:func:`append_json_line`) terminates such a tail so a concurrent or
+later writer's next record starts on a fresh line instead of merging
+into — and corrupting — the torn one.  Only the torn fragment itself
+is ever lost.
 
 **Failure rows are never authoritative.**  A record whose
 :attr:`~repro.exec.records.RunRecord.failed` flag is set — a crash or
@@ -41,7 +42,7 @@ from __future__ import annotations
 import json
 import threading
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import ConfigError
 from repro.exec.records import RunRecord
@@ -67,6 +68,48 @@ def heal_torn_tail(path: Path) -> bool:
     return True
 
 
+def read_json_lines(
+    path: Path, parse: Callable[[Any], Any]
+) -> Tuple[List[Any], int]:
+    """Every line of the JSON-lines file at *path* through *parse*, and
+    the number of lines skipped.
+
+    A line that is not JSON, or that *parse* rejects with
+    ``ValueError``, ``KeyError``, ``TypeError`` or
+    :class:`~repro.errors.ConfigError`, is skipped: a crash mid-append
+    leaves at most one such line, and dropping it loses that one entry.
+    """
+    entries: List[Any] = []
+    skipped = 0
+    with path.open("r", encoding="utf-8") as handle:
+        for line in handle:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                entries.append(parse(json.loads(line)))
+            except (ValueError, KeyError, TypeError, ConfigError):
+                skipped += 1
+    return entries, skipped
+
+
+def append_json_line(path: Path, entry: Dict[str, object]) -> None:
+    """Append *entry* to the JSON-lines file at *path* and flush it.
+
+    Another holder of *path* may have crashed mid-append at any point;
+    its torn line is closed first (:func:`heal_torn_tail`).
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    heal_torn_tail(path)
+    with path.open("a", encoding="utf-8") as handle:
+        handle.write(json.dumps(entry) + "\n")
+        handle.flush()
+
+
+def _parse_entry(entry: Dict[str, Any]) -> Tuple[str, RunRecord]:
+    return str(entry["key"]), RunRecord.from_dict(entry["record"])
+
+
 class ResultStore:
     """Thread-safe content-addressed ``RunRecord`` cache.
 
@@ -89,38 +132,15 @@ class ResultStore:
 
     def _load(self) -> None:
         assert self._path is not None
-        with self._path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                    key = entry["key"]
-                    record = RunRecord.from_dict(entry["record"])
-                except (ValueError, KeyError, TypeError, ConfigError):
-                    # A crash mid-append leaves at most one bad line;
-                    # dropping it loses one cached point, nothing more.
-                    self.skipped_lines += 1
-                    continue
-                if record.failed:  # defence against hand-edited stores
-                    self.rejected_failures += 1
-                    continue
-                # First write wins: a concurrent second writer may have
-                # appended a duplicate key; the earliest line is the
-                # authoritative one.
-                self._index.setdefault(str(key), record)
-
-    def _append(self, key: str, record: RunRecord) -> None:
-        assert self._path is not None
-        self._path.parent.mkdir(parents=True, exist_ok=True)
-        # A concurrent holder of this path may have crashed mid-append
-        # at any point; close its torn line before filing after it.
-        heal_torn_tail(self._path)
-        entry = {"key": key, "record": record.to_dict()}
-        with self._path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(entry) + "\n")
-            handle.flush()
+        entries, self.skipped_lines = read_json_lines(self._path, _parse_entry)
+        for key, record in entries:
+            if record.failed:  # defence against hand-edited stores
+                self.rejected_failures += 1
+                continue
+            # First write wins: a concurrent second writer may have
+            # appended a duplicate key; the earliest line is the
+            # authoritative one.
+            self._index.setdefault(key, record)
 
     # -- the cache interface ---------------------------------------------------
 
@@ -146,7 +166,9 @@ class ResultStore:
                 return False
             self._index[key] = record
             if self._path is not None:
-                self._append(key, record)
+                append_json_line(
+                    self._path, {"key": key, "record": record.to_dict()}
+                )
             return True
 
     def __len__(self) -> int:

@@ -234,7 +234,6 @@ class TestServingAcceptance:
         assert status["stats"]["max_queue_depth"] >= 1
         assert status["stats"]["queue_depth"] == 0  # drained
         assert status["store"]["entries"] == 3
-        assert server.queue_depth() == 0
 
     def test_unknown_op_and_empty_submit_answer_with_errors(self, served):
         server, _client = served
@@ -299,12 +298,12 @@ class TestRoutingUnit:
         [(_point2, key2, source2, pending2)] = server.route(grid)
         assert source1 == "run" and source2 == "inflight"
         assert key1 == key2 and pending1 is pending2
-        assert server.queue_depth() == 1
+        assert server.stats()["queue_depth"] == 1
         # Drain the queue by hand (the executor thread is not running).
-        batch = server._work.get_nowait()
-        server._run_batch(batch)
+        burst = server._work.get_nowait()
+        server._run_burst(burst)
         assert pending1.wait().transactions > 0
-        assert server.queue_depth() == 0
+        assert server.stats()["queue_depth"] == 0
         # Resolved work is now a store hit for everyone.
         [(_point3, _key3, source3, record)] = server.route(grid)
         assert source3 == "store"
@@ -319,16 +318,15 @@ class TestRoutingUnit:
 
     def test_stop_fails_leftover_pendings(self):
         server = SweepServer()  # executor parked: pendings never resolve
-        [(point, _key, _source, pending)] = server.route(_grid(values=(4,)))
-        server._stopped.set()
-        server._work.put(None)
-        with server._lock:
-            leftovers = list(server._inflight.items())
-            server._inflight.clear()
-        for _k, p in leftovers:
-            p.record = RunRecord.from_error(p.point, "server stopped")
-            p.event.set()
-        assert pending.wait().failed
+        [(_point, key, _source, pending)] = server.route(_grid(values=(4,)))
+        server.stop()
+        assert pending.event.is_set()  # answered before stop() returned
+        record = pending.record
+        assert record.failed
+        assert "server stopped" in record.error
+        assert "journaled" in record.error
+        assert [entry[0] for entry in server.journal.pending()] == [key]
+        assert server.stats()["queue_depth"] == 0
 
 
 def _multi_master_grid(transactions=15, values=(1, 2, 4)):
@@ -902,11 +900,11 @@ class TestQuarantine:
             assert parked.quarantined == 1
             assert parked.sources == ("quarantined",)
             assert "quarantined" in parked.records[0].error
-            [entry] = server.quarantine()
+            [entry] = server.stats()["quarantine"]
             assert entry["crashes"] >= 2
             assert entry["label"] == poison[0].label
             status = client.status()
-            assert status["stats"]["quarantine"] == server.quarantine()
+            assert status["stats"]["quarantine"] == [entry]
             assert status["stats"]["quarantined_answers"] == 1
 
     def test_quarantine_survives_restart_via_journal(self, tmp_path):
@@ -929,7 +927,7 @@ class TestQuarantine:
         for _pass in range(4):
             result = client.submit(_grid(values=(4,)))
             assert not result.records[0].failed
-        assert server.quarantine() == []
+        assert server.stats()["quarantine"] == []
 
 
 class TestClientResilience:

@@ -6,6 +6,7 @@ Linux-only, like the pool's parent-death signal: liveness is read from
 """
 
 import functools
+import json
 import multiprocessing
 import os
 import signal
@@ -117,9 +118,11 @@ class TestPoolLifetime:
             [(_point, key, source, pending)] = server.route(_grid(values=(2,)))
             assert source == "run"
             deadline = time.monotonic() + 10.0
-            while not server.in_flight() and time.monotonic() < deadline:
+            while (
+                not server.stats()["in_flight"] and time.monotonic() < deadline
+            ):
                 time.sleep(0.01)
-            assert server.in_flight() == 1
+            assert server.stats()["in_flight"] == 1
             began = time.monotonic()
             server.stop()
             assert time.monotonic() - began < 5.0
@@ -261,3 +264,100 @@ class TestKilledWorker:
             assert [record.failed for record in runner.run(_grid())] == [
                 False
             ] * 3
+
+
+def _serve_daemon(tmp_path: Path) -> tuple[subprocess.Popen, str, int]:
+    """A 2-worker ``repro.serve serve`` process on *tmp_path*'s store
+    and journal, and its bound address."""
+    daemon = subprocess.Popen(
+        [
+            sys.executable,
+            "-m",
+            "repro.serve",
+            "serve",
+            "--port",
+            "0",
+            "--workers",
+            "2",
+            "--store",
+            str(tmp_path / "results.jsonl"),
+            "--journal",
+            str(tmp_path / "journal.jsonl"),
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    banner = daemon.stdout.readline()
+    if "listening on" not in banner:
+        daemon.kill()
+        daemon.communicate()
+        raise AssertionError(f"daemon did not start: {banner!r}")
+    host, port = banner.split("listening on ")[1].split()[0].rsplit(":", 1)
+    return daemon, host, int(port)
+
+
+class TestKilledServer:
+    def test_a_kill_mid_burst_charges_only_the_points_that_ran(
+        self, tmp_path
+    ):
+        """A 2-worker daemon killed with ``SIGKILL`` after its first
+        ``result``: the journal charges a crash only to points that
+        started and did not finish, at most one per worker, and the
+        daemon restarted on it quarantines nothing."""
+        # About 0.2 s a point: the kill lands while the burst runs.
+        grid = sweep(
+            paper_topology(2000),
+            axis="write_buffer_depth",
+            values=(1, 2, 3, 4, 5, 6),
+        )
+        keys = [
+            point_key(point.spec, engine=point.engine, max_cycles=None)
+            for point in grid
+        ]
+        daemon, host, port = _serve_daemon(tmp_path)
+        try:
+
+            def kill_at_first_result(event):
+                if event.get("event") == "result" and daemon.poll() is None:
+                    daemon.kill()
+                    daemon.wait(timeout=30)
+
+            with ServeClient(host, port, retries=0, timeout=60.0) as client:
+                with pytest.raises(SimulationError):
+                    client.submit(grid, on_event=kill_at_first_result)
+        finally:
+            daemon.kill()
+            daemon.communicate()
+        entries = [
+            json.loads(line)
+            for line in (tmp_path / "journal.jsonl").read_text().splitlines()
+        ]
+        started = {entry["key"] for entry in entries if entry["op"] == "start"}
+        ended = {
+            entry["key"] for entry in entries if entry["op"] in ("done", "fail")
+        }
+        journal = Journal(tmp_path / "journal.jsonl")
+        strikes = [journal.crash_count(key) for key in keys]
+        assert keys[0] in ended and strikes[0] == 0
+        assert len(journal.pending()) >= 2  # the kill cut the burst short
+        struck = {key for key, count in zip(keys, strikes) if count}
+        assert struck <= started - ended
+        assert len(struck) <= 2 and max(strikes) <= 1
+        daemon, host, port = _serve_daemon(tmp_path)
+        try:
+            with ServeClient(host, port, timeout=60.0) as client:
+                again = client.submit(grid)
+                stats = client.status()["stats"]
+                assert client.shutdown()
+            daemon.wait(timeout=30)
+        finally:
+            daemon.kill()
+            daemon.communicate()
+        assert not any(record.failed for record in again.records)
+        assert stats["quarantine"] == []
+        # A point whose record was stored before its ``done`` mark
+        # replays from the store instead of re-running.
+        recovered = stats["recovered_rerun"] + stats["recovery_replayed"]
+        assert recovered == len(journal.pending())

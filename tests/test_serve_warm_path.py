@@ -60,7 +60,7 @@ def _grid(values=(1, 2, 4, 8)):
 
 def _settle(server):
     """Run the parked executor's queued work by hand."""
-    server._run_batch(server._work.get_nowait())
+    server._run_burst(server._work.get_nowait())
 
 
 @pytest.fixture()
@@ -122,7 +122,7 @@ class TestRouteKeying:
         assert server.stats() == stats
         assert server.journal.stats() == journal
         assert server._work.qsize() == queued
-        assert server.queue_depth() == 1
+        assert server.stats()["queue_depth"] == 1
 
 
 class _RecordingWriter:
@@ -323,9 +323,19 @@ class TestKeptConnection:
         finally:
             server.stop()
 
+    def test_idle_stop_wakes_the_acceptor_at_once(self):
+        server = SweepServer(workers=1)
+        server.start()
+        began = time.monotonic()
+        server.stop()
+        # The acceptor re-reads the stop flag on its own only every
+        # poll_seconds; stop() must not wait for that.
+        assert time.monotonic() - began < server._tcp.poll_seconds / 2
+        assert not server._acceptor.is_alive()
+
     def test_stop_lets_a_reply_in_progress_finish(self, monkeypatch):
         server = SweepServer()
-        monkeypatch.setattr(server, "_run_batch", lambda batch: None)
+        monkeypatch.setattr(server, "_run_burst", lambda burst: None)
         server.start()  # the executor takes batches but never runs them
         submit = {
             "op": "submit",
